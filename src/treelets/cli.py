@@ -123,9 +123,8 @@ def _write_manifest(output, command, config, inputs, timings) -> None:
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _sniff_header(path) -> bool:
+def _sniff_header(rows) -> bool:
     """A CSV whose first row has a non-numeric, non-missing cell has a header."""
-    rows = io._csv_rows(path)
     if not rows:
         return False
     for cell in rows[0]:
@@ -139,18 +138,18 @@ def _sniff_header(path) -> bool:
     return False
 
 
-def _has_header(args, path) -> bool:
+def _has_header(args, path, rows=None) -> bool:
     if args.has_header:
         return True
     if args.no_header:
         return False
-    return _sniff_header(path)
+    return _sniff_header(io._csv_rows(path) if rows is None else rows)
 
 
 def _read_features(args, path):
     """Numeric feature matrix from a CSV, dropping a 'label' column if named."""
-    has_header = _has_header(args, path)
     rows = io._csv_rows(path)
+    has_header = _has_header(args, path, rows)
     drop = None
     if has_header and rows:
         header = [h.strip() for h in rows[0]]

@@ -141,14 +141,20 @@ def decompose(
 
     best_score = np.full(p, -np.inf)
     best_j = np.full(p, -1, dtype=np.int64)
+
+    def rescan(i: int, cols: np.ndarray):
+        """Cache row i's best partner among cols other than i; return those and their scores."""
+        js = cols[cols != i]
+        scores = _pair_scores(a, diag, i, js, lam)
+        m = int(np.argmax(scores))
+        best_score[i] = scores[m]
+        best_j[i] = js[m]
+        return js, scores
+
     if selection == "cached" and p >= 2:
         idx = np.arange(p, dtype=np.int64)
         for i in range(p):
-            js = idx[idx != i]
-            scores = _pair_scores(a, diag, i, js, lam)
-            m = int(np.argmax(scores))
-            best_score[i] = scores[m]
-            best_j[i] = js[m]
+            rescan(i, idx)
 
     for step in range(1, p):
         if selection == "rescan":
@@ -195,12 +201,7 @@ def decompose(
                 best_score[beta] = -np.inf
                 best_j[beta] = -1
                 continue
-            js = act_idx[act_idx != beta]
-            col_scores = _pair_scores(a, diag, beta, js, lam)
-
-            m = int(np.argmax(col_scores))
-            best_score[beta] = col_scores[m]
-            best_j[beta] = js[m]
+            js, col_scores = rescan(beta, act_idx)
 
             stale = (best_j[js] == alpha) | (best_j[js] == beta)
             fresh = ~stale
@@ -214,11 +215,7 @@ def decompose(
                 best_score[upd] = cand[take]
                 best_j[upd] = beta
             for i in js[stale]:
-                row_js = act_idx[act_idx != i]
-                scores = _pair_scores(a, diag, int(i), row_js, lam)
-                m = int(np.argmax(scores))
-                best_score[i] = scores[m]
-                best_j[i] = row_js[m]
+                rescan(int(i), act_idx)
 
     stop_level = len(records)
     return TreeletDecomposition(

@@ -15,8 +15,12 @@ import numpy as np
 
 from .core import DEFAULT_STOP_TOL, TreeletDecomposition, decompose
 from .hierarchy import ClusterLabels, Dendrogram, cut, merge_tree
-from .kernels import Graph, KernelSpec, eval_kernel, gram, kernel_row, kernel_self
+from .kernels import Graph, KernelSpec, eval_kernel, gram, kernel_block, kernel_diag
 from .rng import SplitMix64
+
+# elements of one query block's widest temporary (queries x sample x width):
+# 1 MB of float64, whatever the thread count
+_BLOCK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -77,8 +81,11 @@ def knn_extend(
 ) -> np.ndarray:
     """Label each query by majority vote of its knn_k nearest sampled points.
 
-    Distance ties prefer the smaller sample position, vote ties the smaller
-    cluster id, so the result is deterministic and thread-count independent.
+    Queries are labeled in blocks whose height keeps one block of kernel
+    work within a fixed element budget; `threads` workers take whole
+    blocks.  Distance ties prefer the smaller sample position, vote ties
+    the smaller cluster id, so the result is deterministic and independent
+    of the thread count and the block height.
     """
     sample = np.asarray(sample, dtype=np.int64)
     queries = np.asarray(queries, dtype=np.int64)
@@ -88,27 +95,24 @@ def knn_extend(
     if knn_k > len(sample):
         raise ValueError("knn_k cannot exceed the sample size")
 
-    self_sample = np.array([kernel_self(spec, data, int(i)) for i in sample])
+    self_sample = kernel_diag(spec, data, sample)
     n_labels = int(sample_labels.max()) + 1
-    positions = np.arange(len(sample))
-    out = np.empty(len(queries), dtype=np.int64)
+    width = 1 if isinstance(data, Graph) else data.p
+    height = max(1, _BLOCK_ELEMENTS // (len(sample) * width))
 
-    def label_one(qi: int) -> int:
-        q = int(queries[qi])
-        row = kernel_row(spec, data, sample, q)
-        d = np.sqrt(np.maximum(0.0, kernel_self(spec, data, q) + self_sample - 2.0 * row))
-        order = np.lexsort((positions, d))
-        votes = np.bincount(sample_labels[order[:knn_k]], minlength=n_labels)
-        return int(votes.argmax())
+    def label_block(start: int) -> np.ndarray:
+        block = queries[start : start + height]
+        k = kernel_block(spec, data, block, sample)
+        d = np.sqrt(np.maximum(0.0, kernel_diag(spec, data, block)[:, None] + self_sample - 2.0 * k))
+        # a stable sort keeps equal distances in sample order
+        nearest = sample_labels[np.argsort(d, axis=1, kind="stable")[:, :knn_k]]
+        flat = (np.arange(len(block))[:, None] * n_labels + nearest).ravel()
+        votes = np.bincount(flat, minlength=len(block) * n_labels)
+        return votes.reshape(len(block), n_labels).argmax(axis=1)
 
-    if threads <= 1 or len(queries) < 2:
-        for qi in range(len(queries)):
-            out[qi] = label_one(qi)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for qi, lab in enumerate(pool.map(label_one, range(len(queries)))):
-                out[qi] = lab
-    return out
+    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+        blocks = list(pool.map(label_block, range(0, len(queries), height)))
+    return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
 
 
 def fit_predict(
@@ -116,17 +120,13 @@ def fit_predict(
     config: KtConfig,
     threads: int = 1,
     timings: dict | None = None,
-    extender=None,
 ) -> KtResult:
-    """Run the whole pipeline and return everything needed to audit it.
-
-    `extender` is the out-of-sample labeling strategy and defaults to
-    knn_extend; any callable with the same signature (an SVM-based one,
-    say) can be swapped in.
-    """
+    """Run the whole pipeline and return everything needed to audit it."""
     n = data.n_vertices if isinstance(data, Graph) else data.n
     if config.sample_size > n:
         raise ValueError(f"sample_size {config.sample_size} exceeds dataset size {n}")
+    if config.sample_size < n and config.knn_k > config.sample_size:
+        raise ValueError("knn_k cannot exceed the sample size")
 
     def mark(name, start):
         if timings is not None:
@@ -153,15 +153,11 @@ def fit_predict(
     mark("cut", t)
 
     t = time.perf_counter()
-    if extender is None:
-        extender = knn_extend
     full = np.empty(n, dtype=np.int64)
     full[np.asarray(sample)] = sample_labels.assignments
     if config.sample_size < n:
-        in_sample = np.zeros(n, dtype=bool)
-        in_sample[np.asarray(sample)] = True
-        queries = np.nonzero(~in_sample)[0]
-        full[queries] = extender(
+        queries = np.setdiff1d(np.arange(n), sample)
+        full[queries] = knn_extend(
             config.kernel,
             data,
             np.asarray(sample),

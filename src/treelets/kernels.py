@@ -209,62 +209,69 @@ def eval_kernel(spec: KernelSpec, x1, x2) -> float:
     raise TypeError(f"unknown kernel spec {spec!r}")
 
 
-def kernel_row(spec: KernelSpec, data, indices: np.ndarray, j: int) -> np.ndarray:
-    """K(x_j, x_i) for every i in indices, evaluated in one vectorized pass."""
-    indices = np.asarray(indices, dtype=np.int64)
+def kernel_block(spec: KernelSpec, data, rows, cols) -> np.ndarray:
+    """K(x_r, x_c) for every r in rows and c in cols, as a len(rows) x len(cols) array.
 
+    A cell's bits do not depend on the block's shape: distance kernels sum along
+    the last axis, inner-product kernels take one matrix-vector product per row.
+    """
     if isinstance(spec, GraphKernel):
         if not isinstance(data, Graph):
             raise TypeError("graph kernel requires a Graph")
-        indicator = np.zeros(data.n_vertices)
-        nbrs = data.neighbors(j)
-        if nbrs:
-            indicator[list(nbrs)] = 1.0
-        indicator[j] = spec.diag
-        return indicator[indices]
+        out = np.empty((len(rows), len(cols)))
+        for a, r in enumerate(rows):
+            indicator = np.zeros(data.n_vertices)
+            indicator[list(data.neighbors(int(r)))] = 1.0
+            indicator[r] = spec.diag
+            out[a] = indicator[cols]
+        return out
 
     if not isinstance(data, Dataset):
         raise TypeError("numeric kernels require a Dataset")
-    values = data.values[indices]
-    vj = data.values[j]
+    values = data.values[cols]
 
+    if isinstance(spec, (LinearKernel, PolynomialKernel)):
+        out = np.empty((len(rows), len(cols)))
+        for a, r in enumerate(rows):
+            out[a] = values @ data.values[r]
+            if isinstance(spec, PolynomialKernel):
+                out[a] = (spec.alpha * out[a] + spec.c0) ** spec.degree
+        return out
+
+    diff2 = (values - data.values[rows][:, None, :]) ** 2
     if isinstance(spec, RbfKernel):
-        d2 = np.sum((values - vj) ** 2, axis=1)
-        return np.exp(-d2 / (2.0 * spec.sigma**2))
-    if isinstance(spec, LinearKernel):
-        return values @ vj
-    if isinstance(spec, PolynomialKernel):
-        return (spec.alpha * (values @ vj) + spec.c0) ** spec.degree
+        return np.exp(-diff2.sum(axis=2) / (2.0 * spec.sigma**2))
     if isinstance(spec, MissingRbfKernel):
-        shared = data.present[indices] & data.present[j]
-        count = shared.sum(axis=1)
+        shared = data.present[cols] & data.present[rows][:, None, :]
+        count = shared.sum(axis=2)
         if (count == 0).any():
-            bad = int(indices[np.argmax(count == 0)])
-            raise ValueError(f"no shared observed attributes between rows {j} and {bad}")
-        d2 = np.where(shared, (values - vj) ** 2, 0.0).sum(axis=1)
+            a, c = np.argwhere(count == 0)[0]
+            raise ValueError(f"no shared observed attributes between rows {rows[a]} and {cols[c]}")
+        d2 = np.where(shared, diff2, 0.0).sum(axis=2)
         return np.exp(-spec.gamma * d2 / count)
     raise TypeError(f"unknown kernel spec {spec!r}")
 
 
-def kernel_self(spec: KernelSpec, data, i: int) -> float:
-    """K(x_i, x_i) without building a row."""
+def kernel_diag(spec: KernelSpec, data, ids) -> np.ndarray:
+    """K(x_i, x_i) for every i in ids; np.dot per row, since a block's diagonal rounds differently."""
     if isinstance(spec, (RbfKernel, MissingRbfKernel)):
-        return 1.0
+        return np.ones(len(ids))
     if isinstance(spec, GraphKernel):
-        return float(spec.diag)
+        return np.full(len(ids), float(spec.diag))
     if isinstance(spec, LinearKernel):
-        return float(np.dot(data.values[i], data.values[i]))
+        return np.array([np.dot(v, v) for v in data.values[ids]])
     if isinstance(spec, PolynomialKernel):
-        dot = float(np.dot(data.values[i], data.values[i]))
-        return float((spec.alpha * dot + spec.c0) ** spec.degree)
+        dots = [float(np.dot(v, v)) for v in data.values[ids]]
+        return np.array([(spec.alpha * dot + spec.c0) ** spec.degree for dot in dots])
     raise TypeError(f"unknown kernel spec {spec!r}")
 
 
 def gram(spec: KernelSpec, data, indices) -> SymMatrix:
     """Gram matrix K(S, S) over the given row/vertex ids.
 
-    Each unordered pair is evaluated once and stored in a single cell, so
-    the result is symmetric by construction.
+    Row t of the lower triangle is one kernel_block call of one row against
+    indices[: t + 1], so each unordered pair is evaluated once and stored in
+    a single cell, and the result is symmetric by construction.
     """
     indices = np.asarray(list(indices), dtype=np.int64)
     m = len(indices)
@@ -283,9 +290,8 @@ def gram(spec: KernelSpec, data, indices) -> SymMatrix:
 
     out = SymMatrix(m)
     for t in range(m):
-        row = kernel_row(spec, data, indices[: t + 1], int(indices[t]))
         start = t * (t + 1) // 2
-        out.data[start : start + t + 1] = row
+        out.data[start : start + t + 1] = kernel_block(spec, data, [indices[t]], indices[: t + 1])
     return out
 
 

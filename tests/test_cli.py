@@ -170,6 +170,16 @@ class TestPipeline:
         assert norm.p == 2  # label column dropped
         assert abs(norm.values[:, 0].mean()) < 1e-12
 
+    def test_feature_csv_parsed_twice(self, blob_csv, tmp_path, monkeypatch):
+        """Once for the header, once for the values; the header sniff reuses the first."""
+        from treelets import io
+
+        calls = []
+        parse = io._csv_rows
+        monkeypatch.setattr(io, "_csv_rows", lambda path: calls.append(path) or parse(path))
+        assert run("normalize", "--input", blob_csv, "-o", tmp_path / "n.csv") == 0
+        assert len(calls) == 2
+
     def test_manifest_written(self, blob_csv, tmp_path):
         labels = tmp_path / "labels.json"
         assert run("cluster", "--input", blob_csv, "--kernel", "rbf:sigma=1",

@@ -3,10 +3,15 @@ import math
 import numpy as np
 import pytest
 
+import treelets.extend
 from treelets import (
     Dataset,
+    Graph,
+    GraphKernel,
     KtConfig,
     LinearKernel,
+    MissingRbfKernel,
+    PolynomialKernel,
     RbfKernel,
     eval_kernel,
     fit_predict,
@@ -191,6 +196,56 @@ class TestKnnExtend:
             )
 
 
+def knn_by_kernel_distance(spec, data, sample, labels, queries, knn_k):
+    """Oracle: per-query kernel_distance scan, stable on distance ties."""
+    out = []
+    for q in queries:
+        d = [kernel_distance(spec, data.obs(int(q)), data.obs(int(s))) for s in sample]
+        nearest = labels[np.argsort(d, kind="stable")[:knn_k]]
+        out.append(int(np.bincount(nearest).argmax()))
+    return np.array(out)
+
+
+def extension_case(kind):
+    rng = np.random.default_rng(31)
+    if kind == "graph":
+        pairs = [(u, v) for u in range(40) for v in range(u + 1, 40) if rng.random() < 0.15]
+        data = Graph(40, pairs)
+        return GraphKernel(diag=float(data.max_degree)), data
+    # multiples of 1/4 keep inner products exact, so the oracle's distances
+    # equal knn_extend's bit for bit; rows 30-39 duplicate rows 0-9
+    values = np.round(rng.normal(size=(40, 3)) * 4) / 4
+    values[30:] = values[:10]
+    present = rng.random(values.shape) < 0.8
+    present[:, 0] = True
+    present[30:] = present[:10]
+    spec = {
+        "rbf": RbfKernel(sigma=0.8),
+        "linear": LinearKernel(),
+        "poly": PolynomialKernel(0.5, 1.0, 3),
+        "missing-rbf": MissingRbfKernel(gamma=0.5),
+    }[kind]
+    return spec, Dataset(values, present if kind == "missing-rbf" else None)
+
+
+@pytest.mark.parametrize("knn_k", [1, 3, 5])
+@pytest.mark.parametrize("kind", ["rbf", "linear", "poly", "missing-rbf", "graph"])
+def test_knn_extend_matches_kernel_distance_scan(kind, knn_k, monkeypatch):
+    spec, data = extension_case(kind)
+    sample = np.array([0, 2, 3, 5, 7, 8, 11, 13, 17, 19, 23, 24, 29, 31, 33])
+    queries = np.setdiff1d(np.arange(40), sample)
+    labels = np.random.default_rng(5).integers(0, 4, size=len(sample))
+    expected = knn_by_kernel_distance(spec, data, sample, labels, queries, knn_k)
+    width = 1 if kind == "graph" else data.p
+    # the default budget fits every query in one block; the small one
+    # splits them into blocks of three queries
+    for budget in (treelets.extend._BLOCK_ELEMENTS, 3 * len(sample) * width):
+        monkeypatch.setattr(treelets.extend, "_BLOCK_ELEMENTS", budget)
+        for threads in (1, 2, 4):
+            got = knn_extend(spec, data, sample, labels, queries, knn_k, threads=threads)
+            assert np.array_equal(got, expected), (budget, threads)
+
+
 class TestKtConfig:
     def test_even_knn_rejected(self):
         with pytest.raises(ValueError, match="odd"):
@@ -272,6 +327,21 @@ class TestFitPredict:
         cfg = KtConfig(kernel=RbfKernel(sigma=0.2), sample_size=11, n_clusters=2)
         with pytest.raises(ValueError, match="exceeds"):
             fit_predict(data, cfg)
+
+    def test_knn_k_beyond_sample_fails_before_gram(self, monkeypatch):
+        def no_gram(*args, **kwargs):
+            raise AssertionError("gram reached")
+
+        monkeypatch.setattr(treelets.extend, "gram", no_gram)
+        data, _ = generate(Circles(), 20, 1)
+        cfg = KtConfig(kernel=RbfKernel(sigma=0.2), sample_size=3, n_clusters=2, knn_k=5)
+        with pytest.raises(ValueError, match="knn_k cannot exceed the sample size"):
+            fit_predict(data, cfg)
+
+    def test_full_sample_allows_knn_k_beyond_n(self):
+        data, _ = generate(Circles(), 3, 1)
+        cfg = KtConfig(kernel=RbfKernel(sigma=0.2), sample_size=3, n_clusters=2, knn_k=5)
+        assert fit_predict(data, cfg).labels.n == 3
 
     def test_sample_is_ascending_row_ids(self):
         data, _ = generate(Circles(), 30, 1)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treelets import (
     Dataset,
@@ -17,7 +19,7 @@ from treelets import (
     graph_kernel_for,
     psd_sqrt,
 )
-from treelets.kernels import kernel_row, kernel_self
+from treelets.kernels import kernel_block, kernel_diag
 
 
 def gram_by_scalar_loop(spec, data, indices):
@@ -188,11 +190,72 @@ class TestGram:
         with pytest.raises(ValueError, match="diagonal dominance"):
             gram(GraphKernel(diag=2.0), g, [0, 1, 2, 3])
 
-    def test_kernel_self_matches_row(self, np_rng):
-        data = Dataset(np_rng.normal(size=(4, 3)))
-        for spec in (RbfKernel(sigma=1.0), LinearKernel(), PolynomialKernel(2.0, 1.0, 2)):
-            row = kernel_row(spec, data, np.array([2]), 2)
-            assert kernel_self(spec, data, 2) == pytest.approx(float(row[0]), rel=1e-14)
+    def test_kernel_diag_matches_block(self, np_rng):
+        values = np_rng.normal(size=(4, 3))
+        present = np.ones((4, 3), dtype=bool)
+        present[2, 1] = False
+        cases = [
+            (RbfKernel(sigma=1.0), Dataset(values)),
+            (LinearKernel(), Dataset(values)),
+            (PolynomialKernel(2.0, 1.0, 2), Dataset(values)),
+            (MissingRbfKernel(gamma=0.5), Dataset(values, present)),
+            (GraphKernel(diag=2.0), Graph(4, [(0, 2), (1, 2)])),
+        ]
+        ids = np.array([2, 0, 3])
+        for spec, data in cases:
+            diag = np.diagonal(kernel_block(spec, data, ids, ids))
+            np.testing.assert_allclose(kernel_diag(spec, data, ids), diag, rtol=1e-14)
+
+    def test_gram_names_rows_without_shared_attributes(self):
+        values = np.ones((6, 2))
+        present = np.ones((6, 2), dtype=bool)
+        present[3] = [True, False]
+        present[5] = [False, True]
+        with pytest.raises(ValueError, match="no shared observed attributes between rows 5 and 3"):
+            gram(MissingRbfKernel(gamma=1.0), Dataset(values, present), range(6))
+
+
+@st.composite
+def kernel_case(draw):
+    """A kernel, data for it, and row ids split into consecutive parts."""
+    kind = draw(st.sampled_from(["rbf", "linear", "poly", "missing-rbf", "graph"]))
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "graph":
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+        data = Graph(n, pairs)
+        spec = GraphKernel(diag=float(max(1, data.max_degree)))
+    else:
+        values = rng.normal(size=(n, draw(st.integers(1, 5))))
+        present = rng.random(values.shape) < 0.7
+        present[:, 0] = True
+        spec = {
+            "rbf": RbfKernel(sigma=draw(st.floats(0.1, 3.0))),
+            "linear": LinearKernel(),
+            "poly": PolynomialKernel(
+                draw(st.floats(0.1, 2.0)), draw(st.floats(0.0, 2.0)), draw(st.integers(1, 3))
+            ),
+            "missing-rbf": MissingRbfKernel(gamma=draw(st.floats(0.1, 3.0))),
+        }[kind]
+        data = Dataset(values, present if kind == "missing-rbf" else None)
+    ids = st.integers(0, n - 1)
+    rows = draw(st.lists(ids, min_size=1, max_size=10))
+    cols = draw(st.lists(ids, min_size=1, max_size=10))
+    cuts = sorted(draw(st.lists(st.integers(1, len(rows)), max_size=3)))
+    return spec, data, rows, cols, cuts
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_case())
+def test_kernel_block_is_blocking_invariant_and_matches_eval_kernel(case):
+    spec, data, rows, cols, cuts = case
+    whole = kernel_block(spec, data, rows, cols)
+    parts = [kernel_block(spec, data, part, cols) for part in np.split(np.array(rows), cuts)]
+    assert whole.shape == (len(rows), len(cols))
+    assert np.array_equal(whole, np.vstack(parts))
+    scalar = [[eval_kernel(spec, data.obs(r), data.obs(c)) for c in cols] for r in rows]
+    # the atol covers inner products that cancel to near zero (|x| ~ 1)
+    np.testing.assert_allclose(whole, scalar, rtol=1e-13, atol=1e-13)
 
 
 class TestCheckSpsd:
