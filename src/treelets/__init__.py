@@ -36,7 +36,7 @@ from .kernels import (
 )
 from .metrics import MatchingMatrix, RocCurve, auc, matching_matrix, roc_from_hierarchy
 from .rng import SplitMix64
-from .symmat import RotationCoeffs, SymMatrix, apply_rotation, jacobi_coeffs, psd_sqrt
+from .symmat import RotationCoeffs, SymMatrix, apply_rotation, jacobi_coeffs
 
 __all__ = [
     "__version__",
@@ -84,7 +84,6 @@ __all__ = [
     "knn_extend",
     "matching_matrix",
     "merge_tree",
-    "psd_sqrt",
     "roc_from_hierarchy",
     "sample_indices",
     "select_pair",

@@ -8,6 +8,7 @@ meant for, which is what lets the Gram matrix stand in for a covariance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -271,7 +272,9 @@ def gram(spec: KernelSpec, data, indices) -> SymMatrix:
 
     Row t of the lower triangle is one kernel_block call of one row against
     indices[: t + 1], so each unordered pair is evaluated once and stored in
-    a single cell, and the result is symmetric by construction.
+    a single cell, and the result is symmetric by construction.  A
+    non-finite value (say, a polynomial kernel overflowing) is an error that
+    names the kernel and the first offending pair of ids.
     """
     indices = np.asarray(list(indices), dtype=np.int64)
     m = len(indices)
@@ -292,6 +295,14 @@ def gram(spec: KernelSpec, data, indices) -> SymMatrix:
     for t in range(m):
         start = t * (t + 1) // 2
         out.data[start : start + t + 1] = kernel_block(spec, data, [indices[t]], indices[: t + 1])
+    finite = np.isfinite(out.data)
+    if not finite.all():
+        first = int(np.argmin(finite))  # first False in packed (row-major) order
+        t = (math.isqrt(8 * first + 1) - 1) // 2
+        c = first - t * (t + 1) // 2
+        raise ValueError(
+            f"kernel {spec} gives a non-finite value for sample ids ({indices[t]}, {indices[c]})"
+        )
     return out
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import random_spsd, random_symmetric
+from oracles import psd_sqrt
 from test_core import merge_sets_from_records, oracle_merge_sets, replay
 from test_metrics import random_tree
 
@@ -36,7 +37,6 @@ from treelets import (
     knn_extend,
     matching_matrix,
     merge_tree,
-    psd_sqrt,
     zscore_normalize,
 )
 from treelets.datagen import Blobs, Circles

@@ -78,6 +78,22 @@ class TestExitCodes:
         assert code == 1
         assert "--sample-size full" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+    def test_non_finite_gram_fails_before_decompose(self, tmp_path, capsys, monkeypatch):
+        import treelets.extend
+
+        data = tmp_path / "big.csv"
+        data.write_text("".join(f"{100 + i},{99 - i}\n" for i in range(6)))
+        monkeypatch.setattr(treelets.extend, "decompose", lambda *a, **k: pytest.fail("decompose reached"))
+        code = run(
+            "cluster", "--input", data, "--kernel", "poly:alpha=1,c0=1,r=200",
+            "--clusters", 2, "-o", tmp_path / "l.json",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "PolynomialKernel(alpha=1.0, c0=1.0, degree=200)" in err
+        assert "non-finite value for sample ids (0, 0)" in err
+
     def test_unreachable_cut_is_data_error(self, tmp_path):
         graph = tmp_path / "g.txt"
         graph.write_text("0 1\n2 3\n")  # two components, cut at 1 unreachable

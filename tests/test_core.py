@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import treelets.core
 from conftest import random_spsd
+from oracles import psd_sqrt
 from treelets import (
     SymMatrix,
     apply_basis,
     apply_rotation,
     compress,
     decompose,
-    psd_sqrt,
     select_pair,
 )
 
@@ -144,6 +147,11 @@ class TestDecompose:
         with pytest.raises(ValueError, match="negative diagonal"):
             decompose(SymMatrix.from_dense([[-1.0, 0.0], [0.0, 1.0]]))
 
+    def test_non_finite_entry_rejected(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                decompose(SymMatrix(2, np.array([1.0, bad, 1.0])))
+
     def test_matches_brute_force_oracle(self, np_rng):
         for _ in range(40):
             p = int(np_rng.integers(2, 13))
@@ -245,6 +253,46 @@ class TestDecompose:
         before = a.data.copy()
         decompose(a)
         assert np.array_equal(a.data, before)
+
+
+@st.composite
+def selection_case(draw):
+    """A tie-heavy 0/1 graph Gram or a float G Gt, with lambda 0 or 0.5."""
+    p = draw(st.integers(2, 14))
+    lam = draw(st.sampled_from([0.0, 0.5]))
+    if draw(st.booleans()):
+        dense = np.zeros((p, p))
+        pairs = p * (p - 1) // 2
+        dense[np.triu_indices(p, 1)] = draw(st.lists(st.booleans(), min_size=pairs, max_size=pairs))
+        dense += dense.T
+        dense[np.diag_indices(p)] = max(1.0, dense.sum(axis=1).max())
+    else:
+        width = draw(st.integers(1, p))
+        entries = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+        g = np.array(draw(st.lists(entries, min_size=p * width, max_size=p * width))).reshape(p, width)
+        dense = g @ g.T
+    return SymMatrix.from_dense(np.tril(dense) + np.tril(dense, -1).T), lam
+
+
+@settings(max_examples=200, deadline=None)
+@given(selection_case())
+def test_cached_records_equal_rescan_records(case):
+    a, lam = case
+    fast = decompose(a, lam=lam, selection="cached")
+    slow = decompose(a, lam=lam, selection="rescan")
+    assert fast.records == slow.records
+    assert np.array_equal(fast.final_diag, slow.final_diag)
+
+
+@settings(max_examples=100, deadline=None)
+@given(selection_case())
+def test_cached_records_do_not_depend_on_row_chunking(case):
+    a, lam = case
+    default = decompose(a, lam=lam).records
+    for budget in (1, 40, 1 << 40):  # one row per chunk, a few rows, every row at once
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(treelets.core, "_BLOCK_ELEMENTS", budget)
+            assert decompose(a, lam=lam).records == default
 
 
 class TestBasisOps:

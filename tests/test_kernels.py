@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import psd_sqrt
 from treelets import (
     Dataset,
     Graph,
@@ -17,7 +18,6 @@ from treelets import (
     eval_kernel,
     gram,
     graph_kernel_for,
-    psd_sqrt,
 )
 from treelets.kernels import kernel_block, kernel_diag
 
@@ -158,6 +158,14 @@ class TestGram:
         data = Dataset([[1.0, 0.0], [0.0, 1.0]])
         k = gram(LinearKernel(), data, [0, 1])
         assert np.array_equal(k.to_dense(), np.eye(2))
+
+    def test_non_finite_value_names_kernel_and_sample_ids(self):
+        data = Dataset([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1000.0, 0.0]])
+        spec = PolynomialKernel(alpha=1.0, c0=0.0, degree=200)
+        # packed order visits (1, 1), (3, 1), (3, 3), ...: the first overflow is (3, 1)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match=r"PolynomialKernel\(.*sample ids \(3, 1\)"):
+                gram(spec, data, [1, 3, 0])
 
     def test_matches_scalar_oracle(self, np_rng):
         values = np_rng.normal(size=(6, 3))

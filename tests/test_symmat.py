@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_spsd, random_symmetric
-from treelets import SymMatrix, apply_rotation, jacobi_coeffs, psd_sqrt
-from treelets.symmat import jacobi_eigh
+from oracles import jacobi_eigh, psd_sqrt
+from treelets import SymMatrix, apply_rotation, jacobi_coeffs
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
