@@ -12,11 +12,10 @@ import hashlib
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 from . import __version__, baseline, datagen, io, metrics
-from .extend import KtConfig, fit_predict
+from .extend import KtConfig, Timer, fit_predict
 from .hierarchy import Dendrogram
 from .kernels import (
     Graph,
@@ -81,8 +80,8 @@ def parse_kernel(text: str):
             params[key.strip()] = value.strip()
     try:
         if name == "rbf":
-            return RbfKernel(sigma=float(params.pop("sigma")))
-        if name == "linear":
+            spec = RbfKernel(sigma=float(params.pop("sigma")))
+        elif name == "linear":
             spec = LinearKernel()
         elif name == "poly":
             spec = PolynomialKernel(
@@ -123,43 +122,9 @@ def _write_manifest(output, command, config, inputs, timings) -> None:
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _sniff_header(rows) -> bool:
-    """A CSV whose first row has a non-numeric, non-missing cell has a header."""
-    if not rows:
-        return False
-    for cell in rows[0]:
-        token = cell.strip()
-        if token in io.DEFAULT_MISSING_TOKENS:
-            continue
-        try:
-            float(token)
-        except ValueError:
-            return True
-    return False
-
-
-def _has_header(args, path, rows=None) -> bool:
-    if args.has_header:
-        return True
-    if args.no_header:
-        return False
-    return _sniff_header(io._csv_rows(path) if rows is None else rows)
-
-
-def _read_features(args, path):
-    """Numeric feature matrix from a CSV, dropping a 'label' column if named."""
-    rows = io._csv_rows(path)
-    has_header = _has_header(args, path, rows)
-    drop = None
-    if has_header and rows:
-        header = [h.strip() for h in rows[0]]
-        if "label" in header:
-            drop = header.index("label")
-    data = io.read_csv_numeric(path, has_header=has_header, missing_tokens=set(args.missing_token))
-    if drop is not None:
-        keep = [c for c in range(data.p) if c != drop]
-        data = io.Dataset(data.values[:, keep], data.present[:, keep])
-    return data
+def _read_features(args):
+    return io.read_csv_numeric(args.input, has_header=args.has_header,
+                               missing_tokens=set(args.missing_token))
 
 
 def _is_graph_path(path) -> bool:
@@ -167,8 +132,16 @@ def _is_graph_path(path) -> bool:
 
 
 def _add_header_flags(sub):
-    sub.add_argument("--has-header", action="store_true", help="treat the first CSV row as a header")
-    sub.add_argument("--no-header", action="store_true", help="treat every CSV row as data")
+    """--has-header / --no-header / neither set has_header to True / False / None (sniff)."""
+    flags = sub.add_mutually_exclusive_group()
+    flags.add_argument("--has-header", dest="has_header", action="store_const", const=True,
+                       default=None, help="treat the first CSV row as a header")
+    flags.add_argument("--no-header", dest="has_header", action="store_const", const=False,
+                       help="treat every CSV row as data")
+
+
+def _add_feature_flags(sub):
+    _add_header_flags(sub)
     sub.add_argument(
         "--missing-token",
         action="append",
@@ -178,7 +151,7 @@ def _add_header_flags(sub):
 
 
 def cmd_generate(args, argv) -> int:
-    t0 = time.perf_counter()
+    timer = Timer()
     shapes = {
         "circles": lambda: datagen.Circles(factor=args.factor, noise=args.noise),
         "moons": lambda: datagen.Moons(noise=args.noise),
@@ -193,17 +166,15 @@ def cmd_generate(args, argv) -> int:
         for (x, y), lab in zip(data.values, labels.assignments):
             fh.write(f"{float(x)!r},{float(y)!r},{int(lab)}\n")
     config = {"shape": args.shape, "factor": args.factor, "noise": args.noise, "n": args.n, "seed": args.seed}
-    _write_manifest(args.output, argv, config, [], {"total": time.perf_counter() - t0})
+    _write_manifest(args.output, argv, config, [], timer.total())
     return 0
 
 
 def cmd_cluster(args, argv) -> int:
-    t0 = time.perf_counter()
-    timings: dict = {}
+    timer = Timer()
     if _is_graph_path(args.input):
-        t = time.perf_counter()
         data = io.read_edge_list(args.input)
-        timings["load"] = time.perf_counter() - t
+        timer.lap("load")
         n = data.n_vertices
         if not isinstance(args.kernel, (GraphKernel, _GraphDiagAuto)):
             raise UsageError("graph input requires the graph kernel")
@@ -211,9 +182,8 @@ def cmd_cluster(args, argv) -> int:
     else:
         if isinstance(args.kernel, (GraphKernel, _GraphDiagAuto)):
             raise UsageError("graph kernel requires an edge-list input")
-        t = time.perf_counter()
-        data = _read_features(args, args.input)
-        timings["load"] = time.perf_counter() - t
+        data = _read_features(args)
+        timer.lap("load")
         n = data.n
         kernel = args.kernel
 
@@ -227,12 +197,12 @@ def cmd_cluster(args, argv) -> int:
         seed=args.seed,
         stop_tol=args.stop_tol,
     )
-    result = fit_predict(data, config, threads=args.threads, timings=timings)
+    result = fit_predict(data, config, threads=args.threads)
     io.write_labels_json(args.output, result.labels, args.seed, kernel)
     if args.tree:
         Path(args.tree).write_text(result.tree.to_json() + "\n", encoding="utf-8")
 
-    timings["total"] = time.perf_counter() - t0
+    timings = {**result.timings, **timer.total()}
     manifest_config = {
         "kernel": io.kernel_to_dict(kernel),
         "clusters": args.clusters,
@@ -252,11 +222,11 @@ def cmd_cluster(args, argv) -> int:
 def _load_reference(args, path):
     if _is_graph_path(path):
         return io.read_edge_list(path)
-    return io.read_class_labels(path, has_header=_has_header(args, path))
+    return io.read_class_labels(path, has_header=args.has_header)
 
 
 def cmd_roc(args, argv) -> int:
-    t0 = time.perf_counter()
+    timer = Timer()
     tree = Dendrogram.from_json(Path(args.tree).read_text(encoding="utf-8"))
     reference = _load_reference(args, args.reference)
     ref_size = reference.n_vertices if isinstance(reference, Graph) else len(reference)
@@ -270,8 +240,7 @@ def cmd_roc(args, argv) -> int:
     io.write_roc_csv(args.output, curve)
     print(f"AUC {metrics.auc(curve):.6f}")
     config = {"tree": str(args.tree), "reference": str(args.reference)}
-    _write_manifest(args.output, argv, config, [args.tree, args.reference],
-                    {"total": time.perf_counter() - t0})
+    _write_manifest(args.output, argv, config, [args.tree, args.reference], timer.total())
     return 0
 
 
@@ -285,25 +254,25 @@ def cmd_eval(args, argv) -> int:
 
 
 def cmd_kmeans(args, argv) -> int:
-    t0 = time.perf_counter()
+    timer = Timer()
     if _is_graph_path(args.input):
         raise UsageError("kmeans requires a numeric CSV input")
-    data = _read_features(args, args.input)
+    data = _read_features(args)
     labels = baseline.kmeans(data, args.k, seed=args.seed, max_iters=args.max_iters)
     io.write_labels_json(args.output, labels, args.seed, None)
     config = {"k": args.k, "seed": args.seed, "max_iters": args.max_iters}
-    _write_manifest(args.output, argv, config, [args.input], {"total": time.perf_counter() - t0})
+    _write_manifest(args.output, argv, config, [args.input], timer.total())
     return 0
 
 
 def cmd_normalize(args, argv) -> int:
-    t0 = time.perf_counter()
+    timer = Timer()
     if _is_graph_path(args.input):
         raise UsageError("normalize requires a numeric CSV input")
-    data = _read_features(args, args.input)
+    data = _read_features(args)
     out = baseline.zscore_normalize(data)
     io.write_csv_numeric(args.output, out)
-    _write_manifest(args.output, argv, {}, [args.input], {"total": time.perf_counter() - t0})
+    _write_manifest(args.output, argv, {}, [args.input], timer.total())
     return 0
 
 
@@ -343,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker cap for the extension stage; results do not depend on it")
     c.add_argument("-o", "--output", required=True, help="labels JSON path")
     c.add_argument("--tree", default=None, help="also write the merge tree JSON here")
-    _add_header_flags(c)
+    _add_feature_flags(c)
     c.set_defaults(func=cmd_cluster)
 
     r = sub.add_parser("roc", help="ROC curve and AUC of a merge tree against a reference")
@@ -365,13 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--seed", type=int, default=0)
     k.add_argument("--max-iters", type=positive_int, default=300)
     k.add_argument("-o", "--output", required=True)
-    _add_header_flags(k)
+    _add_feature_flags(k)
     k.set_defaults(func=cmd_kmeans)
 
     n = sub.add_parser("normalize", help="z-score CSV columns over their present entries")
     n.add_argument("--input", required=True)
     n.add_argument("-o", "--output", required=True)
-    _add_header_flags(n)
+    _add_feature_flags(n)
     n.set_defaults(func=cmd_normalize)
 
     return parser

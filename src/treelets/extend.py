@@ -51,6 +51,25 @@ class KtResult:
     sample: tuple[int, ...]
     sample_labels: ClusterLabels
     decomposition: TreeletDecomposition = field(repr=False)
+    # seconds per stage: sample, gram, decompose, cut, extend, total
+    timings: dict = field(compare=False, repr=False)
+
+
+class Timer:
+    """Wall-clock stage times: lap(name) records the seconds since the previous lap."""
+
+    def __init__(self):
+        self.start = self._last = time.perf_counter()
+        self.laps: dict = {}
+
+    def lap(self, name: str) -> None:
+        now = time.perf_counter()
+        self.laps[name] = now - self._last
+        self._last = now
+
+    def total(self) -> dict:
+        """The laps so far plus 'total', the seconds since the timer started."""
+        return {**self.laps, "total": time.perf_counter() - self.start}
 
 
 def sample_indices(n: int, n_sample: int, seed: int) -> list[int]:
@@ -85,7 +104,8 @@ def knn_extend(
     work within a fixed element budget; `threads` workers take whole
     blocks.  Distance ties prefer the smaller sample position, vote ties
     the smaller cluster id, so the result is deterministic and independent
-    of the thread count and the block height.
+    of the thread count and the block height.  A non-finite kernel value
+    is an error that names the kernel and the first query that gives one.
     """
     sample = np.asarray(sample, dtype=np.int64)
     queries = np.asarray(queries, dtype=np.int64)
@@ -103,7 +123,13 @@ def knn_extend(
     def label_block(start: int) -> np.ndarray:
         block = queries[start : start + height]
         k = kernel_block(spec, data, block, sample)
-        d = np.sqrt(np.maximum(0.0, kernel_diag(spec, data, block)[:, None] + self_sample - 2.0 * k))
+        self_block = kernel_diag(spec, data, block)
+        finite = np.isfinite(k).all(axis=1) & np.isfinite(self_block)
+        if not finite.all():
+            raise ValueError(
+                f"kernel {spec} gives a non-finite value for query id {block[np.argmin(finite)]}"
+            )
+        d = np.sqrt(np.maximum(0.0, self_block[:, None] + self_sample - 2.0 * k))
         # a stable sort keeps equal distances in sample order
         nearest = sample_labels[np.argsort(d, axis=1, kind="stable")[:, :knn_k]]
         flat = (np.arange(len(block))[:, None] * n_labels + nearest).ravel()
@@ -115,12 +141,7 @@ def knn_extend(
     return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
 
 
-def fit_predict(
-    data,
-    config: KtConfig,
-    threads: int = 1,
-    timings: dict | None = None,
-) -> KtResult:
+def fit_predict(data, config: KtConfig, threads: int = 1) -> KtResult:
     """Run the whole pipeline and return everything needed to audit it."""
     n = data.n_vertices if isinstance(data, Graph) else data.n
     if config.sample_size > n:
@@ -128,31 +149,19 @@ def fit_predict(
     if config.sample_size < n and config.knn_k > config.sample_size:
         raise ValueError("knn_k cannot exceed the sample size")
 
-    def mark(name, start):
-        if timings is not None:
-            timings[name] = time.perf_counter() - start
-
-    t0 = time.perf_counter()
-    t = time.perf_counter()
+    timer = Timer()
     # ascending order makes tree leaf i the i-th smallest sampled row, so a
     # full-sample tree lines up with the dataset and external references
     sample = sorted(sample_indices(n, config.sample_size, config.seed))
-    mark("sample", t)
-
-    t = time.perf_counter()
+    timer.lap("sample")
     a0 = gram(config.kernel, data, sample)
-    mark("gram", t)
-
-    t = time.perf_counter()
+    timer.lap("gram")
     decomp = decompose(a0, lam=config.lam, stop_tol=config.stop_tol)
-    mark("decompose", t)
-
-    t = time.perf_counter()
+    timer.lap("decompose")
     tree = merge_tree(decomp)
     sample_labels = cut(tree, config.n_clusters)
-    mark("cut", t)
+    timer.lap("cut")
 
-    t = time.perf_counter()
     full = np.empty(n, dtype=np.int64)
     full[np.asarray(sample)] = sample_labels.assignments
     if config.sample_size < n:
@@ -166,8 +175,7 @@ def fit_predict(
             config.knn_k,
             threads=threads,
         )
-    mark("extend", t)
-    mark("total", t0)
+    timer.lap("extend")
 
     return KtResult(
         labels=ClusterLabels(assignments=full, n_clusters=config.n_clusters),
@@ -175,4 +183,5 @@ def fit_predict(
         sample=tuple(sample),
         sample_labels=sample_labels,
         decomposition=decomp,
+        timings=timer.total(),
     )

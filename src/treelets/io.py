@@ -37,34 +37,64 @@ def _csv_rows(path) -> list[list[str]]:
         return [row for row in csv.reader(fh)]
 
 
-def read_csv_numeric(path, has_header: bool = False, missing_tokens=DEFAULT_MISSING_TOKENS) -> Dataset:
-    """Parse a rectangular numeric CSV with explicit missing-value tokens."""
+def _is_header(row, missing_tokens) -> bool:
+    """A first row with a cell that is neither a missing token nor a number is a header."""
+    for cell in row:
+        token = cell.strip()
+        if token in missing_tokens:
+            continue
+        try:
+            float(token)
+        except ValueError:
+            return True
+    return False
+
+
+def _csv_body(path, has_header, missing_tokens) -> tuple[list[list[str]], int, int | None]:
+    """Data rows, the file row number of the first, and the header's 'label' column or None.
+
+    has_header=None sniffs the first row with the given missing tokens.
+    """
     rows = _csv_rows(path)
-    if has_header and rows:
-        rows = rows[1:]
+    if has_header is None:
+        has_header = bool(rows) and _is_header(rows[0], missing_tokens)
+    if not (has_header and rows):
+        return rows, 1, None
+    header = [h.strip() for h in rows[0]]
+    return rows[1:], 2, header.index("label") if "label" in header else None
+
+
+def read_csv_numeric(path, has_header: bool | None = False, missing_tokens=DEFAULT_MISSING_TOKENS) -> Dataset:
+    """Parse a rectangular numeric CSV with explicit missing-value tokens.
+
+    has_header=None sniffs the first row with the same missing tokens.  The
+    first header column named 'label' is dropped unparsed, so it may hold
+    class names of any kind.
+    """
+    rows, offset, label = _csv_body(path, has_header, missing_tokens)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    offset = 2 if has_header else 1
     width = len(rows[0])
-    values = np.zeros((len(rows), width))
-    present = np.zeros((len(rows), width), dtype=bool)
+    cols = [c for c in range(width) if c != label]
+    values = np.zeros((len(rows), len(cols)))
+    present = np.zeros((len(rows), len(cols)), dtype=bool)
     for r, row in enumerate(rows):
         if len(row) != width:
             raise ValueError(f"{path}: row {r + offset} has {len(row)} cells, expected {width}")
-        for c, cell in enumerate(row):
-            token = cell.strip()
+        for j, c in enumerate(cols):
+            token = row[c].strip()
             if token in missing_tokens:
                 continue
             try:
                 x = float(token)
             except ValueError:
                 raise ValueError(
-                    f"{path}: row {r + offset} column {c + 1}: cannot parse {cell!r}"
+                    f"{path}: row {r + offset} column {c + 1}: cannot parse {row[c]!r}"
                 ) from None
             if not np.isfinite(x):
                 raise ValueError(f"{path}: row {r + offset} column {c + 1}: non-finite value")
-            values[r, c] = x
-            present[r, c] = True
+            values[r, j] = x
+            present[r, j] = True
         if not present[r].any():
             raise ValueError(f"{path}: row {r + offset} has no observed values")
     return Dataset(values, present)
@@ -122,24 +152,17 @@ def read_edge_list_remapped(path) -> tuple[Graph, dict]:
     return Graph(len(seen), [(table[u], table[v]) for u, v in edges]), table
 
 
-def read_class_labels(path, has_header: bool = False) -> np.ndarray:
+def read_class_labels(path, has_header: bool | None = False) -> np.ndarray:
     """Reference class per row from a CSV.
 
     Uses the column named 'label' when a header provides one, otherwise the
     last column.  Values stay categorical; no numeric parse is attempted.
+    has_header=None sniffs the first row with the default missing tokens.
     """
-    rows = _csv_rows(path)
-    if not rows:
-        raise ValueError(f"{path}: empty reference file")
-    col = -1
-    if has_header:
-        header = [h.strip() for h in rows[0]]
-        if "label" in header:
-            col = header.index("label")
-        rows = rows[1:]
+    rows, _, label = _csv_body(path, has_header, DEFAULT_MISSING_TOKENS)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return np.array([row[col].strip() for row in rows])
+    return np.array([row[-1 if label is None else label].strip() for row in rows])
 
 
 def kernel_to_dict(spec: KernelSpec) -> dict:

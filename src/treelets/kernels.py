@@ -236,7 +236,8 @@ def kernel_block(spec: KernelSpec, data, rows, cols) -> np.ndarray:
         for a, r in enumerate(rows):
             out[a] = values @ data.values[r]
             if isinstance(spec, PolynomialKernel):
-                out[a] = (spec.alpha * out[a] + spec.c0) ** spec.degree
+                with np.errstate(over="ignore"):  # callers reject the inf
+                    out[a] = (spec.alpha * out[a] + spec.c0) ** spec.degree
         return out
 
     diff2 = (values - data.values[rows][:, None, :]) ** 2
@@ -254,7 +255,11 @@ def kernel_block(spec: KernelSpec, data, rows, cols) -> np.ndarray:
 
 
 def kernel_diag(spec: KernelSpec, data, ids) -> np.ndarray:
-    """K(x_i, x_i) for every i in ids; np.dot per row, since a block's diagonal rounds differently."""
+    """K(x_i, x_i) for every i in ids; np.dot per row, since a block's diagonal rounds differently.
+
+    The polynomial power is a scalar one, which rounds like Python's float
+    power (an array power may not), and overflows to inf rather than raising.
+    """
     if isinstance(spec, (RbfKernel, MissingRbfKernel)):
         return np.ones(len(ids))
     if isinstance(spec, GraphKernel):
@@ -263,7 +268,8 @@ def kernel_diag(spec: KernelSpec, data, ids) -> np.ndarray:
         return np.array([np.dot(v, v) for v in data.values[ids]])
     if isinstance(spec, PolynomialKernel):
         dots = [float(np.dot(v, v)) for v in data.values[ids]]
-        return np.array([(spec.alpha * dot + spec.c0) ** spec.degree for dot in dots])
+        with np.errstate(over="ignore"):  # callers reject the inf
+            return np.array([np.float64(spec.alpha * dot + spec.c0) ** spec.degree for dot in dots])
     raise TypeError(f"unknown kernel spec {spec!r}")
 
 

@@ -41,10 +41,12 @@ class SymMatrix:
 
     @classmethod
     def from_dense(cls, arr) -> "SymMatrix":
-        """Pack a dense symmetric array; rejects asymmetric input."""
+        """Pack a dense symmetric array; rejects asymmetric or non-finite input."""
         a = np.asarray(arr, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square matrix")
+        if not np.isfinite(a).all():
+            raise ValueError("matrix has a non-finite entry")
         skew = np.abs(a - a.T).max() if a.size else 0.0
         if skew > 1e-12 * max(1.0, float(np.abs(a).max())):
             raise ValueError("matrix is not symmetric")

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import treelets
+from treelets import io
 from treelets.cli import main, parse_kernel
 from treelets.kernels import GraphKernel, MissingRbfKernel, PolynomialKernel, RbfKernel
 
@@ -35,11 +40,12 @@ class TestParseKernel:
         assert parse_kernel("graph:diag=1045") == GraphKernel(diag=1045.0)
 
     def test_bad_kernel_is_usage_error(self, tmp_path):
-        code = run(
-            "cluster", "--input", tmp_path / "x.csv", "--kernel", "warp:q=1",
-            "--clusters", 2, "-o", tmp_path / "l.json",
-        )
-        assert code == 2
+        for kernel in ("warp:q=1", "rbf:sigma=1,gamma=2"):
+            code = run(
+                "cluster", "--input", tmp_path / "x.csv", "--kernel", kernel,
+                "--clusters", 2, "-o", tmp_path / "l.json",
+            )
+            assert code == 2, kernel
 
 
 class TestExitCodes:
@@ -52,6 +58,13 @@ class TestExitCodes:
 
     def test_unknown_flag_is_usage_error(self, blob_csv, tmp_path):
         assert run("cluster", "--frobnicate", "--input", blob_csv) == 2
+
+    def test_csv_flag_misuse_is_usage_error(self, blob_csv, tmp_path):
+        assert run("normalize", "--input", blob_csv, "-o", tmp_path / "n.csv",
+                   "--has-header", "--no-header") == 2
+        # only the commands that parse feature cells take --missing-token
+        assert run("eval", "--pred", tmp_path / "l.json", "--reference", blob_csv,
+                   "--missing-token", "?") == 2
 
     def test_graph_kernel_on_csv_is_usage_error(self, blob_csv, tmp_path):
         code = run(
@@ -78,7 +91,6 @@ class TestExitCodes:
         assert code == 1
         assert "--sample-size full" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
     def test_non_finite_gram_fails_before_decompose(self, tmp_path, capsys, monkeypatch):
         import treelets.extend
 
@@ -93,6 +105,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "PolynomialKernel(alpha=1.0, c0=1.0, degree=200)" in err
         assert "non-finite value for sample ids (0, 0)" in err
+
+    def test_non_finite_extension_is_one_error_line(self, tmp_path):
+        data = tmp_path / "far.csv"
+        rows = [f"{1 + 0.01 * i},0.0\n" for i in range(20)]
+        rows[1] = "1000.0,0.0\n"  # a query: seed 0 samples rows 0, 2, 3, 4, 5, 7, 15, 16, 17, 19
+        data.write_text("".join(rows))
+        src = Path(treelets.__file__).parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "treelets.cli", "cluster", "--input", str(data),
+             "--kernel", "poly:alpha=1,c0=0,r=201", "--clusters", "2", "--sample-size", "10",
+             "-o", str(tmp_path / "l.json")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert proc.stderr == (
+            "error: kernel PolynomialKernel(alpha=1.0, c0=0.0, degree=201) "
+            "gives a non-finite value for query id 1\n"
+        )
 
     def test_unreachable_cut_is_data_error(self, tmp_path):
         graph = tmp_path / "g.txt"
@@ -167,8 +198,6 @@ class TestPipeline:
         assert run("normalize", "--input", src, "-o", out) == 0
         lines = out.read_text().splitlines()
         assert lines[1].split(",")[0] == ""  # still missing
-        from treelets import io
-
         back = io.read_csv_numeric(out)
         assert not back.present[1, 0]
         assert back.present[0, 0]
@@ -180,21 +209,39 @@ class TestPipeline:
 
         out_csv = tmp_path / "norm.csv"
         assert run("normalize", "--input", blob_csv, "-o", out_csv) == 0
-        from treelets import io
-
         norm = io.read_csv_numeric(out_csv)
         assert norm.p == 2  # label column dropped
         assert abs(norm.values[:, 0].mean()) < 1e-12
 
-    def test_feature_csv_parsed_twice(self, blob_csv, tmp_path, monkeypatch):
-        """Once for the header, once for the values; the header sniff reuses the first."""
-        from treelets import io
-
+    def test_csv_parsed_once(self, blob_csv, tmp_path, monkeypatch):
+        """The header sniff, the 'label' column and the cells come from one parse."""
         calls = []
         parse = io._csv_rows
         monkeypatch.setattr(io, "_csv_rows", lambda path: calls.append(path) or parse(path))
+        tree = tmp_path / "t.json"
         assert run("normalize", "--input", blob_csv, "-o", tmp_path / "n.csv") == 0
-        assert len(calls) == 2
+        assert run("cluster", "--input", blob_csv, "--kernel", "rbf:sigma=1", "--clusters", 3,
+                   "-o", tmp_path / "l.json", "--tree", tree) == 0
+        assert run("roc", "--tree", tree, "--reference", blob_csv, "-o", tmp_path / "r.csv") == 0
+        assert calls == [str(blob_csv)] * 3
+
+    def test_text_label_column_is_not_parsed(self, tmp_path):
+        data = tmp_path / "named.csv"
+        data.write_text("x,y,label\n0.0,0.0,a\n0.1,0.0,a\n5.0,5.0,b\n5.1,5.0,b\n")
+        labels = tmp_path / "l.json"
+        assert run("cluster", "--input", data, "--kernel", "rbf:sigma=1", "--clusters", 2,
+                   "-o", labels) == 0
+        got = json.loads(labels.read_text())["labels"]
+        assert len(got) == 4 and got[0] == got[1] != got[2] == got[3]
+
+    def test_missing_token_in_first_row_is_data(self, tmp_path):
+        src = tmp_path / "q.csv"
+        src.write_text("1.0,?\n2.0,5.0\n3.0,6.0\n4.0,7.0\n")
+        out = tmp_path / "q_norm.csv"
+        assert run("normalize", "--missing-token", "?", "--input", src, "-o", out) == 0
+        back = io.read_csv_numeric(out)
+        assert back.n == 4
+        assert not back.present[0, 1] and back.present[1:].all()
 
     def test_manifest_written(self, blob_csv, tmp_path):
         labels = tmp_path / "labels.json"

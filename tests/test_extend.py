@@ -183,6 +183,12 @@ class TestKnnExtend:
         b = knn_extend(spec, data, sample, labels, queries, knn_k=3, threads=4)
         assert np.array_equal(a, b)
 
+    def test_non_finite_query_names_kernel_and_query_id(self):
+        data = Dataset([[0.1, 0.0], [0.2, 0.0], [1000.0, 0.0], [0.3, 0.0], [2000.0, 0.0]])
+        spec = PolynomialKernel(alpha=1.0, c0=0.0, degree=201)
+        with pytest.raises(ValueError, match=r"PolynomialKernel\(.*query id 2$"):
+            knn_extend(spec, data, np.array([0, 1]), np.array([0, 1]), np.array([3, 2, 4]), knn_k=1)
+
     def test_empty_sample_rejected(self, np_rng):
         data = Dataset(np_rng.normal(size=(3, 2)))
         with pytest.raises(ValueError):
@@ -318,8 +324,7 @@ class TestFitPredict:
     def test_timings_filled(self):
         data, _ = generate(Circles(), 30, 1)
         cfg = KtConfig(kernel=RbfKernel(sigma=0.2), sample_size=20, n_clusters=2, seed=1)
-        timings: dict = {}
-        fit_predict(data, cfg, timings=timings)
+        timings = fit_predict(data, cfg).timings
         assert {"sample", "gram", "decompose", "cut", "extend", "total"} <= set(timings)
 
     def test_sample_size_beyond_n_rejected(self):

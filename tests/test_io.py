@@ -51,6 +51,20 @@ class TestReadCsvNumeric:
         with pytest.raises(ValueError, match="row 3 column 2"):
             io.read_csv_numeric(f, has_header=True)
 
+    def test_sniffed_header_drops_label_column_unparsed(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("x,label,y\n1,a,2\n3,b,oops\n")
+        with pytest.raises(ValueError, match="row 3 column 3"):
+            io.read_csv_numeric(f, has_header=None)
+        f.write_text("x,label,y\n1,a,2\n3,b,4\n")
+        assert np.array_equal(io.read_csv_numeric(f, has_header=None).values, [[1, 2], [3, 4]])
+
+    def test_sniff_uses_the_missing_tokens(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("1,?\n3,4\n")
+        assert io.read_csv_numeric(f, has_header=None, missing_tokens={"?"}).n == 2
+        assert io.read_csv_numeric(f, has_header=None).n == 1
+
     def test_crlf_tolerated(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_bytes(b"1,2\r\n3,4\r\n")
@@ -185,6 +199,11 @@ class TestClassLabels:
         f = tmp_path / "c.csv"
         f.write_text("x,label,y\n1,a,2\n3,b,4\n")
         assert list(io.read_class_labels(f, has_header=True)) == ["a", "b"]
+
+    def test_sniffed_header(self, tmp_path):
+        f = tmp_path / "c.csv"
+        f.write_text("x,label,y\n1,a,2\n3,b,4\n")
+        assert list(io.read_class_labels(f, has_header=None)) == ["a", "b"]
 
     def test_last_column_without_header(self, tmp_path):
         f = tmp_path / "c.csv"

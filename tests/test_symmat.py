@@ -35,6 +35,12 @@ class TestSymMatrix:
         with pytest.raises(ValueError, match="not symmetric"):
             SymMatrix.from_dense([[1.0, 2.0], [3.0, 4.0]])
 
+    def test_rejects_non_finite(self):
+        # a NaN or inf skew compares false against any tolerance
+        for bad in ([[1.0, math.inf], [5.0, 1.0]], [[1.0, math.nan], [0.0, 1.0]]):
+            with pytest.raises(ValueError, match="non-finite"):
+                SymMatrix.from_dense(bad)
+
     def test_index_range(self):
         a = SymMatrix(2)
         with pytest.raises(IndexError):
