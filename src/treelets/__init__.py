@@ -15,7 +15,6 @@ from .core import (
     apply_basis,
     compress,
     decompose,
-    select_pair,
 )
 from .datagen import Aniso, Blobs, Circles, Moons, Uniform, Varied, generate
 from .extend import KtConfig, KtResult, fit_predict, kernel_distance, knn_extend, sample_indices
@@ -86,6 +85,5 @@ __all__ = [
     "merge_tree",
     "roc_from_hierarchy",
     "sample_indices",
-    "select_pair",
     "zscore_normalize",
 ]

@@ -10,7 +10,6 @@ tree over the observations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -90,58 +89,30 @@ def _scores(vals: np.ndarray, prod: np.ndarray, lam: float) -> np.ndarray:
 
 def _block_scores(a: SymMatrix, diag: np.ndarray, rows: np.ndarray, cols: np.ndarray, lam: float) -> np.ndarray:
     """Score of (i, j) for every i in rows and j in cols; a row's own column scores -inf."""
-    i = rows[:, None]
-    lo = np.minimum(i, cols)
-    hi = np.maximum(i, cols)
-    scores = _scores(np.abs(a.data[hi * (hi + 1) // 2 + lo]), diag[i] * diag[cols], lam)
-    scores[i == cols] = -np.inf
+    scores = _scores(np.abs(a.block(rows, cols)), diag[rows][:, None] * diag[cols], lam)
+    scores[rows[:, None] == cols] = -np.inf
     return scores
-
-
-def select_pair(a: SymMatrix, active: Iterable[int], lam: float = 0.0) -> tuple[int, int, float]:
-    """Highest-scoring active pair by full enumeration.
-
-    Ties resolve to the lexicographically smallest (min, max) pair, which
-    makes the choice platform-independent.
-    """
-    act = np.asarray(sorted(set(int(i) for i in active)), dtype=np.int64)
-    if len(act) < 2:
-        raise ValueError("need at least two active indices")
-    if act[0] < 0 or act[-1] >= a.p:
-        raise IndexError("active index out of range")
-    diag = a.diagonal()
-    rows, cols = np.triu_indices(len(act), 1)
-    ii = act[rows]
-    jj = act[cols]
-    lo = np.minimum(ii, jj)
-    hi = np.maximum(ii, jj)
-    scores = _scores(np.abs(a.data[hi * (hi + 1) // 2 + lo]), diag[ii] * diag[jj], lam)
-    best = int(np.argmax(scores))  # first max = lexicographic winner
-    return int(ii[best]), int(jj[best]), float(scores[best])
 
 
 def decompose(
     a0: SymMatrix,
     lam: float = 0.0,
     stop_tol: float = DEFAULT_STOP_TOL,
-    selection: str = "cached",
 ) -> TreeletDecomposition:
     """Run the rotation loop on a similarity matrix until done or stalled.
 
-    selection="cached" maintains a best-partner cache per active row and
-    refreshes only what a rotation can have touched: the surviving row is
-    rescored against every active column, and the rows whose cached partner
-    was one of the two rotated indices are rescanned together, in row chunks
-    of at most _BLOCK_ELEMENTS scored pairs each.  selection="rescan"
-    re-enumerates every pair each step and exists as the slow oracle the
-    cached path is tested against.  Both produce identical step sequences.
+    Each step takes the highest-scoring active pair; ties go to the
+    lexicographically smallest (min, max) pair, which makes the choice
+    platform-independent.  A best-partner cache per active row is refreshed
+    only where a rotation can have touched it: the surviving row is rescored
+    against every active column, and the rows whose cached partner was one
+    of the two rotated indices are rescanned together, in row chunks of at
+    most _BLOCK_ELEMENTS scored pairs each.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
     if stop_tol < 0:
         raise ValueError("stop_tol must be >= 0")
-    if selection not in ("cached", "rescan"):
-        raise ValueError("selection must be 'cached' or 'rescan'")
 
     a = a0.copy()
     p = a.p
@@ -168,19 +139,15 @@ def decompose(
             best_j[chunk] = cols[m]
         return scores
 
-    if selection == "cached" and p >= 2:
+    if p >= 2:
         idx = np.arange(p, dtype=np.int64)
         scan(idx, idx)
 
     for step in range(1, p):
-        if selection == "rescan":
-            act_list = np.nonzero(active)[0]
-            i_sel, j_sel, score = select_pair(a, act_list, lam)
-        else:
-            i_star = int(np.argmax(best_score))
-            score = float(best_score[i_star])
-            j_star = int(best_j[i_star])
-            i_sel, j_sel = min(i_star, j_star), max(i_star, j_star)
+        i_star = int(np.argmax(best_score))  # first max = smallest row
+        score = float(best_score[i_star])
+        j_star = int(best_j[i_star])
+        i_sel, j_sel = min(i_star, j_star), max(i_star, j_star)
 
         if score < stop_tol:
             break
@@ -209,31 +176,30 @@ def decompose(
         )
         active[alpha] = False
 
-        if selection == "cached":
-            best_score[alpha] = -np.inf
-            best_j[alpha] = -1
-            act_idx = np.nonzero(active)[0].astype(np.int64)
-            if len(act_idx) < 2:
-                best_score[beta] = -np.inf
-                best_j[beta] = -1
-                continue
-            others = act_idx != beta
-            js = act_idx[others]
-            col_scores = scan(np.array([beta]), act_idx)[0][others]
+        best_score[alpha] = -np.inf
+        best_j[alpha] = -1
+        act_idx = np.nonzero(active)[0].astype(np.int64)
+        if len(act_idx) < 2:
+            best_score[beta] = -np.inf
+            best_j[beta] = -1
+            continue
+        others = act_idx != beta
+        js = act_idx[others]
+        col_scores = scan(np.array([beta]), act_idx)[0][others]
 
-            stale = (best_j[js] == alpha) | (best_j[js] == beta)
-            fresh = ~stale
-            if fresh.any():
-                rows_f = js[fresh]
-                cand = col_scores[fresh]
-                take = (cand > best_score[rows_f]) | (
-                    (cand == best_score[rows_f]) & (beta < best_j[rows_f])
-                )
-                upd = rows_f[take]
-                best_score[upd] = cand[take]
-                best_j[upd] = beta
-            if stale.any():
-                scan(js[stale], act_idx)
+        stale = (best_j[js] == alpha) | (best_j[js] == beta)
+        fresh = ~stale
+        if fresh.any():
+            rows_f = js[fresh]
+            cand = col_scores[fresh]
+            take = (cand > best_score[rows_f]) | (
+                (cand == best_score[rows_f]) & (beta < best_j[rows_f])
+            )
+            upd = rows_f[take]
+            best_score[upd] = cand[take]
+            best_j[upd] = beta
+        if stale.any():
+            scan(js[stale], act_idx)
 
     stop_level = len(records)
     return TreeletDecomposition(

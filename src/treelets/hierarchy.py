@@ -38,9 +38,21 @@ class Dendrogram:
 
     @classmethod
     def from_json(cls, text: str) -> "Dendrogram":
+        """Parse a tree file; each merge must join two distinct live leaves below n_leaves."""
         payload = json.loads(text)
+        n_leaves = int(payload["n_leaves"])
         merges = tuple(Merge(int(s), int(r), int(k), float(v)) for s, r, k, v in payload["merges"])
-        return cls(n_leaves=int(payload["n_leaves"]), merges=merges)
+        removed = bytearray(max(n_leaves, 0))
+        for m in merges:
+            for leaf in (m.removed, m.kept):
+                if not 0 <= leaf < n_leaves:
+                    raise ValueError(f"tree merge step {m.step}: leaf {leaf} outside 0..{n_leaves - 1}")
+                if removed[leaf]:
+                    raise ValueError(f"tree merge step {m.step}: leaf {leaf} was removed by an earlier merge")
+            if m.removed == m.kept:
+                raise ValueError(f"tree merge step {m.step}: leaf {m.removed} merged with itself")
+            removed[m.removed] = 1
+        return cls(n_leaves=n_leaves, merges=merges)
 
 
 @dataclass(frozen=True)

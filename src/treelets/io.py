@@ -37,10 +37,15 @@ def _csv_rows(path) -> list[list[str]]:
         return [row for row in csv.reader(fh)]
 
 
-def _is_header(row, missing_tokens) -> bool:
-    """A first row with a cell that is neither a missing token nor a number is a header."""
-    for cell in row:
-        token = cell.strip()
+def _is_header(row, missing_tokens, classes_last: bool) -> bool:
+    """A first row is a header when a cell is 'label' or a tested cell is neither a
+    missing token nor a number.  With classes_last the last cell, a class name,
+    is not tested.
+    """
+    tokens = [cell.strip() for cell in row]
+    if "label" in tokens:
+        return True
+    for token in tokens[:-1] if classes_last else tokens:
         if token in missing_tokens:
             continue
         try:
@@ -50,14 +55,14 @@ def _is_header(row, missing_tokens) -> bool:
     return False
 
 
-def _csv_body(path, has_header, missing_tokens) -> tuple[list[list[str]], int, int | None]:
+def _csv_body(path, has_header, missing_tokens, classes_last=False) -> tuple[list[list[str]], int, int | None]:
     """Data rows, the file row number of the first, and the header's 'label' column or None.
 
     has_header=None sniffs the first row with the given missing tokens.
     """
     rows = _csv_rows(path)
     if has_header is None:
-        has_header = bool(rows) and _is_header(rows[0], missing_tokens)
+        has_header = bool(rows) and _is_header(rows[0], missing_tokens, classes_last)
     if not (has_header and rows):
         return rows, 1, None
     header = [h.strip() for h in rows[0]]
@@ -157,9 +162,11 @@ def read_class_labels(path, has_header: bool | None = False) -> np.ndarray:
 
     Uses the column named 'label' when a header provides one, otherwise the
     last column.  Values stay categorical; no numeric parse is attempted.
-    has_header=None sniffs the first row with the default missing tokens.
+    has_header=None sniffs the first row with the default missing tokens but
+    never tests the last cell, which may be a class name: a one-column file
+    reads as headerless unless its first cell is 'label'.
     """
-    rows, _, label = _csv_body(path, has_header, DEFAULT_MISSING_TOKENS)
+    rows, _, label = _csv_body(path, has_header, DEFAULT_MISSING_TOKENS, classes_last=True)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return np.array([row[-1 if label is None else label].strip() for row in rows])

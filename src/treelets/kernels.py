@@ -8,7 +8,6 @@ meant for, which is what lets the Gram matrix stand in for a covariance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -299,16 +298,14 @@ def gram(spec: KernelSpec, data, indices) -> SymMatrix:
 
     out = SymMatrix(m)
     for t in range(m):
-        start = t * (t + 1) // 2
-        out.data[start : start + t + 1] = kernel_block(spec, data, [indices[t]], indices[: t + 1])
-    finite = np.isfinite(out.data)
-    if not finite.all():
-        first = int(np.argmin(finite))  # first False in packed (row-major) order
-        t = (math.isqrt(8 * first + 1) - 1) // 2
-        c = first - t * (t + 1) // 2
-        raise ValueError(
-            f"kernel {spec} gives a non-finite value for sample ids ({indices[t]}, {indices[c]})"
-        )
+        row = out.lower(t)
+        row[:] = kernel_block(spec, data, [indices[t]], indices[: t + 1])
+        finite = np.isfinite(row)
+        if not finite.all():
+            c = int(np.argmin(finite))
+            raise ValueError(
+                f"kernel {spec} gives a non-finite value for sample ids ({indices[t]}, {indices[c]})"
+            )
     return out
 
 
@@ -329,14 +326,9 @@ def check_spsd(k: SymMatrix, tol: float = 0.0) -> SpsdReport:
     min_i (K_ii - sum_{j != i} |K_ij|), which is O(p^2) instead of the
     O(p^3) a spectral check would cost.
     """
-    p = k.p
+    dense = np.abs(k.to_dense())
     diag = k.diagonal()
-    off = np.zeros(p)
-    every = np.arange(p, dtype=np.int64)
-    for i in range(p):
-        row = np.abs(k.row(i, every))
-        off[i] = row.sum() - abs(diag[i])
-    bound = float((diag - off).min())
+    bound = float((diag - (dense.sum(axis=1) - np.abs(diag))).min())
     return SpsdReport(
         symmetric=True,
         min_eigenvalue_lower_bound=bound,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hierarchy import ClusterLabels, Dendrogram, cut
+from .hierarchy import ClusterLabels, Dendrogram
 from .kernels import Graph
 
 
@@ -177,15 +177,6 @@ def roc_from_hierarchy(tree: Dendrogram, reference) -> RocCurve:
 
         points.append((_rate(co - tp, negatives), _rate(tp, positives)))
 
-    return RocCurve.from_points(points)
-
-
-def roc_brute_force(tree: Dendrogram, reference) -> RocCurve:
-    """Recompute the matching matrix from scratch at every cut.  Oracle only."""
-    points = []
-    for n_clusters in range(tree.n_leaves, tree.n_roots - 1, -1):
-        mm = matching_matrix(cut(tree, n_clusters), reference)
-        points.append((mm.fpr, mm.tpr))
     return RocCurve.from_points(points)
 
 

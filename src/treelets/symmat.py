@@ -86,20 +86,35 @@ class SymMatrix:
         idx = np.arange(self.p, dtype=np.int64)
         return self.data[idx * (idx + 1) // 2 + idx]
 
+    def _offsets(self, rows, cols) -> np.ndarray:
+        """Packed offsets of (i, j) for i in rows and j in cols, broadcast together."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        lo = np.minimum(rows, cols)
+        hi = np.maximum(rows, cols)
+        return hi * (hi + 1) // 2 + lo
+
+    def block(self, rows, cols) -> np.ndarray:
+        """Entries (i, j) for every i in rows and j in cols, a len(rows) x len(cols) array.
+
+        Ids are not range-checked: this is the gather on the decomposition's hot path.
+        """
+        return self.data[self._offsets(np.asarray(rows)[:, None], cols)]
+
+    def lower(self, t: int) -> np.ndarray:
+        """Writable view of packed row t: entries (t, 0), ..., (t, t)."""
+        self._check_index(t)
+        start = t * (t + 1) // 2
+        return self.data[start : start + t + 1]
+
     def row(self, i: int, js: np.ndarray) -> np.ndarray:
         """Entries (i, j) for each j in js, gathered from packed storage."""
         self._check_index(i)
-        js = np.asarray(js, dtype=np.int64)
-        lo = np.minimum(js, i)
-        hi = np.maximum(js, i)
-        return self.data[hi * (hi + 1) // 2 + lo]
+        return self.data[self._offsets(i, js)]
 
     def set_row(self, i: int, js: np.ndarray, values: np.ndarray) -> None:
         self._check_index(i)
-        js = np.asarray(js, dtype=np.int64)
-        lo = np.minimum(js, i)
-        hi = np.maximum(js, i)
-        self.data[hi * (hi + 1) // 2 + lo] = values
+        self.data[self._offsets(i, js)] = values
 
 
 def jacobi_coeffs(a_pp: float, a_qq: float, a_pq: float) -> RotationCoeffs:

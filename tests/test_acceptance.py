@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import random_spsd, random_symmetric
-from oracles import psd_sqrt
+from oracles import decompose_rescan, psd_sqrt, roc_brute_force, same_decomposition
 from test_core import merge_sets_from_records, oracle_merge_sets, replay
 from test_metrics import random_tree
 
@@ -41,7 +41,7 @@ from treelets import (
 )
 from treelets.datagen import Blobs, Circles
 from treelets.io import read_edge_list, _csv_rows
-from treelets.metrics import RocCurve, roc_brute_force, roc_from_hierarchy, roc_from_partitions
+from treelets.metrics import RocCurve, roc_from_hierarchy, roc_from_partitions
 
 
 def report(num: int, name: str, passed: bool, detail: str = ""):
@@ -118,11 +118,7 @@ def test_criterion_03_pair_selection_oracle():
     for _ in range(200):
         p = int(rng.integers(2, 25))
         a = random_spsd(rng, p)
-        fast = decompose(a, selection="cached")
-        slow = decompose(a, selection="rescan")
-        ok &= [(r.alpha, r.beta, r.score) for r in fast.records] == [
-            (r.alpha, r.beta, r.score) for r in slow.records
-        ]
+        ok &= same_decomposition(decompose(a), decompose_rescan(a))
     report(3, "cached pair selection equals full rescan, 200 matrices", ok)
 
 

@@ -91,6 +91,20 @@ class TestExitCodes:
         assert code == 1
         assert "--sample-size full" in capsys.readouterr().err
 
+    def test_invalid_tree_merge_names_the_step(self, tmp_path, capsys):
+        ref = tmp_path / "ref.csv"
+        ref.write_text("label\na\nb\na\n")
+        tree = tmp_path / "t.json"
+        cases = (
+            ([[1, 0, 1, 0.9], [2, 0, 2, 0.5]], "tree merge step 2: leaf 0 was removed by an earlier merge"),
+            ([[1, 0, 7, 0.9]], "tree merge step 1: leaf 7 outside 0..2"),
+            ([[1, 2, 2, 0.9]], "tree merge step 1: leaf 2 merged with itself"),
+        )
+        for merges, message in cases:
+            tree.write_text(json.dumps({"n_leaves": 3, "merges": merges}))
+            assert run("roc", "--tree", tree, "--reference", ref, "-o", tmp_path / "r.csv") == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_non_finite_gram_fails_before_decompose(self, tmp_path, capsys, monkeypatch):
         import treelets.extend
 

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 import treelets.core
 from conftest import random_spsd
-from oracles import psd_sqrt
+from oracles import decompose_rescan, psd_sqrt, same_decomposition, select_pair
 from treelets import (
     SymMatrix,
     apply_basis,
     apply_rotation,
     compress,
     decompose,
-    select_pair,
 )
 
 BLOCK4 = np.array(
@@ -163,22 +162,13 @@ class TestDecompose:
         for _ in range(40):
             p = int(np_rng.integers(2, 25))
             a = random_spsd(np_rng, p)
-            fast = decompose(a, selection="cached")
-            slow = decompose(a, selection="rescan")
-            assert [(r.alpha, r.beta) for r in fast.records] == [
-                (r.alpha, r.beta) for r in slow.records
-            ]
-            assert [r.score for r in fast.records] == [r.score for r in slow.records]
+            assert same_decomposition(decompose(a), decompose_rescan(a))
 
     def test_cached_equals_rescan_with_regularization(self, np_rng):
         for _ in range(15):
             p = int(np_rng.integers(2, 15))
             a = random_spsd(np_rng, p)
-            fast = decompose(a, lam=0.5, selection="cached")
-            slow = decompose(a, lam=0.5, selection="rescan")
-            assert [(r.alpha, r.beta, r.score) for r in fast.records] == [
-                (r.alpha, r.beta, r.score) for r in slow.records
-            ]
+            assert same_decomposition(decompose(a, lam=0.5), decompose_rescan(a, lam=0.5))
 
     def test_single_element_matrix(self):
         d = decompose(SymMatrix.from_dense([[3.0]]))
@@ -200,11 +190,7 @@ class TestDecompose:
             if g.max_degree == 0:
                 continue
             a = gram(graph_kernel_for(g), g, range(n))
-            fast = decompose(a, selection="cached")
-            slow = decompose(a, selection="rescan")
-            assert [(r.alpha, r.beta, r.score) for r in fast.records] == [
-                (r.alpha, r.beta, r.score) for r in slow.records
-            ]
+            assert same_decomposition(decompose(a), decompose_rescan(a))
 
     def test_structure_invariants(self, np_rng):
         for p in (4, 8, 16):
@@ -275,13 +261,11 @@ def selection_case(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(selection_case())
-def test_cached_records_equal_rescan_records(case):
+@given(selection_case(), st.sampled_from([treelets.core.DEFAULT_STOP_TOL, 0.0]))
+def test_cached_records_equal_rescan_records(case, stop_tol):
+    """stop_tol 0 also merges zero-score pairs, whose equal diagonals hit the tie rule."""
     a, lam = case
-    fast = decompose(a, lam=lam, selection="cached")
-    slow = decompose(a, lam=lam, selection="rescan")
-    assert fast.records == slow.records
-    assert np.array_equal(fast.final_diag, slow.final_diag)
+    assert same_decomposition(decompose(a, lam, stop_tol), decompose_rescan(a, lam, stop_tol))
 
 
 @settings(max_examples=100, deadline=None)

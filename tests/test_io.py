@@ -209,3 +209,16 @@ class TestClassLabels:
         f = tmp_path / "c.csv"
         f.write_text("1,2,a\n3,4,b\n")
         assert list(io.read_class_labels(f)) == ["a", "b"]
+
+    def test_sniff_never_tests_the_class_column(self, tmp_path):
+        cases = {
+            "1,2,a\n3,4,b\n": ["a", "b"],  # text classes, no header
+            "a\nb\n": ["a", "b"],
+            "label\na\nb\n": ["a", "b"],
+            "protein_00,protein_01,label\n0.5,,a\n1.5,2,b\n": ["a", "b"],
+            "x,y,class\n1,2,a\n3,4,b\n": ["a", "b"],
+        }
+        for text, expected in cases.items():
+            f = tmp_path / "c.csv"
+            f.write_text(text)
+            assert list(io.read_class_labels(f, has_header=None)) == expected, text

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from oracles import roc_brute_force
 from treelets import ClusterLabels, Dendrogram, Graph, auc, matching_matrix, roc_from_hierarchy
 from treelets.hierarchy import Merge, cut
-from treelets.metrics import RocCurve, roc_brute_force, roc_from_partitions
+from treelets.metrics import RocCurve, roc_from_partitions
 
 
 def random_tree(rng: np.random.Generator, n: int, n_merges=None) -> Dendrogram:

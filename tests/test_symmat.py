@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_spsd, random_symmetric
 from oracles import jacobi_eigh, psd_sqrt
@@ -214,3 +216,31 @@ def test_jacobi_eigh_matches_numpy(np_rng):
         np.testing.assert_allclose(sorted(w), np.linalg.eigvalsh(a.to_dense()), atol=1e-9)
         np.testing.assert_allclose(v @ v.T, np.eye(7), atol=1e-10)
         np.testing.assert_allclose((v * w) @ v.T, a.to_dense(), atol=1e-9)
+
+
+@st.composite
+def packed_case(draw):
+    """A packed matrix of distinct cell values, and row and column ids with repeats."""
+    p = draw(st.integers(1, 9))
+    a = SymMatrix(p, np.arange(p * (p + 1) // 2, dtype=float) + 0.5)
+    ids = st.lists(st.integers(0, p - 1), min_size=0, max_size=12)
+    return a, draw(ids), draw(ids), draw(st.integers(0, p - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_case())
+def test_block_and_lower_match_dense(case):
+    a, rows, cols, t = case
+    dense = a.to_dense()
+    rows = np.array(rows, dtype=np.int64)
+    cols = np.array(cols, dtype=np.int64)
+    every = np.arange(a.p)
+
+    def same_bits(x, y):
+        return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    assert same_bits(a.block(rows, cols), dense[np.ix_(rows, cols)])
+    assert same_bits(a.block(every, every), dense)
+    assert same_bits(a.lower(t), dense[t, : t + 1])
+    a.lower(t)[:] = -1.0  # a view: writes land in the packed cells
+    assert (a.to_dense()[t, : t + 1] == -1.0).all() and (a.to_dense()[: t + 1, t] == -1.0).all()
