@@ -21,10 +21,11 @@ _TINY_DIAG_PRODUCT = 1e-300
 
 DEFAULT_STOP_TOL = 1e-10
 
-# rows x columns scored per chunk when refreshing best partners: 64 KB per
-# float64 temporary keeps peak memory near the one-row scan's; 1 << 12 ran
-# graph Grams ~7% slower, 1 << 17 added ~7 MB of temporaries
-_BLOCK_ELEMENTS = 1 << 13
+# cells of the p x p score matrix per row chunk: the initial fill scores one
+# chunk at a time and a stale-row refresh gathers one for its argmax, so a
+# step that makes every row stale allocates no p x p temporary; 128 KB per
+# float64 temporary (1 << 13 ran the graph Gram's decompose ~10% slower)
+_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -99,24 +100,31 @@ def decompose(
     lam: float = 0.0,
     stop_tol: float = DEFAULT_STOP_TOL,
 ) -> TreeletDecomposition:
-    """Run the rotation loop on a similarity matrix until done or stalled.
+    """Run the rotation loop on a copy of a similarity matrix until done or stalled.
 
     Each step takes the highest-scoring active pair; ties go to the
     lexicographically smallest (min, max) pair, which makes the choice
-    platform-independent.  A best-partner cache per active row is refreshed
-    only where a rotation can have touched it: the surviving row is rescored
-    against every active column, and the rows whose cached partner was one
-    of the two rotated indices are rescanned together, in row chunks of at
-    most _BLOCK_ELEMENTS scored pairs each.
+    platform-independent.  Every pair score is kept in a p x p matrix (8p^2
+    bytes) whose own-index cells and retired rows and columns hold -inf.  A
+    rotation changes scores only in the rotated rows and columns, so each
+    step sets the retired index's row and column to -inf, rescores the
+    surviving index's row and column, and refreshes a row's cached best
+    partner only where that partner was one of the two rotated indices: by
+    one argmax over its stored scores, in row chunks of at most
+    _BLOCK_ELEMENTS cells.
     """
+    return _decompose(a0.copy(), lam, stop_tol)
+
+
+def _decompose(a: SymMatrix, lam: float, stop_tol: float) -> TreeletDecomposition:
+    """decompose, rotating `a` itself: for callers that own the matrix."""
     if lam < 0:
         raise ValueError("lam must be >= 0")
     if stop_tol < 0:
         raise ValueError("stop_tol must be >= 0")
 
-    a = a0.copy()
     p = a.p
-    diag = a.diagonal().copy()
+    diag = a.diagonal()
     if not np.isfinite(a.data).all():
         raise ValueError("similarity matrix has a non-finite entry")
     if diag.min() < -1e-10:
@@ -124,25 +132,23 @@ def decompose(
 
     records: list[RotationRecord] = []
     active = np.ones(p, dtype=bool)
+    idx = np.arange(p, dtype=np.int64)
+    height = max(1, _BLOCK_ELEMENTS // p)
+    scores = np.empty((p, p))
+    for start in range(0, p, height):
+        scores[start : start + height] = _block_scores(a, diag, idx[start : start + height], idx, lam)
 
-    best_score = np.full(p, -np.inf)
-    best_j = np.full(p, -1, dtype=np.int64)
+    best_score = np.empty(p)
+    best_j = np.empty(p, dtype=np.int64)
 
-    def scan(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Cache each row's best partner among cols; return the last chunk's scores."""
-        height = max(1, _BLOCK_ELEMENTS // len(cols))
+    def refresh(rows: np.ndarray) -> None:
+        """Cache each row's best partner: its first maximum, the smallest column."""
         for start in range(0, len(rows), height):
             chunk = rows[start : start + height]
-            scores = _block_scores(a, diag, chunk, cols, lam)
-            m = scores.argmax(axis=1)  # first max = smallest partner
-            best_score[chunk] = scores[np.arange(len(chunk)), m]
-            best_j[chunk] = cols[m]
-        return scores
+            best_j[chunk] = scores[chunk].argmax(axis=1)
+            best_score[chunk] = scores[chunk, best_j[chunk]]
 
-    if p >= 2:
-        idx = np.arange(p, dtype=np.int64)
-        scan(idx, idx)
-
+    refresh(idx)
     for step in range(1, p):
         i_star = int(np.argmax(best_score))  # first max = smallest row
         score = float(best_score[i_star])
@@ -175,38 +181,25 @@ def decompose(
             )
         )
         active[alpha] = False
+        scores[alpha] = scores[:, alpha] = best_score[alpha] = -np.inf
 
-        best_score[alpha] = -np.inf
-        best_j[alpha] = -1
-        act_idx = np.nonzero(active)[0].astype(np.int64)
-        if len(act_idx) < 2:
-            best_score[beta] = -np.inf
-            best_j[beta] = -1
-            continue
-        others = act_idx != beta
-        js = act_idx[others]
-        col_scores = scan(np.array([beta]), act_idx)[0][others]
-
+        act_idx = np.nonzero(active)[0]
+        fresh = _block_scores(a, diag, np.array([beta]), act_idx, lam)[0]
+        scores[beta, act_idx] = scores[act_idx, beta] = fresh
+        js = act_idx[act_idx != beta]
         stale = (best_j[js] == alpha) | (best_j[js] == beta)
-        fresh = ~stale
-        if fresh.any():
-            rows_f = js[fresh]
-            cand = col_scores[fresh]
-            take = (cand > best_score[rows_f]) | (
-                (cand == best_score[rows_f]) & (beta < best_j[rows_f])
-            )
-            upd = rows_f[take]
-            best_score[upd] = cand[take]
-            best_j[upd] = beta
-        if stale.any():
-            scan(js[stale], act_idx)
+        rows_f = js[~stale]
+        cand = scores[rows_f, beta]
+        take = (cand > best_score[rows_f]) | ((cand == best_score[rows_f]) & (beta < best_j[rows_f]))
+        best_score[rows_f[take]] = cand[take]
+        best_j[rows_f[take]] = beta
+        refresh(np.append(js[stale], beta))
 
-    stop_level = len(records)
     return TreeletDecomposition(
         p=p,
         records=tuple(records),
-        stop_level=stop_level,
-        final_diag=diag.copy(),
+        stop_level=len(records),
+        final_diag=diag,
         lam=lam,
     )
 

@@ -40,10 +40,24 @@ class Dendrogram:
     def from_json(cls, text: str) -> "Dendrogram":
         """Parse a tree file; each merge must join two distinct live leaves below n_leaves."""
         payload = json.loads(text)
-        n_leaves = int(payload["n_leaves"])
-        merges = tuple(Merge(int(s), int(r), int(k), float(v)) for s, r, k, v in payload["merges"])
+        if not isinstance(payload, dict):
+            raise ValueError("tree file is not a JSON object")
+        for key in ("n_leaves", "merges"):
+            if key not in payload:
+                raise ValueError(f"tree file has no {key!r} key")
+        n_leaves, rows = payload["n_leaves"], payload["merges"]
+        if not isinstance(n_leaves, int) or not isinstance(rows, list):
+            raise ValueError("tree file needs an integer 'n_leaves' and a list of 'merges'")
         removed = bytearray(max(n_leaves, 0))
-        for m in merges:
+        merges = []
+        for index, row in enumerate(rows, 1):
+            try:
+                step, gone, kept, score = row
+                m = Merge(int(step), int(gone), int(kept), float(score))
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"tree merge row {index} is {json.dumps(row)}, not [step, removed, kept, score]"
+                ) from None
             for leaf in (m.removed, m.kept):
                 if not 0 <= leaf < n_leaves:
                     raise ValueError(f"tree merge step {m.step}: leaf {leaf} outside 0..{n_leaves - 1}")
@@ -52,7 +66,8 @@ class Dendrogram:
             if m.removed == m.kept:
                 raise ValueError(f"tree merge step {m.step}: leaf {m.removed} merged with itself")
             removed[m.removed] = 1
-        return cls(n_leaves=n_leaves, merges=merges)
+            merges.append(m)
+        return cls(n_leaves=n_leaves, merges=tuple(merges))
 
 
 @dataclass(frozen=True)

@@ -105,6 +105,30 @@ class TestExitCodes:
             assert run("roc", "--tree", tree, "--reference", ref, "-o", tmp_path / "r.csv") == 1
             assert capsys.readouterr().err == f"error: {message}\n"
 
+    def test_tree_file_of_wrong_shape_is_one_error_line(self, tmp_path, capsys):
+        ref = tmp_path / "ref.csv"
+        ref.write_text("label\na\nb\na\n")
+        tree = tmp_path / "t.json"
+        cases = (
+            ([[1, 0, 1, 0.9]], "tree file is not a JSON object"),
+            ({"merges": []}, "tree file has no 'n_leaves' key"),
+            ({"n_leaves": 3}, "tree file has no 'merges' key"),
+            ({"n_leaves": 3, "merges": [[1, 0]]}, "tree merge row 1 is [1, 0], not [step, removed, kept, score]"),
+            (
+                {"n_leaves": 3, "merges": [[1, 0, 1, 0.9], [2, 1, 2, 0.5, 7]]},
+                "tree merge row 2 is [2, 1, 2, 0.5, 7], not [step, removed, kept, score]",
+            ),
+            (
+                {"n_leaves": 3, "merges": [[1, "a", 1, 0.9]]},
+                'tree merge row 1 is [1, "a", 1, 0.9], not [step, removed, kept, score]',
+            ),
+            ({"n_leaves": None, "merges": []}, "tree file needs an integer 'n_leaves' and a list of 'merges'"),
+        )
+        for payload, message in cases:
+            tree.write_text(json.dumps(payload))
+            assert run("roc", "--tree", tree, "--reference", ref, "-o", tmp_path / "r.csv") == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_non_finite_gram_fails_before_decompose(self, tmp_path, capsys, monkeypatch):
         import treelets.extend
 

@@ -192,6 +192,28 @@ class TestDecompose:
             a = gram(graph_kernel_for(g), g, range(n))
             assert same_decomposition(decompose(a), decompose_rescan(a))
 
+    def test_step_that_makes_every_row_stale(self, monkeypatch):
+        """A hub joined to every vertex, plus a clique: all edges tie, so every
+        row's best partner is the hub (row 0) or, for the hub, vertex 1, and the
+        first step, on (0, 1), leaves every remaining row stale.  A small chunk
+        budget makes the initial fill and that refresh span many chunks."""
+        from treelets import Graph, gram, graph_kernel_for
+
+        p = 40
+        edges = {(0, v) for v in range(1, p)} | {(u, v) for u in range(1, 16) for v in range(u + 1, 16)}
+        g = Graph(p, edges)
+        a = gram(graph_kernel_for(g), g, range(p))
+        dense = a.to_dense()
+        np.fill_diagonal(dense, -np.inf)
+        assert set(dense.argmax(axis=1)) == {0, 1}  # equal diagonals: score order is |a_ij| order
+        before = a.data.tobytes()
+        monkeypatch.setattr(treelets.core, "_BLOCK_ELEMENTS", 3 * p)
+        for lam in (0.0, 0.5):
+            d = decompose(a, lam=lam)
+            assert {d.records[0].alpha, d.records[0].beta} == {0, 1}
+            assert same_decomposition(d, decompose_rescan(a, lam=lam))
+        assert a.data.tobytes() == before
+
     def test_structure_invariants(self, np_rng):
         for p in (4, 8, 16):
             a = random_spsd(np_rng, p)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import treelets.extend
+from oracles import decompose_rescan, same_decomposition
 from treelets import (
     Dataset,
     Graph,
@@ -13,9 +14,11 @@ from treelets import (
     MissingRbfKernel,
     PolynomialKernel,
     RbfKernel,
+    SymMatrix,
     eval_kernel,
     fit_predict,
     generate,
+    gram,
     kernel_distance,
     knn_extend,
     matching_matrix,
@@ -263,6 +266,17 @@ class TestKtConfig:
 
 
 class TestFitPredict:
+    def test_decomposes_its_gram_in_place(self, monkeypatch):
+        """The pipeline rotates the Gram it built, with no working copy, and
+        gets the records of the rescanning oracle on that Gram."""
+        data, _ = generate(Circles(factor=0.5, noise=0.05), 60, 4)
+        cfg = KtConfig(kernel=RbfKernel(sigma=0.2), sample_size=60, n_clusters=2, seed=0, lam=0.5)
+        a0 = gram(cfg.kernel, data, range(60))
+        monkeypatch.setattr(SymMatrix, "copy", lambda self: pytest.fail("SymMatrix.copy called"))
+        res = fit_predict(data, cfg)
+        monkeypatch.undo()
+        assert same_decomposition(res.decomposition, decompose_rescan(a0, lam=cfg.lam))
+
     def test_full_sample_labels_come_from_the_cut(self):
         data, truth = generate(Blobs(centers=((0.0, 0.0), (20.0, 0.0)), stds=(1.0, 1.0)), 40, 2)
         cfg = KtConfig(kernel=RbfKernel(sigma=1.0), sample_size=40, n_clusters=2, seed=1)

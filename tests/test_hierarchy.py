@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_spsd
+from conftest import forests, random_spsd
 from treelets import ClusterLabels, Dendrogram, SymMatrix, cut, cut_at_score, decompose, merge_tree
 from treelets.hierarchy import Merge
 
@@ -121,6 +123,17 @@ class TestCutAtScore:
     def test_threshold_zero_applies_all(self):
         tree = merge_tree(decompose(BLOCK4))
         assert cut_at_score(tree, 0.0).n_clusters == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(forests(), st.sampled_from([-1.0, 0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 2.0]))
+def test_cut_at_score_is_cut_after_the_leading_merges_at_or_above_it(tree, threshold):
+    leading = 0
+    while leading < len(tree.merges) and tree.merges[leading].score >= threshold:
+        leading += 1
+    by_score, by_count = cut_at_score(tree, threshold), cut(tree, tree.n_leaves - leading)
+    assert by_score.n_clusters == by_count.n_clusters
+    assert np.array_equal(by_score.assignments, by_count.assignments)
 
 
 class TestJsonRoundTrip:

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import forests
 from oracles import roc_brute_force
 from treelets import ClusterLabels, Dendrogram, Graph, auc, matching_matrix, roc_from_hierarchy
 from treelets.hierarchy import Merge, cut
@@ -122,6 +125,25 @@ class TestRocFromHierarchy:
         pts = roc_from_hierarchy(tree, np_rng.integers(0, 3, size=30)).points
         for (f0, t0), (f1, t1) in zip(pts, pts[1:]):
             assert f1 >= f0 and t1 >= t0
+
+
+@st.composite
+def forest_and_reference(draw):
+    """A forest with class labels or an undirected graph on its leaves."""
+    tree = draw(forests())
+    n = tree.n_leaves
+    if draw(st.booleans()):
+        return tree, draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return tree, Graph(n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(forest_and_reference())
+def test_incremental_roc_equals_brute_force(case):
+    tree, reference = case
+    assert roc_from_hierarchy(tree, reference) == roc_brute_force(tree, reference)
 
 
 class TestAuc:
