@@ -17,7 +17,7 @@ from .core import (
     decompose,
 )
 from .datagen import Aniso, Blobs, Circles, Moons, Uniform, Varied, generate
-from .extend import KtConfig, KtResult, fit_predict, kernel_distance, knn_extend, sample_indices
+from .extend import KtConfig, KtResult, fit_predict, knn_extend, sample_indices
 from .hierarchy import ClusterLabels, Dendrogram, cut, cut_at_score, merge_tree
 from .kernels import (
     Dataset,
@@ -29,7 +29,6 @@ from .kernels import (
     PolynomialKernel,
     RbfKernel,
     check_spsd,
-    eval_kernel,
     gram,
     graph_kernel_for,
 )
@@ -72,13 +71,11 @@ __all__ = [
     "cut",
     "cut_at_score",
     "decompose",
-    "eval_kernel",
     "fit_predict",
     "generate",
     "gram",
     "graph_kernel_for",
     "jacobi_coeffs",
-    "kernel_distance",
     "kmeans",
     "knn_extend",
     "matching_matrix",

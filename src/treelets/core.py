@@ -60,6 +60,13 @@ class TreeletDecomposition:
     final_diag: np.ndarray
     lam: float
 
+    def __eq__(self, other):  # by value: the generated one would compare arrays to a truth value
+        if not isinstance(other, TreeletDecomposition):
+            return NotImplemented
+        mine = (self.p, self.records, self.stop_level, self.lam)
+        same = mine == (other.p, other.records, other.stop_level, other.lam)
+        return same and np.array_equal(self.final_diag, other.final_diag)
+
     def scaling_set(self, k: int) -> list[int]:
         """Indices still active after k steps, ascending."""
         if not 0 <= k <= self.stop_level:

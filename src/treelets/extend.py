@@ -17,12 +17,13 @@ import numpy as np
 # the helper keeps the name `decompose`, under which bench/worker.py traces it
 from .core import DEFAULT_STOP_TOL, TreeletDecomposition, _decompose as decompose
 from .hierarchy import ClusterLabels, Dendrogram, cut, merge_tree
-from .kernels import Graph, KernelSpec, eval_kernel, gram, kernel_block, kernel_diag
+from .kernels import Graph, KernelSpec, gram, kernel_block, kernel_diag
 from .rng import SplitMix64
 
-# elements of one query block's widest temporary (queries x sample x width):
-# 1 MB of float64, whatever the thread count
-_BLOCK_ELEMENTS = 1 << 17
+# cells of one query block (queries x sample), whatever the width and the
+# thread count: 512 KB per float64 temporary (1 << 15 and 1 << 17 labeled
+# the 11000 x 1000 extension 10-40 % slower)
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -81,14 +82,23 @@ def sample_indices(n: int, n_sample: int, seed: int) -> list[int]:
     return SplitMix64(seed).sample_without_replacement(n, n_sample)
 
 
-def kernel_distance(spec: KernelSpec, x1, x2) -> float:
-    """Feature-space distance from kernel values alone.
+def _nearest(d: np.ndarray, k: int) -> np.ndarray:
+    """Column ids of each row's k smallest entries, ascending by column; ties go to the smaller column.
 
-    d^2 = K(x1,x1) + K(x2,x2) - 2 K(x1,x2), clamped at zero against
-    round-off before the square root.
+    This is the set np.argsort(d, kind="stable")[:, :k] picks, found by a
+    partition at k - 1: every entry below a row's k-th smallest value, then
+    the first entries equal to it, in column order, until there are k.
     """
-    d2 = eval_kernel(spec, x1, x1) + eval_kernel(spec, x2, x2) - 2.0 * eval_kernel(spec, x1, x2)
-    return float(np.sqrt(max(0.0, d2)))
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1 : k]
+    taken = d <= kth
+    tied_rows = np.flatnonzero(np.count_nonzero(taken, axis=1) > k)
+    if len(tied_rows):
+        sub, sub_kth = d[tied_rows], kth[tied_rows]
+        below = sub < sub_kth
+        tied = sub == sub_kth
+        room = k - np.count_nonzero(below, axis=1)
+        taken[tied_rows] = below | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
+    return np.nonzero(taken)[1].reshape(len(d), k)
 
 
 def knn_extend(
@@ -119,8 +129,7 @@ def knn_extend(
 
     self_sample = kernel_diag(spec, data, sample)
     n_labels = int(sample_labels.max()) + 1
-    width = 1 if isinstance(data, Graph) else data.p
-    height = max(1, _BLOCK_ELEMENTS // (len(sample) * width))
+    height = max(1, _BLOCK_ELEMENTS // len(sample))
 
     def label_block(start: int) -> np.ndarray:
         block = queries[start : start + height]
@@ -131,9 +140,10 @@ def knn_extend(
             raise ValueError(
                 f"kernel {spec} gives a non-finite value for query id {block[np.argmin(finite)]}"
             )
-        d = np.sqrt(np.maximum(0.0, self_block[:, None] + self_sample - 2.0 * k))
-        # a stable sort keeps equal distances in sample order
-        nearest = sample_labels[np.argsort(d, axis=1, kind="stable")[:, :knn_k]]
+        d = self_block[:, None] + self_sample
+        d -= np.multiply(k, 2.0, out=k)
+        np.sqrt(np.maximum(0.0, d, out=d), out=d)
+        nearest = sample_labels[_nearest(d, knn_k)]
         flat = (np.arange(len(block))[:, None] * n_labels + nearest).ravel()
         votes = np.bincount(flat, minlength=len(block) * n_labels)
         return votes.reshape(len(block), n_labels).argmax(axis=1)

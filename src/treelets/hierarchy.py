@@ -85,6 +85,10 @@ class ClusterLabels:
         if used[0] != 0 or used[-1] != self.n_clusters - 1:
             raise ValueError("cluster ids must cover 0..n_clusters-1")
 
+    def __eq__(self, other):  # by value: the generated one would compare arrays to a truth value
+        same = isinstance(other, ClusterLabels) and self.n_clusters == other.n_clusters
+        return same and np.array_equal(self.assignments, other.assignments)
+
     @property
     def n(self) -> int:
         return len(self.assignments)

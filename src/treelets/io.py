@@ -118,7 +118,8 @@ def write_csv_numeric(path, data: Dataset, header=None, missing_token: str = "")
             fh.write(",".join(cells) + "\n")
 
 
-def _parse_edge_lines(path) -> tuple[list, int]:
+def read_edge_list(path) -> Graph:
+    """Undirected graph from 'u v' lines; ids become vertices 0..max_id."""
     edges = []
     max_id = -1
     with open(path, "r", encoding="utf-8") as fh:
@@ -136,25 +137,7 @@ def _parse_edge_lines(path) -> tuple[list, int]:
                 raise ValueError(f"{path}: line {lineno}: vertex id {max(u, v)} too large")
             edges.append((u, v))
             max_id = max(max_id, u, v)
-    return edges, max_id
-
-
-def read_edge_list(path) -> Graph:
-    """Undirected graph from 'u v' lines; ids become vertices 0..max_id."""
-    edges, max_id = _parse_edge_lines(path)
     return Graph(max_id + 1, edges)
-
-
-def read_edge_list_remapped(path) -> tuple[Graph, dict]:
-    """Like read_edge_list but for sparse id spaces.
-
-    Ids are renumbered densely in sorted order; the returned table maps
-    original id -> vertex index.
-    """
-    edges, _ = _parse_edge_lines(path)
-    seen = sorted({u for u, v in edges} | {v for u, v in edges})
-    table = {orig: i for i, orig in enumerate(seen)}
-    return Graph(len(seen), [(table[u], table[v]) for u, v in edges]), table
 
 
 def read_class_labels(path, has_header: bool | None = False) -> np.ndarray:
@@ -186,21 +169,6 @@ def kernel_to_dict(spec: KernelSpec) -> dict:
     raise TypeError(f"unknown kernel spec {spec!r}")
 
 
-def kernel_from_dict(payload: dict) -> KernelSpec:
-    kind = payload["kind"]
-    if kind == "rbf":
-        return RbfKernel(sigma=payload["sigma"])
-    if kind == "linear":
-        return LinearKernel()
-    if kind == "polynomial":
-        return PolynomialKernel(alpha=payload["alpha"], c0=payload["c0"], degree=payload["degree"])
-    if kind == "missing-rbf":
-        return MissingRbfKernel(gamma=payload["gamma"])
-    if kind == "graph":
-        return GraphKernel(diag=payload["diag"])
-    raise ValueError(f"unknown kernel kind {kind!r}")
-
-
 def write_labels_json(path, labels: ClusterLabels, seed: int, kernel: KernelSpec | None) -> None:
     payload = {
         "n": labels.n,
@@ -225,10 +193,3 @@ def write_roc_csv(path, curve: RocCurve) -> None:
         fh.write("fpr,tpr\n")
         for fpr, tpr in curve.points:
             fh.write(f"{fpr:.10g},{tpr:.10g}\n")
-
-
-def read_roc_csv(path) -> RocCurve:
-    rows = _csv_rows(path)
-    if not rows or rows[0] != ["fpr", "tpr"]:
-        raise ValueError(f"{path}: expected 'fpr,tpr' header")
-    return RocCurve(points=tuple((float(f), float(t)) for f, t in rows[1:]))

@@ -112,9 +112,6 @@ class Dataset:
     def fully_present(self) -> bool:
         return bool(self.present.all())
 
-    def obs(self, i: int):
-        return self.values[i], self.present[i]
-
 
 class Graph:
     """Undirected simple graph on vertices 0..n-1."""
@@ -149,14 +146,8 @@ class Graph:
     def max_degree(self) -> int:
         return int(self.degrees.max()) if self.n_vertices else 0
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adjacency[u]
-
     def neighbors(self, u: int):
         return self._adjacency[u]
-
-    def obs(self, u: int):
-        return self, u
 
 
 def graph_kernel_for(graph: Graph) -> GraphKernel:
@@ -164,56 +155,69 @@ def graph_kernel_for(graph: Graph) -> GraphKernel:
     return GraphKernel(diag=float(graph.max_degree))
 
 
-def _as_numeric_obs(x):
-    if isinstance(x, tuple) and len(x) == 2 and isinstance(x[0], np.ndarray):
-        values, present = x
-        return np.asarray(values, dtype=float), np.asarray(present, dtype=bool)
-    values = np.asarray(x, dtype=float)
-    return values, np.ones(values.shape, dtype=bool)
+# cells of one Gram row block (rows x sample ids): 256 KB per float64
+# temporary; 16- to 32-row blocks of the 1080-row masked Gram ran fastest
+_BLOCK_ELEMENTS = 1 << 15
 
 
-def eval_kernel(spec: KernelSpec, x1, x2) -> float:
-    """Kernel value for one pair of observations.
+def _pairwise_sum(term, lo: int, n: int, shape) -> np.ndarray:
+    """term(lo) + ... + term(lo + n - 1), added in the order numpy's pairwise sum adds them.
 
-    Numeric kernels take 1-D arrays or (values, present) pairs; the graph
-    kernel takes (graph, vertex) pairs as produced by Graph.obs.
+    term(c, out) writes the c-th array into out and returns it.  Runs over
+    128 split at a multiple of 8 near the middle and recurse; shorter ones
+    keep eight partial sums and add the tail after combining them.
     """
-    if isinstance(spec, GraphKernel):
-        g1, u = x1
-        g2, v = x2
-        if g1 is not g2:
-            raise ValueError("graph kernel needs vertices of the same graph")
-        if u == v:
-            return float(spec.diag)
-        return 1.0 if g1.has_edge(u, v) else 0.0
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        total = _pairwise_sum(term, lo, half, shape)
+        total += _pairwise_sum(term, lo + half, n - half, shape)
+        return total
+    r = [term(lo + j, np.empty(shape)) for j in range(min(n, 8))]
+    scratch = np.empty(shape)
+    head = max(8, n - n % 8)
+    for j in range(8, head):
+        r[j % 8] += term(lo + j, scratch)
+    # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), or a running sum under 8 terms
+    pairs = ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)) if n >= 8 else ((0, j) for j in range(1, n))
+    for a, b in pairs:
+        r[a] += r[b]
+    for j in range(head, n):
+        r[0] += term(lo + j, scratch)
+    return r[0]
 
-    v1, m1 = _as_numeric_obs(x1)
-    v2, m2 = _as_numeric_obs(x2)
-    if v1.shape != v2.shape:
-        raise ValueError("observation dimension mismatch")
 
-    if isinstance(spec, RbfKernel):
-        d2 = float(np.sum((v1 - v2) ** 2))
-        return float(np.exp(-d2 / (2.0 * spec.sigma**2)))
-    if isinstance(spec, LinearKernel):
-        return float(np.dot(v1, v2))
-    if isinstance(spec, PolynomialKernel):
-        return float((spec.alpha * np.dot(v1, v2) + spec.c0) ** spec.degree)
-    if isinstance(spec, MissingRbfKernel):
-        shared = m1 & m2
-        count = int(shared.sum())
-        if count == 0:
-            raise ValueError("no shared observed attributes")
-        d2 = float(np.sum((v1[shared] - v2[shared]) ** 2))
-        return float(np.exp(-spec.gamma * d2 / count))
-    raise TypeError(f"unknown kernel spec {spec!r}")
+def _squared_distances(data: Dataset, rows, cols, masked: bool) -> np.ndarray:
+    """||x_r - x_c||^2 for every r in rows and c in cols, one attribute at a time.
+
+    Each cell has the bits of ((x_r - x_c) ** 2).sum(), with no rows x cols x
+    width temporary.  With masked, a term missing on either side is zero.
+    """
+    left = data.values[rows]
+    right = data.values[cols].T.copy()  # one gather per block, a row per attribute
+    shape = (len(left), right.shape[1])
+    if masked:
+        left_gap = ~data.present[rows]
+        right_gap = ~data.present[cols].T
+        gap = np.empty(shape, dtype=bool)
+
+    def term(c: int, out: np.ndarray) -> np.ndarray:
+        np.subtract(right[c], left[:, c, None], out=out)
+        np.square(out, out=out)
+        if masked:
+            np.logical_or(right_gap[c], left_gap[:, c, None], out=gap)
+            np.copyto(out, 0.0, where=gap)
+        return out
+
+    return _pairwise_sum(term, 0, data.p, shape)
 
 
 def kernel_block(spec: KernelSpec, data, rows, cols) -> np.ndarray:
     """K(x_r, x_c) for every r in rows and c in cols, as a len(rows) x len(cols) array.
 
-    A cell's bits do not depend on the block's shape: distance kernels sum along
-    the last axis, inner-product kernels take one matrix-vector product per row.
+    A cell's bits do not depend on the other rows of the block: distance
+    kernels sum attribute by attribute in numpy's pairwise order, inner-product
+    kernels take one matrix-vector product per row, whose bits do depend on
+    the number of columns.
     """
     if isinstance(spec, GraphKernel):
         if not isinstance(data, Graph):
@@ -228,9 +232,9 @@ def kernel_block(spec: KernelSpec, data, rows, cols) -> np.ndarray:
 
     if not isinstance(data, Dataset):
         raise TypeError("numeric kernels require a Dataset")
-    values = data.values[cols]
 
     if isinstance(spec, (LinearKernel, PolynomialKernel)):
+        values = data.values[cols]
         out = np.empty((len(rows), len(cols)))
         for a, r in enumerate(rows):
             out[a] = values @ data.values[r]
@@ -239,17 +243,21 @@ def kernel_block(spec: KernelSpec, data, rows, cols) -> np.ndarray:
                     out[a] = (spec.alpha * out[a] + spec.c0) ** spec.degree
         return out
 
-    diff2 = (values - data.values[rows][:, None, :]) ** 2
     if isinstance(spec, RbfKernel):
-        return np.exp(-diff2.sum(axis=2) / (2.0 * spec.sigma**2))
+        out = _squared_distances(data, rows, cols, masked=False)
+        np.negative(out, out=out)
+        np.divide(out, 2.0 * spec.sigma**2, out=out)
+        return np.exp(out, out=out)
     if isinstance(spec, MissingRbfKernel):
-        shared = data.present[cols] & data.present[rows][:, None, :]
-        count = shared.sum(axis=2)
+        # attributes present in both rows; 0/1 products sum exactly in any order
+        count = data.present[rows].astype(float) @ data.present[cols].T
         if (count == 0).any():
             a, c = np.argwhere(count == 0)[0]
             raise ValueError(f"no shared observed attributes between rows {rows[a]} and {cols[c]}")
-        d2 = np.where(shared, diff2, 0.0).sum(axis=2)
-        return np.exp(-spec.gamma * d2 / count)
+        out = _squared_distances(data, rows, cols, masked=True)
+        np.multiply(out, -spec.gamma, out=out)
+        np.divide(out, count, out=out)
+        return np.exp(out, out=out)
     raise TypeError(f"unknown kernel spec {spec!r}")
 
 
@@ -275,11 +283,11 @@ def kernel_diag(spec: KernelSpec, data, ids) -> np.ndarray:
 def gram(spec: KernelSpec, data, indices) -> SymMatrix:
     """Gram matrix K(S, S) over the given row/vertex ids.
 
-    Row t of the lower triangle is one kernel_block call of one row against
-    indices[: t + 1], so each unordered pair is evaluated once and stored in
-    a single cell, and the result is symmetric by construction.  A
-    non-finite value (say, a polynomial kernel overflowing) is an error that
-    names the kernel and the first offending pair of ids.
+    Row blocks of the lower triangle are kernel_block calls of indices[s:e]
+    against indices[:e]; each unordered pair is stored in a single cell, so
+    the result is symmetric by construction.  A non-finite value (say, a
+    polynomial kernel overflowing) is an error that names the kernel and the
+    first offending pair of ids in packed order.
     """
     indices = np.asarray(list(indices), dtype=np.int64)
     m = len(indices)
@@ -297,15 +305,23 @@ def gram(spec: KernelSpec, data, indices) -> SymMatrix:
         )
 
     out = SymMatrix(m)
-    for t in range(m):
-        row = out.lower(t)
-        row[:] = kernel_block(spec, data, [indices[t]], indices[: t + 1])
-        finite = np.isfinite(row)
-        if not finite.all():
-            c = int(np.argmin(finite))
+    # a BLAS matrix-vector product rounds a cell differently with the matrix's
+    # height, so an inner-product row keeps its own prefix indices[: t + 1]
+    inner = isinstance(spec, (LinearKernel, PolynomialKernel))
+    height = 1 if inner else max(1, _BLOCK_ELEMENTS // m)
+    for s in range(0, m, height):
+        e = min(m, s + height)
+        block = kernel_block(spec, data, indices[s:e], indices[:e])
+        # only cells on or below the diagonal are stored, so only they are checked
+        lower = np.arange(e) <= np.arange(s, e)[:, None]
+        bad = lower & ~np.isfinite(block)
+        if bad.any():
+            a, c = np.argwhere(bad)[0]
             raise ValueError(
-                f"kernel {spec} gives a non-finite value for sample ids ({indices[t]}, {indices[c]})"
+                f"kernel {spec} gives a non-finite value for sample ids ({indices[s + a]}, {indices[c]})"
             )
+        for t in range(s, e):
+            out.lower(t)[:] = block[t - s, : t + 1]
     return out
 
 

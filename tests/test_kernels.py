@@ -3,11 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_symmetric
-from oracles import psd_sqrt
+from oracles import eval_kernel, has_edge, obs, psd_sqrt
 from treelets import (
     Dataset,
     Graph,
@@ -17,21 +17,21 @@ from treelets import (
     PolynomialKernel,
     RbfKernel,
     check_spsd,
-    eval_kernel,
     gram,
     graph_kernel_for,
 )
-from treelets.kernels import kernel_block, kernel_diag
+import treelets.kernels
+from treelets.kernels import _squared_distances, kernel_block, kernel_diag
 
 
 def gram_by_scalar_loop(spec, data, indices):
     """Oracle: per-pair eval_kernel instead of the vectorized rows."""
-    obs = [data.obs(i) for i in indices]
-    m = len(obs)
+    rows = [obs(data, i) for i in indices]
+    m = len(rows)
     out = np.empty((m, m))
     for a in range(m):
         for b in range(m):
-            out[a, b] = eval_kernel(spec, obs[a], obs[b])
+            out[a, b] = eval_kernel(spec, rows[a], rows[b])
     return out
 
 
@@ -54,7 +54,7 @@ class TestGraph:
         g = Graph(3, [(0, 1), (1, 2)])
         assert g.n_edges == 2
         assert list(g.degrees) == [1, 2, 1]
-        assert g.has_edge(1, 0) and not g.has_edge(0, 2)
+        assert has_edge(g, 1, 0) and not has_edge(g, 0, 2)
 
     def test_duplicate_and_reversed_edges_collapse(self):
         g = Graph(2, [(0, 1), (1, 0), (0, 1)])
@@ -90,9 +90,9 @@ class TestEvalKernel:
     def test_graph_kernel_values(self):
         g = Graph(3, [(0, 1)])
         spec = GraphKernel(diag=1045.0)
-        assert eval_kernel(spec, g.obs(0), g.obs(0)) == 1045.0
-        assert eval_kernel(spec, g.obs(0), g.obs(1)) == 1.0
-        assert eval_kernel(spec, g.obs(0), g.obs(2)) == 0.0
+        assert eval_kernel(spec, obs(g, 0), obs(g, 0)) == 1045.0
+        assert eval_kernel(spec, obs(g, 0), obs(g, 1)) == 1.0
+        assert eval_kernel(spec, obs(g, 0), obs(g, 2)) == 0.0
 
     def test_missing_rbf_single_shared_index(self):
         u = (np.array([1.0, 0.0]), np.array([True, False]))
@@ -127,7 +127,7 @@ class TestEvalKernel:
         gk = GraphKernel(diag=4.0)
         for u in range(3):
             for v in range(3):
-                assert eval_kernel(gk, g.obs(u), g.obs(v)) == eval_kernel(gk, g.obs(v), g.obs(u))
+                assert eval_kernel(gk, obs(g, u), obs(g, v)) == eval_kernel(gk, obs(g, v), obs(g, u))
 
     def test_missing_rbf_on_full_masks_is_mean_squared_rbf(self, np_rng):
         # with everything present the kernel is exp(-gamma * mean sq diff)
@@ -222,7 +222,8 @@ class TestGram:
         present = np.ones((6, 2), dtype=bool)
         present[3] = [True, False]
         present[5] = [False, True]
-        with pytest.raises(ValueError, match="no shared observed attributes between rows 5 and 3"):
+        # one row block holds rows 0-5; its first such pair in row order is (3, 5)
+        with pytest.raises(ValueError, match="no shared observed attributes between rows 3 and 5"):
             gram(MissingRbfKernel(gamma=1.0), Dataset(values, present), range(6))
 
 
@@ -264,9 +265,59 @@ def test_kernel_block_is_blocking_invariant_and_matches_eval_kernel(case):
     parts = [kernel_block(spec, data, part, cols) for part in np.split(np.array(rows), cuts)]
     assert whole.shape == (len(rows), len(cols))
     assert np.array_equal(whole, np.vstack(parts))
-    scalar = [[eval_kernel(spec, data.obs(r), data.obs(c)) for c in cols] for r in rows]
+    scalar = [[eval_kernel(spec, obs(data, r), obs(data, c)) for c in cols] for r in rows]
     # the atol covers inner products that cancel to near zero (|x| ~ 1)
     np.testing.assert_allclose(whole, scalar, rtol=1e-13, atol=1e-13)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 300),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example(7, 3, 4, True, 0)
+@example(8, 3, 4, False, 1)
+@example(128, 2, 5, True, 2)
+@example(129, 2, 5, False, 3)
+@example(300, 4, 3, True, 4)
+def test_column_wise_distances_equal_numpy_sum_bit_for_bit(width, n_rows, n_cols, masked, seed):
+    """Attribute by attribute, in numpy's pairwise order, against one .sum(axis=-1)."""
+    rng = np.random.default_rng(seed)
+    n = max(n_rows, n_cols)
+    values = rng.normal(size=(n, width)) * rng.uniform(0.01, 100.0, size=width)
+    present = rng.random(values.shape) < 0.7 if masked else np.ones(values.shape, dtype=bool)
+    present[:, 0] = True
+    values[~present] = np.nan  # masked cells must not leak into the sum
+    rows = rng.integers(0, n, size=n_rows)
+    cols = rng.integers(0, n, size=n_cols)
+    diff2 = (values[cols] - values[rows][:, None, :]) ** 2
+    shared = present[cols] & present[rows][:, None, :]
+    expected = np.where(shared, diff2, 0.0).sum(axis=-1)
+    got = _squared_distances(Dataset(values, present), rows, cols, masked)
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("budget", [1, 3, 2**40])
+def test_gram_bytes_do_not_depend_on_row_block_budget(budget, monkeypatch):
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=(23, 9))
+    present = rng.random(values.shape) < 0.8
+    present[:, 0] = True
+    graph = Graph(23, [(u, v) for u in range(23) for v in range(u + 1, 23) if rng.random() < 0.2])
+    cases = [
+        (RbfKernel(sigma=1.5), Dataset(values)),
+        (LinearKernel(), Dataset(values)),
+        (PolynomialKernel(0.5, 1.0, 3), Dataset(values)),
+        (MissingRbfKernel(gamma=0.5), Dataset(values, present)),
+        (graph_kernel_for(graph), graph),
+    ]
+    ids = rng.permutation(23)[:19]
+    expected = [gram(spec, data, ids).data.tobytes() for spec, data in cases]
+    monkeypatch.setattr(treelets.kernels, "_BLOCK_ELEMENTS", budget)
+    assert [gram(spec, data, ids).data.tobytes() for spec, data in cases] == expected
 
 
 class TestCheckSpsd:
