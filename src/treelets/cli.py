@@ -110,13 +110,14 @@ def _sha256(path) -> str:
     return f"sha256:{digest}"
 
 
-def _write_manifest(output, command, config, inputs, timings) -> None:
+def _write_manifest(output, command, config, inputs, timings, **sections) -> None:
     manifest = {
         "command": list(command),
         "config": config,
         "inputs": {str(p): _sha256(p) for p in inputs},
         "version": __version__,
         "timings": {k: round(v, 6) for k, v in timings.items()},
+        **sections,
     }
     path = Path(str(output) + ".manifest.json")
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -213,9 +214,15 @@ def cmd_cluster(args, argv) -> int:
         "stop_tol": args.stop_tol,
         "threads": args.threads,
     }
-    _write_manifest(args.output, argv, manifest_config, [args.input], timings)
+    decomp = result.decomposition
+    how = {
+        "steps": decomp.stop_level,
+        "stop": "completed" if decomp.stop_score is None else "stalled",
+        "stop_score": decomp.stop_score,
+    }
+    _write_manifest(args.output, argv, manifest_config, [args.input], timings, decomposition=how)
     if args.tree:
-        _write_manifest(args.tree, argv, manifest_config, [args.input], timings)
+        _write_manifest(args.tree, argv, manifest_config, [args.input], timings, decomposition=how)
     return 0
 
 

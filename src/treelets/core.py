@@ -21,10 +21,10 @@ _TINY_DIAG_PRODUCT = 1e-300
 
 DEFAULT_STOP_TOL = 1e-10
 
-# cells of the p x p score matrix per row chunk: the initial fill scores one
-# chunk at a time and a stale-row refresh gathers one for its argmax, so a
-# step that makes every row stale allocates no p x p temporary; 128 KB per
-# float64 temporary (1 << 13 ran the graph Gram's decompose ~10% slower)
+# cells of the p x p score matrix per row chunk: a stale-row refresh gathers
+# one chunk at a time for its argmax, so a step that makes every row stale
+# allocates no p x p temporary; 128 KB per float64 temporary (1 << 13 ran
+# the graph Gram's decompose ~10% slower)
 _BLOCK_ELEMENTS = 1 << 14
 
 
@@ -59,12 +59,14 @@ class TreeletDecomposition:
     stop_level: int
     final_diag: np.ndarray
     lam: float
+    # best remaining pair score when the loop stalled below stop_tol; None when it completed
+    stop_score: float | None = None
 
     def __eq__(self, other):  # by value: the generated one would compare arrays to a truth value
         if not isinstance(other, TreeletDecomposition):
             return NotImplemented
-        mine = (self.p, self.records, self.stop_level, self.lam)
-        same = mine == (other.p, other.records, other.stop_level, other.lam)
+        mine = (self.p, self.records, self.stop_level, self.lam, self.stop_score)
+        same = mine == (other.p, other.records, other.stop_level, other.lam, other.stop_score)
         return same and np.array_equal(self.final_diag, other.final_diag)
 
     def scaling_set(self, k: int) -> list[int]:
@@ -95,10 +97,10 @@ def _scores(vals: np.ndarray, prod: np.ndarray, lam: float) -> np.ndarray:
     return corr + lam * vals
 
 
-def _block_scores(a: SymMatrix, diag: np.ndarray, rows: np.ndarray, cols: np.ndarray, lam: float) -> np.ndarray:
-    """Score of (i, j) for every i in rows and j in cols; a row's own column scores -inf."""
-    scores = _scores(np.abs(a.block(rows, cols)), diag[rows][:, None] * diag[cols], lam)
-    scores[rows[:, None] == cols] = -np.inf
+def _row_scores(a: SymMatrix, diag: np.ndarray, i: int, lam: float) -> np.ndarray:
+    """Score of (i, j) for every j; (i, i) scores -inf."""
+    scores = _scores(np.abs(a.row(i)), diag[i] * diag, lam)
+    scores[i] = -np.inf
     return scores
 
 
@@ -115,10 +117,10 @@ def decompose(
     bytes) whose own-index cells and retired rows and columns hold -inf.  A
     rotation changes scores only in the rotated rows and columns, so each
     step sets the retired index's row and column to -inf, rescores the
-    surviving index's row and column, and refreshes a row's cached best
-    partner only where that partner was one of the two rotated indices: by
-    one argmax over its stored scores, in row chunks of at most
-    _BLOCK_ELEMENTS cells.
+    surviving index's whole row once into its row and column, and refreshes
+    a row's cached best partner only where that partner was one of the two
+    rotated indices: by one argmax over its stored scores, in row chunks of
+    at most _BLOCK_ELEMENTS cells.
     """
     return _decompose(a0.copy(), lam, stop_tol)
 
@@ -139,11 +141,10 @@ def _decompose(a: SymMatrix, lam: float, stop_tol: float) -> TreeletDecompositio
 
     records: list[RotationRecord] = []
     active = np.ones(p, dtype=bool)
-    idx = np.arange(p, dtype=np.int64)
     height = max(1, _BLOCK_ELEMENTS // p)
     scores = np.empty((p, p))
-    for start in range(0, p, height):
-        scores[start : start + height] = _block_scores(a, diag, idx[start : start + height], idx, lam)
+    for i in range(p):
+        scores[i] = _row_scores(a, diag, i, lam)
 
     best_score = np.empty(p)
     best_j = np.empty(p, dtype=np.int64)
@@ -155,7 +156,8 @@ def _decompose(a: SymMatrix, lam: float, stop_tol: float) -> TreeletDecompositio
             best_j[chunk] = scores[chunk].argmax(axis=1)
             best_score[chunk] = scores[chunk, best_j[chunk]]
 
-    refresh(idx)
+    refresh(np.arange(p))
+    stop_score = None
     for step in range(1, p):
         i_star = int(np.argmax(best_score))  # first max = smallest row
         score = float(best_score[i_star])
@@ -163,6 +165,7 @@ def _decompose(a: SymMatrix, lam: float, stop_tol: float) -> TreeletDecompositio
         i_sel, j_sel = min(i_star, j_star), max(i_star, j_star)
 
         if score < stop_tol:
+            stop_score = score
             break
 
         coeffs = jacobi_coeffs(a.get(i_sel, i_sel), a.get(j_sel, j_sel), a.get(i_sel, j_sel))
@@ -190,17 +193,16 @@ def _decompose(a: SymMatrix, lam: float, stop_tol: float) -> TreeletDecompositio
         active[alpha] = False
         scores[alpha] = scores[:, alpha] = best_score[alpha] = -np.inf
 
-        act_idx = np.nonzero(active)[0]
-        fresh = _block_scores(a, diag, np.array([beta]), act_idx, lam)[0]
-        scores[beta, act_idx] = scores[act_idx, beta] = fresh
-        js = act_idx[act_idx != beta]
-        stale = (best_j[js] == alpha) | (best_j[js] == beta)
-        rows_f = js[~stale]
-        cand = scores[rows_f, beta]
-        take = (cand > best_score[rows_f]) | ((cand == best_score[rows_f]) & (beta < best_j[rows_f]))
-        best_score[rows_f[take]] = cand[take]
-        best_j[rows_f[take]] = beta
-        refresh(np.append(js[stale], beta))
+        fresh = _row_scores(a, diag, beta, lam)
+        fresh[~active] = -np.inf
+        scores[beta] = scores[:, beta] = fresh
+        # beta's own fresh score is -inf, and beta is refreshed below whatever take says
+        stale = active & ((best_j == alpha) | (best_j == beta))
+        take = active & ~stale & ((fresh > best_score) | ((fresh == best_score) & (beta < best_j)))
+        best_score[take] = fresh[take]
+        best_j[take] = beta
+        stale[beta] = True
+        refresh(np.flatnonzero(stale))
 
     return TreeletDecomposition(
         p=p,
@@ -208,6 +210,7 @@ def _decompose(a: SymMatrix, lam: float, stop_tol: float) -> TreeletDecompositio
         stop_level=len(records),
         final_diag=diag,
         lam=lam,
+        stop_score=stop_score,
     )
 
 

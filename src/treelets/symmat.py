@@ -21,16 +21,18 @@ class RotationCoeffs(NamedTuple):
 class SymMatrix:
     """Dense symmetric p x p matrix, packed lower-triangle storage.
 
-    Entry (i, j) with i >= j lives at data[i * (i + 1) / 2 + j]; the mirror
-    entry is the same cell.
+    Entry (i, j) with i >= j lives at data[s_i + j], where the row start
+    s_t = t (t + 1) / 2 is _starts[t]; the mirror entry is the same cell.
     """
 
-    __slots__ = ("p", "data")
+    __slots__ = ("p", "data", "_starts")
 
     def __init__(self, p: int, data: np.ndarray | None = None):
         if p < 1:
             raise ValueError("dimension must be >= 1")
         self.p = p
+        t = np.arange(p + 1, dtype=np.int64)
+        self._starts = t * (t + 1) // 2
         size = p * (p + 1) // 2
         if data is None:
             self.data = np.zeros(size)
@@ -83,38 +85,25 @@ class SymMatrix:
         self.data[i * (i + 1) // 2 + j] = value
 
     def diagonal(self) -> np.ndarray:
-        idx = np.arange(self.p, dtype=np.int64)
-        return self.data[idx * (idx + 1) // 2 + idx]
-
-    def _offsets(self, rows, cols) -> np.ndarray:
-        """Packed offsets of (i, j) for i in rows and j in cols, broadcast together."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        lo = np.minimum(rows, cols)
-        hi = np.maximum(rows, cols)
-        return hi * (hi + 1) // 2 + lo
-
-    def block(self, rows, cols) -> np.ndarray:
-        """Entries (i, j) for every i in rows and j in cols, a len(rows) x len(cols) array.
-
-        Ids are not range-checked: this is the gather on the decomposition's hot path.
-        """
-        return self.data[self._offsets(np.asarray(rows)[:, None], cols)]
+        return self.data[self._starts[1:] - 1]  # (i, i) is the last cell of packed row i
 
     def lower(self, t: int) -> np.ndarray:
         """Writable view of packed row t: entries (t, 0), ..., (t, t)."""
         self._check_index(t)
-        start = t * (t + 1) // 2
-        return self.data[start : start + t + 1]
+        return self.data[self._starts[t] : self._starts[t + 1]]
 
-    def row(self, i: int, js: np.ndarray) -> np.ndarray:
-        """Entries (i, j) for each j in js, gathered from packed storage."""
+    def row(self, i: int) -> np.ndarray:
+        """Entries (i, 0), ..., (i, p - 1): packed row i, then column i below the diagonal."""
         self._check_index(i)
-        return self.data[self._offsets(i, js)]
+        s = self._starts
+        return np.concatenate((self.data[s[i] : s[i + 1]], self.data[s[i + 1 : -1] + i]))
 
-    def set_row(self, i: int, js: np.ndarray, values: np.ndarray) -> None:
+    def set_row(self, i: int, values: np.ndarray) -> None:
+        """Write entries (i, 0), ..., (i, p - 1); the mirror cells are the same cells."""
         self._check_index(i)
-        self.data[self._offsets(i, js)] = values
+        s = self._starts
+        self.data[s[i] : s[i + 1]] = values[: i + 1]
+        self.data[s[i + 1 : -1] + i] = values[i + 1 :]
 
 
 def jacobi_coeffs(a_pp: float, a_qq: float, a_pq: float) -> RotationCoeffs:
@@ -140,8 +129,9 @@ def jacobi_coeffs(a_pp: float, a_qq: float, a_pq: float) -> RotationCoeffs:
 def apply_rotation(a: SymMatrix, p_idx: int, q_idx: int, coeffs: RotationCoeffs) -> SymMatrix:
     """In-place Jt A J on rows/columns (p_idx, q_idx); returns the same matrix.
 
-    The (p_idx, q_idx) cell is written as literal zero so later passes see
-    no residual.  Everything outside the two rows/columns is untouched.
+    Both rows are rotated whole; the 2x2 block is then overwritten by its
+    closed forms, with the (p_idx, q_idx) cell a literal zero so later passes
+    see no residual.  Everything outside the two rows/columns is untouched.
     """
     a._check_index(p_idx)
     a._check_index(q_idx)
@@ -149,17 +139,16 @@ def apply_rotation(a: SymMatrix, p_idx: int, q_idx: int, coeffs: RotationCoeffs)
         raise IndexError("rotation needs two distinct indices")
     c, s = coeffs
 
-    others = np.arange(a.p, dtype=np.int64)
-    others = others[(others != p_idx) & (others != q_idx)]
-    col_p = a.row(p_idx, others)
-    col_q = a.row(q_idx, others)
-    a.set_row(p_idx, others, c * col_p - s * col_q)
-    a.set_row(q_idx, others, s * col_p + c * col_q)
-
-    app = a.get(p_idx, p_idx)
-    aqq = a.get(q_idx, q_idx)
-    apq = a.get(p_idx, q_idx)
-    a.set(p_idx, p_idx, c * c * app - 2.0 * s * c * apq + s * s * aqq)
-    a.set(q_idx, q_idx, s * s * app + 2.0 * s * c * apq + c * c * aqq)
-    a.set(p_idx, q_idx, 0.0)
+    row_p = a.row(p_idx)
+    row_q = a.row(q_idx)
+    app = float(row_p[p_idx])
+    aqq = float(row_q[q_idx])
+    apq = float(row_p[q_idx])
+    new_p = c * row_p - s * row_q
+    new_q = s * row_p + c * row_q
+    new_p[p_idx] = c * c * app - 2.0 * s * c * apq + s * s * aqq
+    new_q[q_idx] = s * s * app + 2.0 * s * c * apq + c * c * aqq
+    new_p[q_idx] = new_q[p_idx] = 0.0
+    a.set_row(p_idx, new_p)
+    a.set_row(q_idx, new_q)
     return a

@@ -163,15 +163,35 @@ def psd_sqrt(k: SymMatrix, tol: float = 1e-10) -> SymMatrix:
     return SymMatrix.from_dense(dense)
 
 
-def select_pair(a: SymMatrix, active, lam: float = 0.0) -> tuple[int, int, float]:
-    """Highest-scoring active pair by full enumeration of a dense copy.
+def rotate_dense(d: np.ndarray, i: int, j: int, coeffs) -> np.ndarray:
+    """Jt D J on rows/columns i and j of a dense symmetric array, in place; returns d.
+
+    The off-plane cells of both rows are gathered, rotated and scattered to
+    the rows and their mirror columns; the 2x2 block takes its closed forms,
+    with the (i, j) cell a literal zero.
+    """
+    c, s = coeffs
+    others = [k for k in range(len(d)) if k not in (i, j)]
+    col_i = d[i, others].copy()
+    col_j = d[j, others].copy()
+    d[i, others] = d[others, i] = c * col_i - s * col_j
+    d[j, others] = d[others, j] = s * col_i + c * col_j
+    aii, ajj, aij = float(d[i, i]), float(d[j, j]), float(d[i, j])
+    d[i, i] = c * c * aii - 2.0 * s * c * aij + s * s * ajj
+    d[j, j] = s * s * aii + 2.0 * s * c * aij + c * c * ajj
+    d[i, j] = d[j, i] = 0.0
+    return d
+
+
+def select_pair(a, active, lam: float = 0.0) -> tuple[int, int, float]:
+    """Highest-scoring active pair of a SymMatrix or dense array, by full enumeration.
 
     Ties resolve to the lexicographically smallest (min, max) pair.
     """
     act = np.asarray(sorted(set(int(i) for i in active)), dtype=np.int64)
     if len(act) < 2:
         raise ValueError("need at least two active indices")
-    dense = a.to_dense()
+    dense = a.to_dense() if isinstance(a, SymMatrix) else a
     ii, jj = (act[k] for k in np.triu_indices(len(act), 1))
     vals = np.abs(dense[ii, jj])
     prod = dense[ii, ii] * dense[jj, jj]
@@ -183,28 +203,31 @@ def select_pair(a: SymMatrix, active, lam: float = 0.0) -> tuple[int, int, float
 
 
 def decompose_rescan(a0: SymMatrix, lam: float = 0.0, stop_tol: float = DEFAULT_STOP_TOL):
-    """decompose() with every active pair rescored at every step, and no cache."""
-    a = a0.copy()
-    active = list(range(a.p))
+    """decompose() on a dense copy, with every active pair rescored at every step, and no cache."""
+    d = a0.to_dense()
+    active = list(range(a0.p))
     records = []
+    stop_score = None
     while len(active) >= 2:
-        i, j, score = select_pair(a, active, lam)
+        i, j, score = select_pair(d, active, lam)
         if score < stop_tol:
+            stop_score = score
             break
-        coeffs = jacobi_coeffs(a.get(i, i), a.get(j, j), a.get(i, j))
-        apply_rotation(a, i, j, coeffs)
+        coeffs = jacobi_coeffs(float(d[i, i]), float(d[j, j]), float(d[i, j]))
+        rotate_dense(d, i, j, coeffs)
         # the smaller diagonal retires; on a tie the smaller index i does
-        alpha, beta = (j, i) if a.get(j, j) < a.get(i, i) else (i, j)
+        alpha, beta = (j, i) if d[j, j] < d[i, i] else (i, j)
         records.append(
-            RotationRecord(len(records) + 1, alpha, beta, coeffs, a.get(alpha, alpha), a.get(beta, beta), score)
+            RotationRecord(len(records) + 1, alpha, beta, coeffs, float(d[alpha, alpha]), float(d[beta, beta]), score)
         )
         active.remove(alpha)
-    return TreeletDecomposition(a.p, tuple(records), len(records), a.diagonal().copy(), lam)
+    return TreeletDecomposition(a0.p, tuple(records), len(records), np.diag(d).copy(), lam, stop_score)
 
 
 def same_decomposition(fast: TreeletDecomposition, slow: TreeletDecomposition) -> bool:
-    """Whole records equal, and final diagonals equal bit for bit."""
-    return fast.records == slow.records and fast.final_diag.tobytes() == slow.final_diag.tobytes()
+    """Whole records and stop scores equal, and final diagonals equal bit for bit."""
+    same = fast.records == slow.records and fast.stop_score == slow.stop_score
+    return same and fast.final_diag.tobytes() == slow.final_diag.tobytes()
 
 
 def roc_brute_force(tree, reference) -> RocCurve:

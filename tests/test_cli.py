@@ -229,6 +229,25 @@ class TestPipeline:
         assert "TPR 1.000000" in out
         assert "FPR 0.000000" in out
 
+    def test_manifest_records_how_the_decomposition_stopped(self, tmp_path):
+        graph = tmp_path / "g.txt"
+        labels = tmp_path / "labels.json"
+        tree = tmp_path / "tree.json"
+        triangles = "0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n"
+        for edges, steps in ((triangles, 4), (triangles + "2 3\n", 5)):  # apart, then joined
+            graph.write_text(edges)
+            assert run("cluster", "--input", graph, "--kernel", "graph:diag=auto",
+                       "--clusters", 2, "-o", labels, "--tree", tree) == 0
+            for path in (labels, tree):
+                manifest = json.loads(Path(str(path) + ".manifest.json").read_text())
+                how = manifest["decomposition"]
+                assert how["steps"] == steps == len(json.loads(tree.read_text())["merges"])
+                if steps == 4:  # no pair links the triangles once each has merged
+                    assert how["stop"] == "stalled"
+                    assert how["stop_score"] < manifest["config"]["stop_tol"]
+                else:
+                    assert how == {"steps": 5, "stop": "completed", "stop_score": None}
+
     def test_normalize_preserves_missing_cells(self, tmp_path):
         src = tmp_path / "m.csv"
         src.write_text("1.0,5.0\nNA,7.0\n3.0,9.0\n")

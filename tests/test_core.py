@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 import treelets.core
 from conftest import random_spsd
-from oracles import decompose_rescan, psd_sqrt, same_decomposition, select_pair
+from oracles import decompose_rescan, psd_sqrt, rotate_dense, same_decomposition, select_pair
 from treelets import (
     SymMatrix,
     apply_basis,
-    apply_rotation,
     compress,
     decompose,
 )
@@ -27,12 +26,11 @@ BLOCK4 = np.array(
 
 
 def replay(a0: SymMatrix, decomp, k: int) -> SymMatrix:
-    """Level-k matrix rebuilt by re-applying the recorded rotations."""
-    a = a0.copy()
+    """Level-k matrix rebuilt by re-applying the recorded rotations to a dense copy."""
+    d = a0.to_dense()
     for rec in decomp.records[:k]:
-        lo, hi = rec.axes
-        apply_rotation(a, lo, hi, rec.coeffs)
-    return a
+        rotate_dense(d, *rec.axes, rec.coeffs)
+    return SymMatrix.from_dense(d)
 
 
 def oracle_merge_sets(dense, lam=0.0, stop_tol=1e-10):
@@ -299,6 +297,19 @@ def test_cached_records_do_not_depend_on_row_chunking(case):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(treelets.core, "_BLOCK_ELEMENTS", budget)
             assert decompose(a, lam=lam).records == default
+
+
+@settings(max_examples=100, deadline=None)
+@given(selection_case(), st.data())
+def test_basis_is_orthogonal_and_apply_basis_is_its_product(case, data):
+    a, lam = case
+    d = decompose(a, lam=lam)
+    k = data.draw(st.integers(0, d.stop_level))
+    entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    v = np.array(data.draw(st.lists(entries, min_size=a.p, max_size=a.p)))
+    b = d.basis_matrix(k)
+    np.testing.assert_allclose(b @ b.T, np.eye(a.p), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(apply_basis(d, k, v), b @ v, rtol=0, atol=1e-12 * max(1.0, np.abs(v).max()))
 
 
 class TestBasisOps:

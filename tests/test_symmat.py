@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spsd, random_symmetric
-from oracles import jacobi_eigh, psd_sqrt
+from oracles import jacobi_eigh, psd_sqrt, rotate_dense
 from treelets import SymMatrix, apply_rotation, jacobi_coeffs
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
@@ -52,8 +52,8 @@ class TestSymMatrix:
         d = np_rng.normal(size=(7, 7))
         d = (d + d.T) / 2
         a = SymMatrix.from_dense(d)
-        js = np.array([0, 3, 6, 2])
-        assert np.array_equal(a.row(4, js), d[4, js])
+        for i in range(7):
+            assert np.array_equal(a.row(i), d[i])
 
 
 class TestJacobiCoeffs:
@@ -220,27 +220,52 @@ def test_jacobi_eigh_matches_numpy(np_rng):
 
 @st.composite
 def packed_case(draw):
-    """A packed matrix of distinct cell values, and row and column ids with repeats."""
+    """A packed matrix of distinct cell values, and a row id."""
     p = draw(st.integers(1, 9))
     a = SymMatrix(p, np.arange(p * (p + 1) // 2, dtype=float) + 0.5)
-    ids = st.lists(st.integers(0, p - 1), min_size=0, max_size=12)
-    return a, draw(ids), draw(ids), draw(st.integers(0, p - 1))
+    return a, draw(st.integers(0, p - 1))
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
 @given(packed_case())
-def test_block_and_lower_match_dense(case):
-    a, rows, cols, t = case
+def test_rows_and_lower_match_dense(case):
+    a, t = case
     dense = a.to_dense()
-    rows = np.array(rows, dtype=np.int64)
-    cols = np.array(cols, dtype=np.int64)
-    every = np.arange(a.p)
-
-    def same_bits(x, y):
-        return x.shape == y.shape and x.tobytes() == y.tobytes()
-
-    assert same_bits(a.block(rows, cols), dense[np.ix_(rows, cols)])
-    assert same_bits(a.block(every, every), dense)
+    assert same_bits(np.array([a.row(i) for i in range(a.p)]), dense)
     assert same_bits(a.lower(t), dense[t, : t + 1])
-    a.lower(t)[:] = -1.0  # a view: writes land in the packed cells
-    assert (a.to_dense()[t, : t + 1] == -1.0).all() and (a.to_dense()[: t + 1, t] == -1.0).all()
+
+    values = -1.0 - np.arange(a.p)  # distinct from every stored cell
+    a.set_row(t, values)  # row t and column t are the same cells
+    dense[t, :] = dense[:, t] = values
+    assert same_bits(a.to_dense(), dense)
+    assert same_bits(a.row(t), values)
+    a.set_row(t, a.row(t))  # a round trip rewrites nothing
+    assert same_bits(a.to_dense(), dense)
+
+    a.lower(t)[:] = 0.25  # a view: writes land in the packed cells
+    dense[t, : t + 1] = dense[: t + 1, t] = 0.25
+    assert same_bits(a.to_dense(), dense)
+
+
+@st.composite
+def rotation_case(draw):
+    """A symmetric matrix of mixed-scale entries, a plane i < j and its Jacobi rotation."""
+    p = draw(st.integers(2, 12))
+    entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    cells = draw(st.lists(entries, min_size=p * (p + 1) // 2, max_size=p * (p + 1) // 2))
+    a = SymMatrix(p, np.array(cells))
+    i, j = sorted(draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=2, unique=True)))
+    return a, i, j, jacobi_coeffs(a.get(i, i), a.get(j, j), a.get(i, j))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rotation_case())
+def test_packed_rotation_equals_dense_oracle(case):
+    a, i, j, coeffs = case
+    expected = rotate_dense(a.to_dense(), i, j, coeffs)
+    apply_rotation(a, i, j, coeffs)
+    assert same_bits(a.to_dense(), expected)
