@@ -80,15 +80,16 @@ class TreeletDecomposition:
         """Dense level-k basis, rows are the basis vectors.  O(k p) build."""
         if not 0 <= k <= self.stop_level:
             raise ValueError(f"level {k} outside [0, {self.stop_level}]")
-        b = np.eye(self.p)
-        for rec in self.records[:k]:
-            lo, hi = rec.axes
-            c, s = rec.coeffs
-            row_lo = b[lo].copy()
-            row_hi = b[hi].copy()
-            b[lo] = c * row_lo - s * row_hi
-            b[hi] = s * row_lo + c * row_hi
-        return b
+        return _rotate(self.records[:k], np.eye(self.p))
+
+
+def _rotate(records, w: np.ndarray) -> np.ndarray:
+    """Apply each record's rotation, in order, to axis 0 of w in place; returns w."""
+    for rec in records:
+        lo, hi = rec.axes
+        c, s = rec.coeffs
+        w[lo], w[hi] = c * w[lo] - s * w[hi], s * w[lo] + c * w[hi]
+    return w
 
 
 def _scores(vals: np.ndarray, prod: np.ndarray, lam: float) -> np.ndarray:
@@ -221,14 +222,7 @@ def apply_basis(decomp: TreeletDecomposition, k: int, v) -> np.ndarray:
     w = np.asarray(v, dtype=float).copy()
     if w.shape != (decomp.p,):
         raise ValueError(f"vector must have length {decomp.p}")
-    for rec in decomp.records[:k]:
-        lo, hi = rec.axes
-        c, s = rec.coeffs
-        w_lo = w[lo]
-        w_hi = w[hi]
-        w[lo] = c * w_lo - s * w_hi
-        w[hi] = s * w_lo + c * w_hi
-    return w
+    return _rotate(decomp.records[:k], w)
 
 
 def compress(decomp: TreeletDecomposition, k: int, v, epsilon: float) -> np.ndarray:

@@ -45,6 +45,8 @@ class KtConfig:
             raise ValueError("knn_k must be a positive odd number")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
+        if self.stop_tol < 0:
+            raise ValueError("stop_tol must be >= 0")
 
 
 @dataclass(frozen=True)

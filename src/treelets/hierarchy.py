@@ -103,37 +103,24 @@ def merge_tree(decomp: TreeletDecomposition) -> Dendrogram:
 def canonical_labels(component_of: np.ndarray) -> ClusterLabels:
     """Relabel arbitrary component ids so clusters are numbered by smallest member."""
     component_of = np.asarray(component_of, dtype=np.int64)
-    order: dict[int, int] = {}
-    for comp in component_of:  # first occurrence = smallest member index
-        if comp not in order:
-            order[comp] = len(order)
-    assignments = np.array([order[c] for c in component_of], dtype=np.int64)
-    return ClusterLabels(assignments=assignments, n_clusters=len(order))
-
-
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, child: int, kept: int) -> None:
-        self.parent[self.find(child)] = self.find(kept)
+    _, first, inverse = np.unique(component_of, return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))  # first occurrence = smallest member index
+    return ClusterLabels(assignments=rank[inverse], n_clusters=len(first))
 
 
 def _labels_after(tree: Dendrogram, n_merges: int) -> np.ndarray:
-    uf = _UnionFind(tree.n_leaves)
+    """Each leaf's live representative after the first n_merges merges.
+
+    A merge points its removed leaf at the kept one, which is still live, so
+    the pointers form a forest whose roots are the live leaves.  Each jump
+    doubles how far a pointer reaches, so bit_length(n) jumps cover any path.
+    """
+    root = np.arange(tree.n_leaves)
     for m in tree.merges[:n_merges]:
-        uf.union(m.removed, m.kept)
-    return np.array([uf.find(i) for i in range(tree.n_leaves)], dtype=np.int64)
+        root[m.removed] = m.kept
+    for _ in range(int(tree.n_leaves).bit_length()):
+        root = root[root]
+    return root
 
 
 def cut(tree: Dendrogram, n_clusters: int) -> ClusterLabels:
@@ -142,6 +129,8 @@ def cut(tree: Dendrogram, n_clusters: int) -> ClusterLabels:
     A decomposition that stalled early leaves a forest; cuts below its root
     count are unreachable and reported rather than invented.
     """
+    if n_clusters < 1:
+        raise ValueError("n_clusters must be >= 1")
     if n_clusters > tree.n_leaves:
         raise ValueError(f"cannot cut {tree.n_leaves} leaves into {n_clusters} clusters")
     if n_clusters < tree.n_roots:

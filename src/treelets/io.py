@@ -105,14 +105,12 @@ def read_csv_numeric(path, has_header: bool | None = False, missing_tokens=DEFAU
     return Dataset(values, present)
 
 
-def write_csv_numeric(path, data: Dataset, header=None, missing_token: str = "") -> None:
-    """Emit a Dataset as CSV; floats use repr so a read round-trips exactly."""
+def write_csv_numeric(path, data: Dataset) -> None:
+    """Emit a Dataset as CSV, missing cells empty; floats use repr so a read round-trips exactly."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if header is not None:
-            fh.write(",".join(header) + "\n")
         for r in range(data.n):
             cells = [
-                repr(float(data.values[r, c])) if data.present[r, c] else missing_token
+                repr(float(data.values[r, c])) if data.present[r, c] else ""
                 for c in range(data.p)
             ]
             fh.write(",".join(cells) + "\n")

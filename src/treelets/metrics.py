@@ -7,7 +7,6 @@ pair counts are exact integers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,14 +51,6 @@ class RocCurve:
         pts.add((0.0, 0.0))
         pts.add((1.0, 1.0))
         return cls(points=tuple(sorted(pts)))
-
-    def to_json(self) -> str:
-        return json.dumps({"points": [[f, t] for f, t in self.points]}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RocCurve":
-        payload = json.loads(text)
-        return cls(points=tuple((float(f), float(t)) for f, t in payload["points"]))
 
 
 def _class_index(labels) -> np.ndarray:

@@ -5,6 +5,7 @@ import csv
 import numpy as np
 
 from treelets import (
+    ClusterLabels,
     Graph,
     GraphKernel,
     LinearKernel,
@@ -228,6 +229,41 @@ def same_decomposition(fast: TreeletDecomposition, slow: TreeletDecomposition) -
     """Whole records and stop scores equal, and final diagonals equal bit for bit."""
     same = fast.records == slow.records and fast.stop_score == slow.stop_score
     return same and fast.final_diag.tobytes() == slow.final_diag.tobytes()
+
+
+class UnionFind:
+    """Disjoint sets with path compression; union(child, kept) makes kept's root the root."""
+
+    __slots__ = ("parent",)
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, child: int, kept: int) -> None:
+        self.parent[self.find(child)] = self.find(kept)
+
+
+def union_find_labels(tree, n_merges: int) -> ClusterLabels:
+    """Flat clustering after the first n_merges merges, replayed through a union-find.
+
+    Clusters are numbered in order of their smallest member.
+    """
+    uf = UnionFind(tree.n_leaves)
+    for m in tree.merges[:n_merges]:
+        uf.union(m.removed, m.kept)
+    roots = [uf.find(leaf) for leaf in range(tree.n_leaves)]
+    order: dict[int, int] = {}
+    for r in roots:
+        order.setdefault(r, len(order))
+    return ClusterLabels(assignments=[order[r] for r in roots], n_clusters=len(order))
 
 
 def roc_brute_force(tree, reference) -> RocCurve:

@@ -417,6 +417,15 @@ class TestFitPredict:
         with pytest.raises(ValueError, match="knn_k cannot exceed the sample size"):
             fit_predict(data, cfg)
 
+    def test_negative_stop_tol_fails_before_gram(self, monkeypatch):
+        def no_gram(*args, **kwargs):
+            raise AssertionError("gram reached")
+
+        monkeypatch.setattr(treelets.extend, "gram", no_gram)
+        data, _ = generate(Circles(), 20, 1)
+        with pytest.raises(ValueError, match="stop_tol must be >= 0"):
+            fit_predict(data, KtConfig(kernel=RbfKernel(sigma=0.2), sample_size=10, n_clusters=2, stop_tol=-1.0))
+
     def test_full_sample_allows_knn_k_beyond_n(self):
         data, _ = generate(Circles(), 3, 1)
         cfg = KtConfig(kernel=RbfKernel(sigma=0.2), sample_size=3, n_clusters=2, knn_k=5)

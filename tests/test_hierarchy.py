@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import forests, random_spsd
+from oracles import union_find_labels
 from treelets import ClusterLabels, Dendrogram, SymMatrix, cut, cut_at_score, decompose, merge_tree
 from treelets.hierarchy import Merge
 
@@ -77,6 +78,12 @@ class TestCut:
         with pytest.raises(ValueError, match="minimum reachable cluster count is 2"):
             cut(tree, 1)
 
+    def test_zero_clusters_is_refused_as_such(self, np_rng):
+        tree = merge_tree(decompose(random_spsd(np_rng, 4)))
+        assert tree.n_roots == 1
+        with pytest.raises(ValueError, match="n_clusters must be >= 1"):
+            cut(tree, 0)
+
     def test_too_many_clusters(self, np_rng):
         tree = merge_tree(decompose(random_spsd(np_rng, 4)))
         with pytest.raises(ValueError):
@@ -123,6 +130,17 @@ class TestCutAtScore:
     def test_threshold_zero_applies_all(self):
         tree = merge_tree(decompose(BLOCK4))
         assert cut_at_score(tree, 0.0).n_clusters == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(forests(max_leaves=40), st.sampled_from([-1.0, 0.0, 0.25, 0.5, 1.0, 2.0]))
+def test_cuts_equal_the_union_find_replay(tree, threshold):
+    for n_clusters in range(tree.n_roots, tree.n_leaves + 1):
+        assert cut(tree, n_clusters) == union_find_labels(tree, tree.n_leaves - n_clusters)
+    leading = 0
+    while leading < len(tree.merges) and tree.merges[leading].score >= threshold:
+        leading += 1
+    assert cut_at_score(tree, threshold) == union_find_labels(tree, leading)
 
 
 @settings(max_examples=200, deadline=None)

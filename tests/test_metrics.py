@@ -167,12 +167,6 @@ class TestAuc:
             assert got == pytest.approx(expected, abs=1e-12)
 
 
-class TestRocCurveJson:
-    def test_round_trip(self, np_rng):
-        curve = RocCurve.from_points([(0.25, 0.75), (0.5, 0.9)])
-        assert RocCurve.from_json(curve.to_json()) == curve
-
-
 class TestRocFromPartitions:
     def test_sweep_of_flat_clusterings(self, np_rng):
         ref = np.array([0, 0, 1, 1, 2, 2])
