@@ -2,13 +2,14 @@
 
 CSV cells matching a missing token become masked-out entries; everything
 else must parse as a finite number.  Edge lists are whitespace-separated
-vertex id pairs, one per line; '#'-prefixed comment lines are skipped.
+ASCII-digit vertex id pairs, one per line; '#'-prefixed comment lines are skipped.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,13 @@ DEFAULT_MISSING_TOKENS = frozenset({"", "NA", "NaN"})
 
 # guard against typo'd huge vertex ids blowing up the dense representation
 MAX_VERTEX_ID = 1 << 20
+
+# an edge-list line: blank, a '#' comment or two ASCII-digit ids, where [^\S\n]
+# is str.strip()'s whitespace less the newline; bad lines are searched for one
+# at a time (a whole-text match grew an 11 MB backtracking stack on 15k lines)
+_EDGE_LINE = r"[^\S\n]*(?:#.*|[0-9]+[^\S\n]+[0-9]+[^\S\n]*)?"
+_BAD_EDGE_LINE = re.compile(rf"^(?!{_EDGE_LINE}$)", re.MULTILINE)
+_COMMENT = re.compile(r"^[^\S\n]*#.*", re.MULTILINE)
 
 
 def _csv_rows(path) -> list[list[str]]:
@@ -74,7 +82,7 @@ def read_csv_numeric(path, has_header: bool | None = False, missing_tokens=DEFAU
 
     has_header=None sniffs the first row with the same missing tokens.  The
     first header column named 'label' is dropped unparsed, so it may hold
-    class names of any kind.
+    class names of any kind.  On a fault the cells are walked again to name the first.
     """
     rows, offset, label = _csv_body(path, has_header, missing_tokens)
     if not rows:
@@ -85,57 +93,67 @@ def read_csv_numeric(path, has_header: bool | None = False, missing_tokens=DEFAU
     present = np.zeros((len(rows), len(cols)), dtype=bool)
     for r, row in enumerate(rows):
         if len(row) != width:
-            raise ValueError(f"{path}: row {r + offset} has {len(row)} cells, expected {width}")
-        for j, c in enumerate(cols):
-            token = row[c].strip()
-            if token in missing_tokens:
-                continue
+            break
+        tokens = [row[c].strip() for c in cols]
+        present[r] = observed = [token not in missing_tokens for token in tokens]
+        try:
+            values[r] = [float(t) if seen else 0.0 for t, seen in zip(tokens, observed)]
+        except ValueError:
+            break
+    else:
+        if np.isfinite(values).all() and present.any(axis=1).all():
+            return Dataset(values, present)
+    raise _first_bad_cell(path, rows, offset, cols, missing_tokens)
+
+
+def _first_bad_cell(path, rows, offset: int, cols, missing_tokens) -> ValueError:
+    """The fault a cell-by-cell read meets first: a row of the wrong width, a bad cell, or a row with none observed."""
+    for r, row in enumerate(rows, start=offset):
+        if len(row) != len(rows[0]):
+            return ValueError(f"{path}: row {r} has {len(row)} cells, expected {len(rows[0])}")
+        for c in cols:
             try:
-                x = float(token)
+                if row[c].strip() not in missing_tokens and not np.isfinite(float(row[c].strip())):
+                    return ValueError(f"{path}: row {r} column {c + 1}: non-finite value")
             except ValueError:
-                raise ValueError(
-                    f"{path}: row {r + offset} column {c + 1}: cannot parse {row[c]!r}"
-                ) from None
-            if not np.isfinite(x):
-                raise ValueError(f"{path}: row {r + offset} column {c + 1}: non-finite value")
-            values[r, j] = x
-            present[r, j] = True
-        if not present[r].any():
-            raise ValueError(f"{path}: row {r + offset} has no observed values")
-    return Dataset(values, present)
+                return ValueError(f"{path}: row {r} column {c + 1}: cannot parse {row[c]!r}")
+        if all(row[c].strip() in missing_tokens for c in cols):
+            return ValueError(f"{path}: row {r} has no observed values")
 
 
 def write_csv_numeric(path, data: Dataset) -> None:
     """Emit a Dataset as CSV, missing cells empty; floats use repr so a read round-trips exactly."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for r in range(data.n):
-            cells = [
-                repr(float(data.values[r, c])) if data.present[r, c] else ""
-                for c in range(data.p)
-            ]
-            fh.write(",".join(cells) + "\n")
+        for values, present in zip(data.values, data.present):
+            fh.write(",".join(repr(float(x)) if seen else "" for x, seen in zip(values, present)) + "\n")
 
 
 def read_edge_list(path) -> Graph:
-    """Undirected graph from 'u v' lines; ids become vertices 0..max_id."""
-    edges = []
-    max_id = -1
+    """Undirected graph from 'u v' lines of ASCII digits; ids become vertices 0..max_id."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2 or not all(p.isdigit() for p in parts):
-                raise ValueError(f"{path}: line {lineno}: malformed edge {line!r}")
-            u, v = int(parts[0]), int(parts[1])
-            if u == v:
-                raise ValueError(f"{path}: line {lineno}: self-loop at vertex {u}")
-            if max(u, v) > MAX_VERTEX_ID:
-                raise ValueError(f"{path}: line {lineno}: vertex id {max(u, v)} too large")
-            edges.append((u, v))
-            max_id = max(max_id, u, v)
-    return Graph(max_id + 1, edges)
+        text = fh.read()
+    if not _BAD_EDGE_LINE.search(text):
+        tokens = (_COMMENT.sub("", text) if "#" in text else text).split()
+        # floats hold every id up to 2**53 exactly and round the rest above MAX_VERTEX_ID
+        ids = np.array(tokens, dtype=float).reshape(-1, 2)
+        if not ((ids[:, 0] == ids[:, 1]).any() or (ids > MAX_VERTEX_ID).any()):
+            return Graph(int(ids.max(initial=-1)) + 1, ids.astype(np.int64))
+    raise _first_bad_line(path, text)
+
+
+def _first_bad_line(path, text: str) -> ValueError:
+    """The fault a line-by-line read meets first; the whole-text checks only tell that there is one."""
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
+            return ValueError(f"{path}: line {lineno}: malformed edge {line.strip()!r}")
+        u, v = int(parts[0]), int(parts[1])
+        if u == v:
+            return ValueError(f"{path}: line {lineno}: self-loop at vertex {u}")
+        if max(u, v) > MAX_VERTEX_ID:
+            return ValueError(f"{path}: line {lineno}: vertex id {max(u, v)} too large")
 
 
 def read_class_labels(path, has_header: bool | None = False) -> np.ndarray:

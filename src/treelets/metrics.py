@@ -79,7 +79,8 @@ def matching_matrix(pred: ClusterLabels, reference) -> MatchingMatrix:
         if reference.n_vertices != n:
             raise ValueError("reference graph size does not match labels")
         positives = reference.n_edges
-        tp = sum(1 for u, v in reference.edges if assignments[u] == assignments[v])
+        owners = np.repeat(np.arange(n), reference.degrees)  # each edge is listed from both ends
+        tp = int(np.count_nonzero(assignments[owners] == assignments[reference.indices])) // 2
     else:
         ref = _class_index(reference)
         if len(ref) != n:
@@ -120,7 +121,7 @@ def roc_from_hierarchy(tree: Dendrogram, reference) -> RocCurve:
         # lets a merge keep the larger side's table and relabel the smaller
         comp_of: dict[int, int] = {i: i for i in range(n)}
         link: dict[int, dict[int, int]] = {
-            i: {v: 1 for v in reference.neighbors(i)} for i in range(n)
+            i: dict.fromkeys(reference.neighbors(i).tolist(), 1) for i in range(n)
         }
         hist = None
     else:

@@ -6,6 +6,7 @@ import numpy as np
 
 from treelets import (
     ClusterLabels,
+    Dataset,
     Graph,
     GraphKernel,
     LinearKernel,
@@ -22,6 +23,7 @@ from treelets import (
     matching_matrix,
 )
 from treelets.core import DEFAULT_STOP_TOL
+from treelets.io import DEFAULT_MISSING_TOKENS, MAX_VERTEX_ID, _csv_body
 
 
 def obs(data, i: int):
@@ -32,7 +34,9 @@ def obs(data, i: int):
 
 
 def has_edge(graph: Graph, u: int, v: int) -> bool:
-    return v in graph.neighbors(u)
+    row = graph.neighbors(u)
+    at = np.searchsorted(row, v)
+    return bool(at < len(row) and row[at] == v)
 
 
 def _as_numeric_obs(x):
@@ -113,6 +117,62 @@ def read_roc_csv(path) -> RocCurve:
     if not rows or rows[0] != ["fpr", "tpr"]:
         raise ValueError(f"{path}: expected 'fpr,tpr' header")
     return RocCurve(points=tuple((float(f), float(t)) for f, t in rows[1:]))
+
+
+def read_edge_list(path) -> Graph:
+    """io.read_edge_list line by line: each line stripped, split and converted on its own.
+
+    Ids are ASCII digits; a line of other digits is malformed.
+    """
+    edges = []
+    max_id = -1
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
+                raise ValueError(f"{path}: line {lineno}: malformed edge {line!r}")
+            u, v = int(parts[0]), int(parts[1])
+            if u == v:
+                raise ValueError(f"{path}: line {lineno}: self-loop at vertex {u}")
+            if max(u, v) > MAX_VERTEX_ID:
+                raise ValueError(f"{path}: line {lineno}: vertex id {max(u, v)} too large")
+            edges.append((u, v))
+            max_id = max(max_id, u, v)
+    return Graph(max_id + 1, edges)
+
+
+def read_csv_numeric(path, has_header=False, missing_tokens=DEFAULT_MISSING_TOKENS) -> Dataset:
+    """io.read_csv_numeric cell by cell: each cell parsed, checked and stored on its own."""
+    rows, offset, label = _csv_body(path, has_header, missing_tokens)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
+    width = len(rows[0])
+    cols = [c for c in range(width) if c != label]
+    values = np.zeros((len(rows), len(cols)))
+    present = np.zeros((len(rows), len(cols)), dtype=bool)
+    for r, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"{path}: row {r + offset} has {len(row)} cells, expected {width}")
+        for j, c in enumerate(cols):
+            token = row[c].strip()
+            if token in missing_tokens:
+                continue
+            try:
+                x = float(token)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: row {r + offset} column {c + 1}: cannot parse {row[c]!r}"
+                ) from None
+            if not np.isfinite(x):
+                raise ValueError(f"{path}: row {r + offset} column {c + 1}: non-finite value")
+            values[r, j] = x
+            present[r, j] = True
+        if not present[r].any():
+            raise ValueError(f"{path}: row {r + offset} has no observed values")
+    return Dataset(values, present)
 
 
 def jacobi_eigh(a: SymMatrix, rel_tol: float = 1e-12, max_sweeps: int = 60):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from oracles import kernel_from_dict, read_roc_csv
 from treelets import ClusterLabels, Dataset, GraphKernel, MissingRbfKernel, RbfKernel
 from treelets import io
@@ -122,6 +125,22 @@ class TestReadEdgeList:
         with pytest.raises(ValueError, match="too large"):
             io.read_edge_list(f)
 
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])  # superscript two, Arabic-Indic three
+    def test_non_ascii_digit_is_malformed(self, tmp_path, digit):
+        f = tmp_path / "g.txt"
+        f.write_text(f"0 1\n0 {digit}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{f}: line 2: malformed edge"):
+            io.read_edge_list(f)
+
+    def test_first_bad_line_is_named_whatever_its_fault(self, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_text(f"0 1\n# 1 1\n2 2\n0 {2**21}\n0 x\n")
+        with pytest.raises(ValueError, match="line 3: self-loop at vertex 2"):
+            io.read_edge_list(f)
+        f.write_text(f"0 1\n0 {2**21}\n2 2\n")
+        with pytest.raises(ValueError, match=f"line 2: vertex id {2**21} too large"):
+            io.read_edge_list(f)
+
     def test_order_independent(self, tmp_path, np_rng):
         lines = ["0 1", "2 3", "1 2", "4 0", "3 4"]
         f1 = tmp_path / "a.txt"
@@ -132,7 +151,108 @@ class TestReadEdgeList:
         f2.write_text("\n".join(shuffled) + "\n")
         a = io.read_edge_list(f1)
         b = io.read_edge_list(f2)
-        assert a.edges == b.edges and a.n_vertices == b.n_vertices
+        assert a.n_vertices == b.n_vertices
+        assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+
+
+# in-line whitespace: str.split() splits at form feed, no-break space and the
+# line separator too, and a text-mode file ends lines at none of them
+_BLANKS = st.text(" \t\f\u00a0\u2028", max_size=2)
+_GAP = st.text(" \t\f\u00a0\u2028", min_size=1, max_size=2)
+_BAD_EDGE_LINES = ["1 2 3", "4 4", f"0 {2**20 + 1}", f"{2**40} 3", "0 x", "a 1"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text with blank and '#' lines, tabs, duplicate and reversed edges, and up to two bad lines."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["edge", "edge", "edge", "reversed", "blank", "comment"]))
+        if kind in ("edge", "reversed"):
+            u, v = draw(st.lists(st.integers(0, 9), min_size=2, max_size=2, unique=True))
+            zeros = "0" * draw(st.integers(0, 2))
+            line = f"{draw(_BLANKS)}{zeros}{u}{draw(_GAP)}{v}{draw(_BLANKS)}"
+            lines += [line, f"{v} {u}"] if kind == "reversed" else [line]
+        elif kind == "blank":
+            lines.append(draw(_BLANKS))
+        else:
+            lines.append(draw(_BLANKS) + "#" + draw(st.text("ab01 \t#", max_size=5)))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_BAD_EDGE_LINES)))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + (end if draw(st.booleans()) else "")
+
+
+def _read_both(read, reference, path, **kwargs):
+    """(result, message) of the reader and of its reference; a message when a read raised ValueError."""
+    out = []
+    for fn in (read, reference):
+        try:
+            out.append((fn(path, **kwargs), None))
+        except ValueError as exc:
+            out.append((None, str(exc)))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_list_texts())
+def test_edge_list_matches_line_by_line_reference(tmp_path_factory, text):
+    f = tmp_path_factory.getbasetemp() / "prop.edges"
+    f.write_bytes(text.encode())
+    (got, err), (want, want_err) = _read_both(io.read_edge_list, oracles.read_edge_list, f)
+    assert err == want_err
+    if want is not None:
+        assert got.n_vertices == want.n_vertices
+        assert np.array_equal(got.degrees, want.degrees)
+        for u in range(want.n_vertices):
+            assert set(got.neighbors(u).tolist()) == set(want.neighbors(u).tolist())
+
+
+@st.composite
+def csv_texts(draw):
+    """write_csv_numeric output, maybe under a header with a 'label' column, with up to two faults injected."""
+    n, p = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    cell = st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False))
+    row = st.lists(cell, min_size=p, max_size=p).filter(lambda r: any(x is not None for x in r))
+    grid = draw(st.lists(row, min_size=n, max_size=n))
+    present = np.array([[x is not None for x in r] for r in grid])
+    values = np.array([[0.0 if x is None else x for x in r] for r in grid])
+    return values, present, draw(st.sampled_from(["none", "plain", "label"])), draw(
+        st.lists(st.tuples(st.sampled_from(["1.5x", "inf", "missing-row", "short-row"]),
+                           st.integers(0, n - 1), st.integers(0, p - 1)), max_size=2)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(csv_texts(), st.booleans())
+def test_csv_matches_cell_by_cell_reference(tmp_path_factory, case, sniff):
+    values, present, header, faults = case
+    f = tmp_path_factory.getbasetemp() / "prop.csv"
+    io.write_csv_numeric(f, Dataset(values, present))
+    rows = [line.split(",") for line in f.read_text().splitlines()]
+    for fault, r, c in sorted(faults, key=lambda fault: fault[0] == "short-row"):
+        if fault == "missing-row":
+            rows[r] = ["NA"] * len(rows[r])
+        elif fault == "short-row":
+            rows[r] = rows[r][:-1]
+        else:
+            rows[r][c] = fault
+    names = [f"c{c}" for c in range(values.shape[1])]
+    if header == "label":
+        names.insert(1, "label")
+        for r, cells in enumerate(rows):
+            cells.insert(1, "ab"[r % 2])
+    if header != "none":
+        rows.insert(0, names)
+    f.write_text("".join(",".join(cells) + "\n" for cells in rows))
+    has_header = None if sniff else header != "none"
+    (got, err), (want, want_err) = _read_both(
+        io.read_csv_numeric, oracles.read_csv_numeric, f, has_header=has_header
+    )
+    assert err == want_err
+    if want is not None:
+        assert got.values.tobytes() == want.values.tobytes()
+        assert np.array_equal(got.present, want.present)
 
 
 class TestLabelsJson:

@@ -69,6 +69,33 @@ class TestGraph:
         assert graph_kernel_for(g) == GraphKernel(diag=3.0)
 
 
+@st.composite
+def graph_edges(draw):
+    """A vertex count and edges over it, with duplicates and reversals."""
+    n = draw(st.integers(0, 12))
+    if n < 2:
+        return n, []
+    ids = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]), max_size=30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_edges())
+def test_graph_csr_rows_are_sorted_unique_and_symmetric(case):
+    n, edges = case
+    g = Graph(n, edges)
+    expected = [set() for _ in range(n)]
+    for u, v in edges:
+        expected[u].add(v)
+        expected[v].add(u)
+    assert np.array_equal(g.degrees, np.diff(g.indptr)) and g.indices.dtype == np.int64
+    for u in range(n):
+        row = g.neighbors(u).tolist()
+        assert row == sorted(expected[u])
+        assert all(u in g.neighbors(v) for v in row)
+    assert g.n_edges == sum(map(len, expected)) // 2
+
+
 class TestEvalKernel:
     def test_rbf_zero_distance(self):
         x = np.array([0.3, -1.2])

@@ -7,7 +7,7 @@ from conftest import forests
 from oracles import roc_brute_force
 from treelets import ClusterLabels, Dendrogram, Graph, auc, matching_matrix, roc_from_hierarchy
 from treelets.hierarchy import Merge, cut
-from treelets.metrics import RocCurve, roc_from_partitions
+from treelets.metrics import MatchingMatrix, RocCurve, roc_from_partitions
 
 
 def random_tree(rng: np.random.Generator, n: int, n_merges=None) -> Dendrogram:
@@ -137,6 +137,24 @@ def forest_and_reference(draw):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     return tree, Graph(n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(forest_and_reference())
+def test_matching_matrix_counts_pairs_by_brute_force(case):
+    tree, reference = case
+    labels = cut(tree, tree.n_roots)
+    a, n = labels.assignments, labels.n
+    if isinstance(reference, Graph):
+        positive = [[v in reference.neighbors(u).tolist() for v in range(n)] for u in range(n)]
+    else:
+        positive = [[reference[u] == reference[v] for v in range(n)] for u in range(n)]
+    counts = {"tp": 0, "fp": 0, "tn": 0, "fn": 0}
+    for u in range(n):
+        for v in range(u + 1, n):
+            co = a[u] == a[v]
+            counts[("t" if co == positive[u][v] else "f") + ("p" if co else "n")] += 1
+    assert matching_matrix(labels, reference) == MatchingMatrix(**counts)
 
 
 @settings(max_examples=200, deadline=None)
