@@ -10,10 +10,11 @@ tree over the observations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
-from .symmat import RotationCoeffs, SymMatrix, apply_rotation, jacobi_coeffs
+from .symmat import RotationCoeffs, SymMatrix, rotate_pair
 
 # below this diagonal product the correlation term is treated as zero so the
 # regularization term alone can still drive pair selection
@@ -21,10 +22,11 @@ _TINY_DIAG_PRODUCT = 1e-300
 
 DEFAULT_STOP_TOL = 1e-10
 
-# cells of the p x p score matrix per row chunk: a stale-row refresh gathers
-# one chunk at a time for its argmax, so a step that makes every row stale
-# allocates no p x p temporary; 128 KB per float64 temporary (1 << 13 ran
-# the graph Gram's decompose ~10% slower)
+# cells of the p x p score matrix per chunk: the initial fill mirrors square
+# blocks and scores row chunks of this size, and a stale-row refresh gathers
+# one row chunk at a time for its argmax, so neither allocates a p x p
+# temporary; 128 KB per float64 temporary (1 << 13 ran the graph Gram's
+# decompose ~10% slower)
 _BLOCK_ELEMENTS = 1 << 14
 
 
@@ -95,13 +97,33 @@ def _rotate(records, w: np.ndarray) -> np.ndarray:
 def _scores(vals: np.ndarray, prod: np.ndarray, lam: float) -> np.ndarray:
     """Selection scores from |a_ij| and a_ii a_jj, elementwise."""
     corr = np.where(prod > _TINY_DIAG_PRODUCT, vals / np.sqrt(np.maximum(prod, _TINY_DIAG_PRODUCT)), 0.0)
-    return corr + lam * vals
+    # corr >= +0 and vals is finite, so at lam 0 the sum would be corr bit for bit
+    return corr + lam * vals if lam else corr
 
 
-def _row_scores(a: SymMatrix, diag: np.ndarray, i: int, lam: float) -> np.ndarray:
-    """Score of (i, j) for every j; (i, i) scores -inf."""
-    scores = _scores(np.abs(a.row(i)), diag[i] * diag, lam)
-    scores[i] = -np.inf
+def _initial_scores(a: SymMatrix, diag: np.ndarray, lam: float) -> np.ndarray:
+    """Score of every pair (i, j) in a p x p matrix; (i, i) scores -inf.
+
+    |A| is copied into the lower triangle from the packed rows, mirrored to
+    the upper one square block by square block, then scored in place in row
+    chunks of at most _BLOCK_ELEMENTS cells.
+    """
+    p = a.p
+    scores = np.empty((p, p))
+    for i in range(p):
+        np.abs(a.lower(i), out=scores[i, : i + 1])
+    side = max(1, isqrt(_BLOCK_ELEMENTS))
+    for r in range(0, p, side):
+        rows = slice(r, r + side)
+        block = scores[rows, rows]
+        block[:] = np.tril(block) + np.tril(block, -1).T  # |a| >= +0, so each cell adds +0 to itself
+        for c in range(r + side, p, side):
+            scores[rows, c : c + side] = scores[c : c + side, rows].T
+    height = max(1, _BLOCK_ELEMENTS // p)
+    for r in range(0, p, height):
+        chunk = scores[r : r + height]
+        chunk[:] = _scores(chunk, diag[r : r + height, None] * diag, lam)
+    np.fill_diagonal(scores, -np.inf)
     return scores
 
 
@@ -115,13 +137,17 @@ def decompose(
     Each step takes the highest-scoring active pair; ties go to the
     lexicographically smallest (min, max) pair, which makes the choice
     platform-independent.  Every pair score is kept in a p x p matrix (8p^2
-    bytes) whose own-index cells and retired rows and columns hold -inf.  A
-    rotation changes scores only in the rotated rows and columns, so each
-    step sets the retired index's row and column to -inf, rescores the
-    surviving index's whole row once into its row and column, and refreshes
-    a row's cached best partner only where that partner was one of the two
-    rotated indices: by one argmax over its stored scores, in row chunks of
-    at most _BLOCK_ELEMENTS cells.
+    bytes) whose own-index cells and retired columns hold -inf.  It is filled
+    once without a dense copy of the matrix: |A| from the packed rows into
+    the lower triangle, mirrored by square blocks, scored in row chunks.  A
+    rotation changes scores only in the rotated rows and columns.  Each step
+    gathers the two rows once, rotates them and writes them back
+    (symmat.rotate_pair), takes both new diagonals from the rotated rows,
+    sets the retired index's column to -inf (its row is never read again),
+    rescores the surviving index from its rotated row into its row and
+    column, and refreshes a row's cached best partner only where that
+    partner was one of the two rotated indices: by one argmax over its
+    stored scores, in row chunks of at most _BLOCK_ELEMENTS cells.
     """
     return _decompose(a0.copy(), lam, stop_tol)
 
@@ -143,10 +169,7 @@ def _decompose(a: SymMatrix, lam: float, stop_tol: float) -> TreeletDecompositio
     records: list[RotationRecord] = []
     active = np.ones(p, dtype=bool)
     height = max(1, _BLOCK_ELEMENTS // p)
-    scores = np.empty((p, p))
-    for i in range(p):
-        scores[i] = _row_scores(a, diag, i, lam)
-
+    scores = _initial_scores(a, diag, lam)
     best_score = np.empty(p)
     best_j = np.empty(p, dtype=np.int64)
 
@@ -169,10 +192,9 @@ def _decompose(a: SymMatrix, lam: float, stop_tol: float) -> TreeletDecompositio
             stop_score = score
             break
 
-        coeffs = jacobi_coeffs(a.get(i_sel, i_sel), a.get(j_sel, j_sel), a.get(i_sel, j_sel))
-        apply_rotation(a, i_sel, j_sel, coeffs)
-        diag[i_sel] = a.get(i_sel, i_sel)
-        diag[j_sel] = a.get(j_sel, j_sel)
+        coeffs, row_i, row_j = rotate_pair(a, i_sel, j_sel)
+        diag[i_sel] = row_i[i_sel]
+        diag[j_sel] = row_j[j_sel]
 
         if diag[i_sel] < diag[j_sel]:
             alpha, beta = i_sel, j_sel
@@ -192,10 +214,11 @@ def _decompose(a: SymMatrix, lam: float, stop_tol: float) -> TreeletDecompositio
             )
         )
         active[alpha] = False
-        scores[alpha] = scores[:, alpha] = best_score[alpha] = -np.inf
+        scores[:, alpha] = best_score[alpha] = -np.inf  # alpha's row is never read again
 
-        fresh = _row_scores(a, diag, beta, lam)
-        fresh[~active] = -np.inf
+        vals = row_i if beta == i_sel else row_j
+        fresh = _scores(np.abs(vals, out=vals), diag[beta] * diag, lam)
+        fresh[~active] = fresh[beta] = -np.inf
         scores[beta] = scores[:, beta] = fresh
         # beta's own fresh score is -inf, and beta is refreshed below whatever take says
         stale = active & ((best_j == alpha) | (best_j == beta))

@@ -149,11 +149,18 @@ def _first_bad_line(path, text: str) -> ValueError:
             continue
         if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
             return ValueError(f"{path}: line {lineno}: malformed edge {line.strip()!r}")
-        u, v = int(parts[0]), int(parts[1])
+        # ids compared as digit strings: int() refuses more than 4300 digits
+        u, v = (p.lstrip("0") or "0" for p in parts)
         if u == v:
-            return ValueError(f"{path}: line {lineno}: self-loop at vertex {u}")
-        if max(u, v) > MAX_VERTEX_ID:
-            return ValueError(f"{path}: line {lineno}: vertex id {max(u, v)} too large")
+            return ValueError(f"{path}: line {lineno}: self-loop at vertex {_id_text(u)}")
+        big = max(u, v, key=lambda t: (len(t), t))
+        if len(big) > len(str(MAX_VERTEX_ID)) or int(big) > MAX_VERTEX_ID:
+            return ValueError(f"{path}: line {lineno}: vertex id {_id_text(big)} too large")
+
+
+def _id_text(digits: str) -> str:
+    """A vertex id for an error message, cut short when it would not fit on a line."""
+    return digits if len(digits) <= 20 else f"{digits[:20]}... ({len(digits)} digits)"
 
 
 def read_class_labels(path, has_header: bool | None = False) -> np.ndarray:

@@ -6,6 +6,7 @@ Storage is the packed lower triangle: one cell per unordered index pair, so
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -92,18 +93,22 @@ class SymMatrix:
         self._check_index(t)
         return self.data[self._starts[t] : self._starts[t + 1]]
 
-    def row(self, i: int) -> np.ndarray:
-        """Entries (i, 0), ..., (i, p - 1): packed row i, then column i below the diagonal."""
+    def _cells(self, i: int) -> tuple[slice, np.ndarray]:
+        """Where entries (i, 0), ..., (i, p - 1) live: packed row i, then column i below the diagonal."""
         self._check_index(i)
         s = self._starts
-        return np.concatenate((self.data[s[i] : s[i + 1]], self.data[s[i + 1 : -1] + i]))
+        return slice(s[i], s[i + 1]), s[i + 1 : -1] + i
+
+    def row(self, i: int) -> np.ndarray:
+        """Entries (i, 0), ..., (i, p - 1), gathered into a new array."""
+        head, tail = self._cells(i)
+        return np.concatenate((self.data[head], self.data[tail]))
 
     def set_row(self, i: int, values: np.ndarray) -> None:
         """Write entries (i, 0), ..., (i, p - 1); the mirror cells are the same cells."""
-        self._check_index(i)
-        s = self._starts
-        self.data[s[i] : s[i + 1]] = values[: i + 1]
-        self.data[s[i + 1 : -1] + i] = values[i + 1 :]
+        head, tail = self._cells(i)
+        self.data[head] = values[: i + 1]
+        self.data[tail] = values[i + 1 :]
 
 
 def jacobi_coeffs(a_pp: float, a_qq: float, a_pq: float) -> RotationCoeffs:
@@ -115,40 +120,57 @@ def jacobi_coeffs(a_pp: float, a_qq: float, a_pq: float) -> RotationCoeffs:
     Conjugating with J (J_pp = J_qq = c, J_pq = -J_qp = s) as Jt A J
     annihilates the off-diagonal pair exactly.
     """
-    if not (np.isfinite(a_pp) and np.isfinite(a_qq) and np.isfinite(a_pq)):
+    if not (math.isfinite(a_pp) and math.isfinite(a_qq) and math.isfinite(a_pq)):
         raise ValueError("non-finite matrix entry")
     if a_pq == 0.0:
         return RotationCoeffs(1.0, 0.0)
     tau = (a_qq - a_pp) / (2.0 * a_pq)
     sign = 1.0 if tau >= 0.0 else -1.0
-    t = sign / (abs(tau) + np.sqrt(tau * tau + 1.0))
-    c = 1.0 / np.sqrt(t * t + 1.0)
+    # math.sqrt rounds correctly, as np.sqrt does, without a numpy scalar per call
+    t = sign / (abs(tau) + math.sqrt(tau * tau + 1.0))
+    c = 1.0 / math.sqrt(t * t + 1.0)
     return RotationCoeffs(float(c), float(c * t))
 
 
-def apply_rotation(a: SymMatrix, p_idx: int, q_idx: int, coeffs: RotationCoeffs) -> SymMatrix:
-    """In-place Jt A J on rows/columns (p_idx, q_idx); returns the same matrix.
+def rotate_pair(
+    a: SymMatrix, p_idx: int, q_idx: int, coeffs: RotationCoeffs | None = None
+) -> tuple[RotationCoeffs, np.ndarray, np.ndarray]:
+    """In-place Jt A J on rows/columns (p_idx, q_idx); returns the coefficients and both rotated rows.
 
-    Both rows are rotated whole; the 2x2 block is then overwritten by its
-    closed forms, with the (p_idx, q_idx) cell a literal zero so later passes
-    see no residual.  Everything outside the two rows/columns is untouched.
+    Each row is gathered once, rotated whole and written back to the same
+    cells; coeffs None takes jacobi_coeffs of the 2x2 block as read from the
+    gathered rows.  The block is then overwritten by its closed forms, with
+    the (p_idx, q_idx) cell a literal zero so later passes see no residual.
+    Everything outside the two rows/columns is untouched.  The returned rows
+    are new arrays holding the rotated entries (t, 0), ..., (t, p - 1).
     """
-    a._check_index(p_idx)
-    a._check_index(q_idx)
+    head_p, tail_p = a._cells(p_idx)
+    head_q, tail_q = a._cells(q_idx)
     if p_idx == q_idx:
         raise IndexError("rotation needs two distinct indices")
-    c, s = coeffs
-
-    row_p = a.row(p_idx)
-    row_q = a.row(q_idx)
+    data = a.data
+    row_p = np.concatenate((data[head_p], data[tail_p]))
+    row_q = np.concatenate((data[head_q], data[tail_q]))
     app = float(row_p[p_idx])
     aqq = float(row_q[q_idx])
     apq = float(row_p[q_idx])
+    if coeffs is None:
+        coeffs = jacobi_coeffs(app, aqq, apq)
+    c, s = coeffs
+
     new_p = c * row_p - s * row_q
     new_q = s * row_p + c * row_q
     new_p[p_idx] = c * c * app - 2.0 * s * c * apq + s * s * aqq
     new_q[q_idx] = s * s * app + 2.0 * s * c * apq + c * c * aqq
     new_p[q_idx] = new_q[p_idx] = 0.0
-    a.set_row(p_idx, new_p)
-    a.set_row(q_idx, new_q)
+    data[head_p] = new_p[: p_idx + 1]
+    data[tail_p] = new_p[p_idx + 1 :]
+    data[head_q] = new_q[: q_idx + 1]
+    data[tail_q] = new_q[q_idx + 1 :]
+    return coeffs, new_p, new_q
+
+
+def apply_rotation(a: SymMatrix, p_idx: int, q_idx: int, coeffs: RotationCoeffs) -> SymMatrix:
+    """rotate_pair with the given coefficients; returns the same matrix."""
+    rotate_pair(a, p_idx, q_idx, coeffs)
     return a

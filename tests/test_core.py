@@ -11,6 +11,7 @@ from oracles import decompose_rescan, psd_sqrt, rotate_dense, same_decomposition
 from treelets import (
     SymMatrix,
     apply_basis,
+    apply_rotation,
     compress,
     decompose,
 )
@@ -212,6 +213,26 @@ class TestDecompose:
             assert same_decomposition(d, decompose_rescan(a, lam=lam))
         assert a.data.tobytes() == before
 
+    def test_initial_fill_across_block_boundaries(self, monkeypatch, np_rng):
+        """A 4 x 4 mirror block and 16-cell row chunks on p up to 31: the fill
+        crosses block and chunk boundaries, some blocks partial, and still
+        holds every pair's score bit for bit, and the records the rescan's."""
+        monkeypatch.setattr(treelets.core, "_BLOCK_ELEMENTS", 16)
+        for p in (5, 17, 31):
+            grams = [random_spsd(np_rng, p)]
+            tied = np.triu(np_rng.integers(0, 2, (p, p)), 1).astype(float)
+            tied += tied.T
+            tied[np.diag_indices(p)] = max(1.0, tied.sum(axis=1).max())
+            grams.append(SymMatrix.from_dense(tied))
+            for a in grams:
+                dense, diag = a.to_dense(), a.diagonal()
+                for lam in (0.0, 0.5, 2.0):
+                    vals, prod = np.abs(dense), np.outer(diag, diag)
+                    want = np.where(prod > 1e-300, vals / np.sqrt(np.maximum(prod, 1e-300)), 0.0) + lam * vals
+                    np.fill_diagonal(want, -np.inf)
+                    assert treelets.core._initial_scores(a, diag, lam).tobytes() == want.tobytes()
+                    assert same_decomposition(decompose(a, lam=lam), decompose_rescan(a, lam=lam))
+
     def test_structure_invariants(self, np_rng):
         for p in (4, 8, 16):
             a = random_spsd(np_rng, p)
@@ -263,9 +284,9 @@ class TestDecompose:
 
 @st.composite
 def selection_case(draw):
-    """A tie-heavy 0/1 graph Gram or a float G Gt, with lambda 0 or 0.5."""
+    """A tie-heavy 0/1 graph Gram or a float G Gt, with lambda 0, 0.5 or 2."""
     p = draw(st.integers(2, 14))
-    lam = draw(st.sampled_from([0.0, 0.5]))
+    lam = draw(st.sampled_from([0.0, 0.5, 2.0]))
     if draw(st.booleans()):
         dense = np.zeros((p, p))
         pairs = p * (p - 1) // 2
@@ -297,6 +318,20 @@ def test_cached_records_do_not_depend_on_row_chunking(case):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(treelets.core, "_BLOCK_ELEMENTS", budget)
             assert decompose(a, lam=lam).records == default
+
+
+@settings(max_examples=100, deadline=None)
+@given(selection_case())
+def test_decompose_rotates_as_apply_rotation_does(case):
+    """Replaying the records through apply_rotation leaves the packed bytes the loop left."""
+    a, lam = case
+    work = a.copy()
+    d = treelets.core._decompose(work, lam, treelets.core.DEFAULT_STOP_TOL)
+    replay = a.copy()
+    for rec in d.records:
+        apply_rotation(replay, *rec.axes, rec.coeffs)
+    assert replay.data.tobytes() == work.data.tobytes()
+    assert d.final_diag.tobytes() == work.diagonal().tobytes()
 
 
 @settings(max_examples=100, deadline=None)

@@ -154,6 +154,19 @@ def test_cut_at_score_is_cut_after_the_leading_merges_at_or_above_it(tree, thres
     assert np.array_equal(by_score.assignments, by_count.assignments)
 
 
+@settings(max_examples=100, deadline=None)
+@given(forests(), st.data())
+def test_tree_json_round_trip(tmp_path_factory, tree, data):
+    """Write a tree file as cluster does, read it as roc does, compare; any finite score survives."""
+    scores = st.floats(allow_nan=False, allow_infinity=False)
+    tree = Dendrogram(tree.n_leaves, tuple(Merge(m.step, m.removed, m.kept, data.draw(scores)) for m in tree.merges))
+    f = tmp_path_factory.getbasetemp() / "prop_tree.json"
+    f.write_text(tree.to_json() + "\n", encoding="utf-8")
+    back = Dendrogram.from_json(f.read_text(encoding="utf-8"))
+    assert back == tree
+    assert back.to_json() == tree.to_json()
+
+
 class TestJsonRoundTrip:
     def test_round_trip(self, np_rng):
         tree = merge_tree(decompose(random_spsd(np_rng, 6)))

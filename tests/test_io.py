@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,15 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import kernel_from_dict, read_roc_csv
-from treelets import ClusterLabels, Dataset, GraphKernel, MissingRbfKernel, RbfKernel
+from treelets import (
+    ClusterLabels,
+    Dataset,
+    GraphKernel,
+    LinearKernel,
+    MissingRbfKernel,
+    PolynomialKernel,
+    RbfKernel,
+)
 from treelets import io
 from treelets.metrics import RocCurve
 
@@ -141,6 +151,13 @@ class TestReadEdgeList:
         with pytest.raises(ValueError, match=f"line 2: vertex id {2**21} too large"):
             io.read_edge_list(f)
 
+    def test_id_past_int_digit_limit_is_too_large(self, tmp_path):
+        """int() refuses strings of more than 4300 digits; the message still names the line."""
+        f = tmp_path / "g.txt"
+        f.write_text("0 1\n0 " + "1" * 5000 + "\n")
+        with pytest.raises(ValueError, match=rf"^{f}: line 2: vertex id 1{{20}}\.\.\. \(5000 digits\) too large$"):
+            io.read_edge_list(f)
+
     def test_order_independent(self, tmp_path, np_rng):
         lines = ["0 1", "2 3", "1 2", "4 0", "3 4"]
         f1 = tmp_path / "a.txt"
@@ -265,8 +282,6 @@ class TestLabelsJson:
         assert back.n_clusters == 3
 
     def test_schema_fields(self, tmp_path):
-        import json
-
         labels = ClusterLabels(assignments=[0, 1], n_clusters=2)
         f = tmp_path / "labels.json"
         io.write_labels_json(f, labels, seed=3, kernel=GraphKernel(diag=5.0))
@@ -278,6 +293,40 @@ class TestLabelsJson:
             "n_clusters": 2,
             "seed": 3,
         }
+
+
+KERNELS = st.one_of(
+    st.none(),
+    st.builds(RbfKernel, sigma=st.floats(1e-3, 1e3)),
+    st.just(LinearKernel()),
+    st.builds(PolynomialKernel, alpha=st.floats(-1e3, 1e3), c0=st.floats(-1e3, 1e3), degree=st.integers(1, 5)),
+    st.builds(MissingRbfKernel, gamma=st.floats(1e-3, 1e3)),
+    st.builds(GraphKernel, diag=st.floats(1.0, 1e6)),
+)
+
+
+@st.composite
+def labelings(draw):
+    """Cluster labels with every id 0..k-1 used, in any order."""
+    k = draw(st.integers(1, 6))
+    extra = draw(st.lists(st.integers(0, k - 1), max_size=20))
+    return ClusterLabels(assignments=draw(st.permutations(list(range(k)) + extra)), n_clusters=k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(labelings(), st.integers(0, 2**63 - 1), KERNELS)
+def test_labels_json_round_trip(tmp_path_factory, labels, seed, kernel):
+    """Write, read, compare; a second write of what was read gives the same bytes."""
+    f = tmp_path_factory.getbasetemp() / "prop_labels.json"
+    io.write_labels_json(f, labels, seed, kernel)
+    first = f.read_bytes()
+    back = io.read_labels_json(f)
+    assert back == labels
+    io.write_labels_json(f, back, seed, kernel)
+    assert f.read_bytes() == first
+    payload = json.loads(first)
+    assert payload["seed"] == seed
+    assert (None if payload["kernel"] is None else kernel_from_dict(payload["kernel"])) == kernel
 
 
 class TestKernelDict:

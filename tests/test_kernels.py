@@ -364,12 +364,23 @@ class TestCheckSpsd:
         assert report.min_eigenvalue_lower_bound == -1.0
 
     def test_bound_equals_row_by_row_loop(self, np_rng):
-        """The one-pass bound against the per-row gather loop it replaced, bit for bit."""
+        """The bound against a loop that subtracts each diagonal entry's scalar abs, bit for bit."""
         for p in (1, 2, 9, 130):
             k = random_symmetric(np_rng, p, lo=-3.0, hi=3.0)
             diag = k.diagonal()
             off = [np.abs(k.row(i)).sum() - abs(diag[i]) for i in range(p)]
             assert check_spsd(k).min_eigenvalue_lower_bound == float((diag - np.array(off)).min())
+
+    def test_bound_equals_dense_formula(self, np_rng):
+        """Row sums one row at a time equal the dense matrix's sum(axis=1), bit for bit."""
+        points = Dataset(np_rng.normal(size=(300, 3)))
+        grams = [random_symmetric(np_rng, p, lo=-3.0, hi=3.0) for p in (1, 2, 9, 130, 300)]
+        grams.append(gram(RbfKernel(sigma=0.5), points, range(300)))
+        for k in grams:
+            dense = np.abs(k.to_dense())
+            diag = k.diagonal()
+            expected = float((diag - (dense.sum(axis=1) - np.abs(diag))).min())
+            assert check_spsd(k).min_eigenvalue_lower_bound == expected
 
     def test_graph_gram_with_max_degree_diag_is_dominant(self, np_rng):
         for _ in range(20):
