@@ -7,19 +7,14 @@ import warnings
 import numpy as np
 
 from .hierarchy import ClusterLabels
-from .kernels import Dataset
+from .kernels import Dataset, _squared_distances
 from .rng import SplitMix64
-
-
-def _squared_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    # (n, k) matrix of squared euclidean distances
-    return ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
 
 
 def _plusplus_seeding(x: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:
     n = x.shape[0]
     chosen = [rng.below(n)]
-    d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1)
+    d2 = _squared_distances(x, x[chosen])[:, 0]
     for _ in range(k - 1):
         total = float(d2.sum())
         if total <= 0.0:
@@ -29,7 +24,7 @@ def _plusplus_seeding(x: np.ndarray, k: int, rng: SplitMix64) -> np.ndarray:
             idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
             idx = min(idx, n - 1)
         chosen.append(idx)
-        d2 = np.minimum(d2, ((x - x[idx]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _squared_distances(x, x[[idx]])[:, 0])
     return x[chosen].copy()
 
 

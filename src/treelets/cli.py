@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, baseline, datagen, io, metrics
+from .core import DEFAULT_STOP_TOL
 from .extend import KtConfig, Timer, fit_predict
 from .hierarchy import Dendrogram
 from .kernels import (
@@ -25,6 +26,7 @@ from .kernels import (
     PolynomialKernel,
     RbfKernel,
     graph_kernel_for,
+    kernel_to_dict,
 )
 
 _GRAPH_EXTENSIONS = {".txt", ".edges", ".edgelist"}
@@ -146,7 +148,7 @@ def _add_feature_flags(sub):
     sub.add_argument(
         "--missing-token",
         action="append",
-        default=["", "NA", "NaN"],
+        default=sorted(io.DEFAULT_MISSING_TOKENS),
         help="extra cell value meaning 'missing' (repeatable)",
     )
 
@@ -205,7 +207,7 @@ def cmd_cluster(args, argv) -> int:
 
     timings = {**result.timings, **timer.total()}
     manifest_config = {
-        "kernel": io.kernel_to_dict(kernel),
+        "kernel": kernel_to_dict(kernel),
         "clusters": args.clusters,
         "sample_size": sample_size,
         "lambda": args.lam,
@@ -313,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--knn-k", type=positive_int, default=5,
                    help="neighbors for out-of-sample label votes (odd)")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--stop-tol", type=nonneg_float, default=1e-10,
+    c.add_argument("--stop-tol", type=nonneg_float, default=DEFAULT_STOP_TOL,
                    help="stop merging when the best pair score falls below this")
     c.add_argument("--threads", type=positive_int, default=os.cpu_count() or 1,
                    help="worker cap for the extension stage; results do not depend on it")

@@ -10,7 +10,6 @@ tree over the observations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 
 import numpy as np
 
@@ -22,11 +21,10 @@ _TINY_DIAG_PRODUCT = 1e-300
 
 DEFAULT_STOP_TOL = 1e-10
 
-# cells of the p x p score matrix per chunk: the initial fill mirrors square
-# blocks and scores row chunks of this size, and a stale-row refresh gathers
-# one row chunk at a time for its argmax, so neither allocates a p x p
-# temporary; 128 KB per float64 temporary (1 << 13 ran the graph Gram's
-# decompose ~10% slower)
+# cells of the p x p score matrix per chunk: the initial fill scores row
+# chunks of this size, and a stale-row refresh gathers one row chunk at a
+# time for its argmax, so neither allocates a p x p temporary; 128 KB per
+# float64 temporary (1 << 13 ran the graph Gram's decompose ~10% slower)
 _BLOCK_ELEMENTS = 1 << 14
 
 
@@ -58,7 +56,6 @@ class RotationRecord:
 class TreeletDecomposition:
     p: int
     records: tuple[RotationRecord, ...]
-    stop_level: int
     final_diag: np.ndarray
     lam: float
     # best remaining pair score when the loop stalled below stop_tol; None when it completed
@@ -67,9 +64,14 @@ class TreeletDecomposition:
     def __eq__(self, other):  # by value: the generated one would compare arrays to a truth value
         if not isinstance(other, TreeletDecomposition):
             return NotImplemented
-        mine = (self.p, self.records, self.stop_level, self.lam, self.stop_score)
-        same = mine == (other.p, other.records, other.stop_level, other.lam, other.stop_score)
+        mine = (self.p, self.records, self.lam, self.stop_score)
+        same = mine == (other.p, other.records, other.lam, other.stop_score)
         return same and np.array_equal(self.final_diag, other.final_diag)
+
+    @property
+    def stop_level(self) -> int:
+        """Number of steps taken: the deepest level with a basis."""
+        return len(self.records)
 
     def scaling_set(self, k: int) -> list[int]:
         """Indices still active after k steps, ascending."""
@@ -104,25 +106,15 @@ def _scores(vals: np.ndarray, prod: np.ndarray, lam: float) -> np.ndarray:
 def _initial_scores(a: SymMatrix, diag: np.ndarray, lam: float) -> np.ndarray:
     """Score of every pair (i, j) in a p x p matrix; (i, i) scores -inf.
 
-    |A| is copied into the lower triangle from the packed rows, mirrored to
-    the upper one square block by square block, then scored in place in row
-    chunks of at most _BLOCK_ELEMENTS cells.
+    The dense copy of A is scored in place in row chunks of at most
+    _BLOCK_ELEMENTS cells.
     """
     p = a.p
-    scores = np.empty((p, p))
-    for i in range(p):
-        np.abs(a.lower(i), out=scores[i, : i + 1])
-    side = max(1, isqrt(_BLOCK_ELEMENTS))
-    for r in range(0, p, side):
-        rows = slice(r, r + side)
-        block = scores[rows, rows]
-        block[:] = np.tril(block) + np.tril(block, -1).T  # |a| >= +0, so each cell adds +0 to itself
-        for c in range(r + side, p, side):
-            scores[rows, c : c + side] = scores[c : c + side, rows].T
+    scores = a.to_dense()
     height = max(1, _BLOCK_ELEMENTS // p)
     for r in range(0, p, height):
         chunk = scores[r : r + height]
-        chunk[:] = _scores(chunk, diag[r : r + height, None] * diag, lam)
+        chunk[:] = _scores(np.abs(chunk, out=chunk), diag[r : r + height, None] * diag, lam)
     np.fill_diagonal(scores, -np.inf)
     return scores
 
@@ -138,8 +130,7 @@ def decompose(
     lexicographically smallest (min, max) pair, which makes the choice
     platform-independent.  Every pair score is kept in a p x p matrix (8p^2
     bytes) whose own-index cells and retired columns hold -inf.  It is filled
-    once without a dense copy of the matrix: |A| from the packed rows into
-    the lower triangle, mirrored by square blocks, scored in row chunks.  A
+    once from SymMatrix.to_dense and scored in place in row chunks.  A
     rotation changes scores only in the rotated rows and columns.  Each step
     gathers the two rows once, rotates them and writes them back
     (symmat.rotate_pair), takes both new diagonals from the rotated rows,
@@ -231,7 +222,6 @@ def _decompose(a: SymMatrix, lam: float, stop_tol: float) -> TreeletDecompositio
     return TreeletDecomposition(
         p=p,
         records=tuple(records),
-        stop_level=len(records),
         final_diag=diag,
         lam=lam,
         stop_score=stop_score,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,10 @@ class Dendrogram:
 
     @classmethod
     def from_json(cls, text: str) -> "Dendrogram":
-        """Parse a tree file; each merge must join two distinct live leaves below n_leaves."""
+        """Parse a tree file; each merge must join two distinct live leaves below n_leaves.
+
+        Values are checked, not converted: integers must be JSON integers, scores finite numbers.
+        """
         payload = json.loads(text)
         if not isinstance(payload, dict):
             raise ValueError("tree file is not a JSON object")
@@ -46,15 +50,19 @@ class Dendrogram:
             if key not in payload:
                 raise ValueError(f"tree file has no {key!r} key")
         n_leaves, rows = payload["n_leaves"], payload["merges"]
-        if not isinstance(n_leaves, int) or not isinstance(rows, list):
+        if type(n_leaves) is not int or not isinstance(rows, list):
             raise ValueError("tree file needs an integer 'n_leaves' and a list of 'merges'")
         removed = bytearray(max(n_leaves, 0))
         merges = []
         for index, row in enumerate(rows, 1):
             try:
                 step, gone, kept, score = row
-                m = Merge(int(step), int(gone), int(kept), float(score))
-            except (TypeError, ValueError):
+                # isfinite raises OverflowError on an integer too large for a float
+                if not (type(step) is type(gone) is type(kept) is int and type(score) in (int, float)
+                        and math.isfinite(score)):
+                    raise ValueError
+                m = Merge(step, gone, kept, float(score))
+            except (TypeError, ValueError, OverflowError):
                 raise ValueError(
                     f"tree merge row {index} is {json.dumps(row)}, not [step, removed, kept, score]"
                 ) from None

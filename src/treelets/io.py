@@ -15,16 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .hierarchy import ClusterLabels
-from .kernels import (
-    Dataset,
-    Graph,
-    GraphKernel,
-    KernelSpec,
-    LinearKernel,
-    MissingRbfKernel,
-    PolynomialKernel,
-    RbfKernel,
-)
+from .kernels import Dataset, Graph, KernelSpec, kernel_to_dict
 from .metrics import RocCurve
 
 DEFAULT_MISSING_TOKENS = frozenset({"", "NA", "NaN"})
@@ -176,20 +167,6 @@ def read_class_labels(path, has_header: bool | None = False) -> np.ndarray:
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return np.array([row[-1 if label is None else label].strip() for row in rows])
-
-
-def kernel_to_dict(spec: KernelSpec) -> dict:
-    if isinstance(spec, RbfKernel):
-        return {"kind": "rbf", "sigma": spec.sigma}
-    if isinstance(spec, LinearKernel):
-        return {"kind": "linear"}
-    if isinstance(spec, PolynomialKernel):
-        return {"kind": "polynomial", "alpha": spec.alpha, "c0": spec.c0, "degree": spec.degree}
-    if isinstance(spec, MissingRbfKernel):
-        return {"kind": "missing-rbf", "gamma": spec.gamma}
-    if isinstance(spec, GraphKernel):
-        return {"kind": "graph", "diag": spec.diag}
-    raise TypeError(f"unknown kernel spec {spec!r}")
 
 
 def write_labels_json(path, labels: ClusterLabels, seed: int, kernel: KernelSpec | None) -> None:

@@ -8,8 +8,8 @@ meant for, which is what lets the Gram matrix stand in for a covariance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import asdict, dataclass
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .symmat import SymMatrix
 class RbfKernel:
     """exp(-||x1 - x2||^2 / (2 sigma^2)); values in (0, 1]."""
 
+    kind: ClassVar[str] = "rbf"
     sigma: float
 
     def __post_init__(self):
@@ -31,11 +32,14 @@ class RbfKernel:
 class LinearKernel:
     """Plain inner product <x1, x2>."""
 
+    kind: ClassVar[str] = "linear"
+
 
 @dataclass(frozen=True)
 class PolynomialKernel:
     """(alpha <x1, x2> + c0) ** degree."""
 
+    kind: ClassVar[str] = "polynomial"
     alpha: float
     c0: float
     degree: int
@@ -53,6 +57,7 @@ class MissingRbfKernel:
     set of indices present in both u and v.  E must be non-empty.
     """
 
+    kind: ClassVar[str] = "missing-rbf"
     gamma: float
 
     def __post_init__(self):
@@ -68,6 +73,7 @@ class GraphKernel:
     diagonally dominant, hence PSD.
     """
 
+    kind: ClassVar[str] = "graph"
     diag: float
 
     def __post_init__(self):
@@ -76,6 +82,11 @@ class GraphKernel:
 
 
 KernelSpec = Union[RbfKernel, LinearKernel, PolynomialKernel, MissingRbfKernel, GraphKernel]
+
+
+def kernel_to_dict(spec: KernelSpec) -> dict:
+    """The kernel entry of labels files and manifests: its kind and its parameters."""
+    return {"kind": spec.kind, **asdict(spec)}
 
 
 class Dataset:
@@ -187,29 +198,28 @@ def _pairwise_sum(term, lo: int, n: int, shape) -> np.ndarray:
     return r[0]
 
 
-def _squared_distances(data: Dataset, rows, cols, masked: bool) -> np.ndarray:
-    """||x_r - x_c||^2 for every r in rows and c in cols, one attribute at a time.
+def _squared_distances(left: np.ndarray, right: np.ndarray, left_gap=None, right_gap=None) -> np.ndarray:
+    """||l - r||^2 for every row l of left and r of right, one attribute at a time.
 
-    Each cell has the bits of ((x_r - x_c) ** 2).sum(), with no rows x cols x
-    width temporary.  With masked, a term missing on either side is zero.
+    Each cell has the bits of ((l - r) ** 2).sum(), with no rows x cols x
+    width temporary.  With gap masks (True where a value is missing), a
+    term missing on either side is zero.
     """
-    left = data.values[rows]
-    right = data.values[cols].T.copy()  # one gather per block, a row per attribute
+    right = right.T.copy()  # a row per attribute
     shape = (len(left), right.shape[1])
-    if masked:
-        left_gap = ~data.present[rows]
-        right_gap = ~data.present[cols].T
+    if left_gap is not None:
+        right_gap = right_gap.T
         gap = np.empty(shape, dtype=bool)
 
     def term(c: int, out: np.ndarray) -> np.ndarray:
         np.subtract(right[c], left[:, c, None], out=out)
         np.square(out, out=out)
-        if masked:
+        if left_gap is not None:
             np.logical_or(right_gap[c], left_gap[:, c, None], out=gap)
             np.copyto(out, 0.0, where=gap)
         return out
 
-    return _pairwise_sum(term, 0, data.p, shape)
+    return _pairwise_sum(term, 0, left.shape[1], shape)
 
 
 def kernel_block(spec: KernelSpec, data, rows, cols) -> np.ndarray:
@@ -245,7 +255,7 @@ def kernel_block(spec: KernelSpec, data, rows, cols) -> np.ndarray:
         return out
 
     if isinstance(spec, RbfKernel):
-        out = _squared_distances(data, rows, cols, masked=False)
+        out = _squared_distances(data.values[rows], data.values[cols])
         np.negative(out, out=out)
         np.divide(out, 2.0 * spec.sigma**2, out=out)
         return np.exp(out, out=out)
@@ -255,7 +265,7 @@ def kernel_block(spec: KernelSpec, data, rows, cols) -> np.ndarray:
         if (count == 0).any():
             a, c = np.argwhere(count == 0)[0]
             raise ValueError(f"no shared observed attributes between rows {rows[a]} and {cols[c]}")
-        out = _squared_distances(data, rows, cols, masked=True)
+        out = _squared_distances(data.values[rows], data.values[cols], ~data.present[rows], ~data.present[cols])
         np.multiply(out, -spec.gamma, out=out)
         np.divide(out, count, out=out)
         return np.exp(out, out=out)

@@ -7,6 +7,7 @@ pair counts are exact integers.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,68 +106,57 @@ def roc_from_hierarchy(tree: Dendrogram, reference) -> RocCurve:
     """One (FPR, TPR) point per cut level, maintained incrementally.
 
     A merge of components with a and b members creates a*b newly
-    co-clustered pairs; only the positives among those need counting, so
-    the full sweep costs about one update per pair actually merged instead
-    of n^2/2 recounts per level.
+    co-clustered pairs; only the positives among those need counting.  Each
+    merge folds the smaller component into the larger, counting the smaller
+    side's graph neighbours already in the larger or folding its class
+    counts, so the sweep costs O(E log n) or O(n log n) updates instead of
+    n^2/2 recounts per level.
     """
     n = tree.n_leaves
     total = n * (n - 1) // 2
 
-    sizes: dict[int, int] = {i: 1 for i in range(n)}
     if isinstance(reference, Graph):
         if reference.n_vertices != n:
             raise ValueError("reference graph size does not match tree")
         positives = reference.n_edges
-        # per-component edge counters keyed by an internal id; the indirection
-        # lets a merge keep the larger side's table and relabel the smaller
-        comp_of: dict[int, int] = {i: i for i in range(n)}
-        link: dict[int, dict[int, int]] = {
-            i: dict.fromkeys(reference.neighbors(i).tolist(), 1) for i in range(n)
-        }
+        indptr, indices = reference.indptr.tolist(), reference.indices.tolist()
+        comp = list(range(n))  # the component id of each leaf
         hist = None
     else:
         ref = _class_index(reference)
         if len(ref) != n:
             raise ValueError("reference labels size does not match tree")
         positives = _pairs_within(np.bincount(ref))
-        hist = {i: {int(ref[i]): 1} for i in range(n)}
-        comp_of = link = None
+        hist = [{c: 1} for c in ref.tolist()]  # class counts of each component id
 
+    # the leaves of each component id, as int arrays: n lists would be n containers the
+    # garbage collector tracks, whose collections cost a warm process more than the sweep
+    members = [array("q", (i,)) for i in range(n)]
+    name = list(range(n))  # the component id of each live leaf
     negatives = total - positives
     co = 0
     tp = 0
     points = [(0.0, 0.0)]
 
     for m in tree.merges:
-        a, b = m.removed, m.kept
-        co += sizes[a] * sizes[b]
-        sizes[b] += sizes.pop(a)
-
-        if hist is not None:
-            ha = hist.pop(a)
-            hb = hist[b]
-            small, big = (ha, hb) if len(ha) <= len(hb) else (hb, ha)
-            tp += sum(k * big.get(cls, 0) for cls, k in small.items())
-            for cls, k in small.items():
-                big[cls] = big.get(cls, 0) + k
-            hist[b] = big
+        small, big = name[m.removed], name[m.kept]
+        if len(members[small]) > len(members[big]):
+            small, big = big, small
+        moved = members[small]
+        co += len(moved) * len(members[big])
+        if hist is None:
+            for v in moved:
+                tp += sum(comp[u] == big for u in indices[indptr[v] : indptr[v + 1]])
+            for v in moved:
+                comp[v] = big
         else:
-            ia = comp_of.pop(a)
-            ib = comp_of[b]
-            ca = link[ia]
-            cb = link[ib]
-            tp += ca.pop(ib, 0)
-            cb.pop(ia, None)
-            if len(ca) > len(cb):
-                ca, cb = cb, ca
-                ia, ib = ib, ia
-            for other, k in ca.items():
-                d = link[other]
-                d[ib] = d.get(ib, 0) + d.pop(ia)
-                cb[other] = cb.get(other, 0) + k
-            del link[ia]
-            comp_of[b] = ib
-
+            counts = hist[big]
+            for c, k in hist[small].items():
+                tp += k * counts.get(c, 0)
+                counts[c] = counts.get(c, 0) + k
+        members[big] += moved
+        members[small] = None
+        name[m.kept] = big
         points.append((_rate(co - tp, negatives), _rate(tp, positives)))
 
     return RocCurve.from_points(points)

@@ -11,6 +11,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+# side of the square blocks to_dense mirrors one at a time: 128 KB per float64
+# block, so a block's source rows and target columns stay in cache
+_BLOCK_SIDE = 128
+
 
 class RotationCoeffs(NamedTuple):
     """Cosine/sine of a plane rotation; c is kept positive, s signs it."""
@@ -58,10 +62,20 @@ class SymMatrix:
         return cls(p, a[rows, cols].copy())
 
     def to_dense(self) -> np.ndarray:
-        out = np.empty((self.p, self.p))
-        rows, cols = np.tril_indices(self.p)
-        out[rows, cols] = self.data
-        out[cols, rows] = self.data
+        """Dense p x p copy: each packed row into its row, and its column within the diagonal block,
+        then the other blocks mirrored square by square.  Only assigns, so a -0.0 stays -0.0.
+        """
+        p = self.p
+        out = np.empty((p, p))
+        for i in range(p):
+            row = self.lower(i)
+            out[i, : i + 1] = row
+            top = i - i % _BLOCK_SIDE  # first row of i's diagonal block
+            out[top:i, i] = row[top:i]
+        for r in range(0, p, _BLOCK_SIDE):
+            rows = slice(r, r + _BLOCK_SIDE)
+            for c in range(r + _BLOCK_SIDE, p, _BLOCK_SIDE):
+                out[rows, c : c + _BLOCK_SIDE] = out[c : c + _BLOCK_SIDE, rows].T
         return out
 
     def copy(self) -> "SymMatrix":
@@ -76,14 +90,14 @@ class SymMatrix:
         self._check_index(j)
         if i < j:
             i, j = j, i
-        return float(self.data[i * (i + 1) // 2 + j])
+        return float(self.data[self._starts[i] + j])
 
     def set(self, i: int, j: int, value: float) -> None:
         self._check_index(i)
         self._check_index(j)
         if i < j:
             i, j = j, i
-        self.data[i * (i + 1) // 2 + j] = value
+        self.data[self._starts[i] + j] = value
 
     def diagonal(self) -> np.ndarray:
         return self.data[self._starts[1:] - 1]  # (i, i) is the last cell of packed row i
@@ -103,12 +117,6 @@ class SymMatrix:
         """Entries (i, 0), ..., (i, p - 1), gathered into a new array."""
         head, tail = self._cells(i)
         return np.concatenate((self.data[head], self.data[tail]))
-
-    def set_row(self, i: int, values: np.ndarray) -> None:
-        """Write entries (i, 0), ..., (i, p - 1); the mirror cells are the same cells."""
-        head, tail = self._cells(i)
-        self.data[head] = values[: i + 1]
-        self.data[tail] = values[i + 1 :]
 
 
 def jacobi_coeffs(a_pp: float, a_qq: float, a_pq: float) -> RotationCoeffs:

@@ -95,7 +95,7 @@ def kernel_distance(spec, x1, x2) -> float:
 
 
 def kernel_from_dict(payload: dict):
-    """Inverse of io.kernel_to_dict, the kernel entry of labels files and manifests."""
+    """Inverse of kernels.kernel_to_dict, the kernel entry of labels files and manifests."""
     kind = payload["kind"]
     if kind == "rbf":
         return RbfKernel(sigma=payload["sigma"])
@@ -282,7 +282,7 @@ def decompose_rescan(a0: SymMatrix, lam: float = 0.0, stop_tol: float = DEFAULT_
             RotationRecord(len(records) + 1, alpha, beta, coeffs, float(d[alpha, alpha]), float(d[beta, beta]), score)
         )
         active.remove(alpha)
-    return TreeletDecomposition(a0.p, tuple(records), len(records), np.diag(d).copy(), lam, stop_score)
+    return TreeletDecomposition(a0.p, tuple(records), np.diag(d).copy(), lam, stop_score)
 
 
 def same_decomposition(fast: TreeletDecomposition, slow: TreeletDecomposition) -> bool:

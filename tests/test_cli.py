@@ -8,7 +8,8 @@ import pytest
 
 import treelets
 from treelets import io
-from treelets.cli import main, parse_kernel
+from treelets.cli import build_parser, main, parse_kernel
+from treelets.core import DEFAULT_STOP_TOL
 from treelets.kernels import GraphKernel, MissingRbfKernel, PolynomialKernel, RbfKernel
 
 
@@ -46,6 +47,15 @@ class TestParseKernel:
                 "--clusters", 2, "-o", tmp_path / "l.json",
             )
             assert code == 2, kernel
+
+
+def test_parser_defaults_are_the_library_constants():
+    parse = build_parser().parse_args
+    cluster = parse(["cluster", "--input", "d.csv", "--kernel", "linear", "--clusters", "2", "-o", "l.json"])
+    assert cluster.stop_tol == DEFAULT_STOP_TOL
+    for args in (cluster, parse(["kmeans", "--input", "d.csv", "--k", "2", "-o", "l.json"]),
+                 parse(["normalize", "--input", "d.csv", "-o", "n.csv"])):
+        assert args.missing_token == sorted(io.DEFAULT_MISSING_TOKENS)
 
 
 class TestExitCodes:
@@ -128,6 +138,37 @@ class TestExitCodes:
             tree.write_text(json.dumps(payload))
             assert run("roc", "--tree", tree, "--reference", ref, "-o", tmp_path / "r.csv") == 1
             assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "merges",
+        [
+            '["1", "0", 1.9, "nan"]',
+            "[1.0, 0, 1, 0.5]",
+            "[1, true, 0, 0.5]",
+            "[1, 0, 1, true]",
+            "[1, 0, 1, NaN]",
+            "[1, 0, 1, -Infinity]",
+            "[1, 0, 1, 1" + "0" * 400 + "]",  # too large for a float
+        ],
+    )
+    def test_tree_merge_values_are_checked_not_converted(self, tmp_path, capsys, merges):
+        """Each row would convert to the valid merge of leaves 0 and 1."""
+        ref = tmp_path / "ref.csv"
+        ref.write_text("label\na\nb\n")
+        tree = tmp_path / "t.json"
+        tree.write_text(f'{{"n_leaves": 2, "merges": [{merges}]}}')
+        assert run("roc", "--tree", tree, "--reference", ref, "-o", tmp_path / "r.csv") == 1
+        row = json.dumps(json.loads(merges))
+        assert capsys.readouterr().err == f"error: tree merge row 1 is {row}, not [step, removed, kept, score]\n"
+
+    @pytest.mark.parametrize("n_leaves", ["true", "1.0"])
+    def test_tree_leaf_count_must_be_an_integer(self, tmp_path, capsys, n_leaves):
+        ref = tmp_path / "ref.csv"
+        ref.write_text("label\na\n")
+        tree = tmp_path / "t.json"
+        tree.write_text(f'{{"n_leaves": {n_leaves}, "merges": []}}')
+        assert run("roc", "--tree", tree, "--reference", ref, "-o", tmp_path / "r.csv") == 1
+        assert capsys.readouterr().err == "error: tree file needs an integer 'n_leaves' and a list of 'merges'\n"
 
     def test_non_finite_gram_fails_before_decompose(self, tmp_path, capsys, monkeypatch):
         import treelets.extend

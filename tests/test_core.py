@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treelets.core
+import treelets.symmat
 from conftest import random_spsd
 from oracles import decompose_rescan, psd_sqrt, rotate_dense, same_decomposition, select_pair
 from treelets import (
@@ -214,18 +215,21 @@ class TestDecompose:
         assert a.data.tobytes() == before
 
     def test_initial_fill_across_block_boundaries(self, monkeypatch, np_rng):
-        """A 4 x 4 mirror block and 16-cell row chunks on p up to 31: the fill
-        crosses block and chunk boundaries, some blocks partial, and still
-        holds every pair's score bit for bit, and the records the rescan's."""
+        """4 x 4 mirror blocks in to_dense and 16-cell row chunks on p up to 31:
+        the fill crosses block and chunk boundaries, some blocks partial, and
+        still holds every pair's score bit for bit, and the records the rescan's."""
         monkeypatch.setattr(treelets.core, "_BLOCK_ELEMENTS", 16)
+        monkeypatch.setattr(treelets.symmat, "_BLOCK_SIDE", 4)
         for p in (5, 17, 31):
+            rows, cols = np.tril_indices(p)
             grams = [random_spsd(np_rng, p)]
             tied = np.triu(np_rng.integers(0, 2, (p, p)), 1).astype(float)
             tied += tied.T
             tied[np.diag_indices(p)] = max(1.0, tied.sum(axis=1).max())
             grams.append(SymMatrix.from_dense(tied))
             for a in grams:
-                dense, diag = a.to_dense(), a.diagonal()
+                dense, diag = np.empty((p, p)), a.diagonal()
+                dense[rows, cols] = dense[cols, rows] = a.data  # not to_dense, which is under test
                 for lam in (0.0, 0.5, 2.0):
                     vals, prod = np.abs(dense), np.outer(diag, diag)
                     want = np.where(prod > 1e-300, vals / np.sqrt(np.maximum(prod, 1e-300)), 0.0) + lam * vals

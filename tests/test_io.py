@@ -17,6 +17,7 @@ from treelets import (
     RbfKernel,
 )
 from treelets import io
+from treelets.kernels import kernel_to_dict
 from treelets.metrics import RocCurve
 
 
@@ -339,7 +340,20 @@ class TestKernelDict:
         ],
     )
     def test_round_trip(self, spec):
-        assert kernel_from_dict(io.kernel_to_dict(spec)) == spec
+        assert kernel_from_dict(kernel_to_dict(spec)) == spec
+
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            (RbfKernel(sigma=0.25), {"kind": "rbf", "sigma": 0.25}),
+            (LinearKernel(), {"kind": "linear"}),
+            (PolynomialKernel(0.5, 1.0, 3), {"kind": "polynomial", "alpha": 0.5, "c0": 1.0, "degree": 3}),
+            (MissingRbfKernel(gamma=32.0), {"kind": "missing-rbf", "gamma": 32.0}),
+            (GraphKernel(diag=1045.0), {"kind": "graph", "diag": 1045.0}),
+        ],
+    )
+    def test_every_kind_writes_its_file_entry(self, spec, expected):
+        assert json.dumps(kernel_to_dict(spec), sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 class TestRocCsv:

@@ -323,8 +323,28 @@ def test_column_wise_distances_equal_numpy_sum_bit_for_bit(width, n_rows, n_cols
     diff2 = (values[cols] - values[rows][:, None, :]) ** 2
     shared = present[cols] & present[rows][:, None, :]
     expected = np.where(shared, diff2, 0.0).sum(axis=-1)
-    got = _squared_distances(Dataset(values, present), rows, cols, masked)
+    gaps = (~present[rows], ~present[cols]) if masked else ()
+    got = _squared_distances(values[rows], values[cols], *gaps)
     assert got.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 300), st.integers(1, 40), st.integers(1, 8), st.integers(0, 2**32 - 1))
+@example(7, 5, 3, 0)
+@example(8, 5, 3, 1)
+@example(9, 5, 3, 2)
+@example(127, 4, 2, 3)
+@example(128, 4, 2, 4)
+@example(129, 4, 2, 5)
+@example(300, 6, 4, 6)
+def test_kmeans_distances_equal_the_cube_sum_bit_for_bit(width, n, k, seed):
+    """Points against centres, as kmeans calls it, against the n x k x width cube it used to sum."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, width)) * rng.uniform(0.01, 100.0, size=width)
+    centers = x[rng.integers(0, n, size=k)] + rng.normal(size=(k, width))
+    expected = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    assert _squared_distances(x, centers).tobytes() == expected.tobytes()
+    assert _squared_distances(x, x[[0]])[:, 0].tobytes() == ((x - x[0]) ** 2).sum(axis=1).tobytes()
 
 
 @pytest.mark.parametrize("budget", [1, 3, 2**40])

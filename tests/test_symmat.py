@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import random_spsd, random_symmetric
 from oracles import jacobi_eigh, psd_sqrt, rotate_dense
-from treelets import SymMatrix, apply_rotation, jacobi_coeffs
+import treelets.symmat
+from treelets import RotationCoeffs, SymMatrix, apply_rotation, jacobi_coeffs
+from treelets.symmat import rotate_pair
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -238,17 +241,41 @@ def test_rows_and_lower_match_dense(case):
     assert same_bits(np.array([a.row(i) for i in range(a.p)]), dense)
     assert same_bits(a.lower(t), dense[t, : t + 1])
 
-    values = -1.0 - np.arange(a.p)  # distinct from every stored cell
-    a.set_row(t, values)  # row t and column t are the same cells
-    dense[t, :] = dense[:, t] = values
-    assert same_bits(a.to_dense(), dense)
-    assert same_bits(a.row(t), values)
-    a.set_row(t, a.row(t))  # a round trip rewrites nothing
-    assert same_bits(a.to_dense(), dense)
+    if a.p > 1:  # rows written back land in row t and column t, which are the same cells
+        u = (t + 1) % a.p
+        _, row_t, row_u = rotate_pair(a, t, u, RotationCoeffs(1.0, 0.0))
+        dense[t, u] = dense[u, t] = 0.0  # the identity rotation leaves all but the (t, u) literal zero
+        assert same_bits(a.to_dense(), dense)
+        assert same_bits(row_t, a.row(t)) and same_bits(row_u, a.row(u))
 
     a.lower(t)[:] = 0.25  # a view: writes land in the packed cells
     dense[t, : t + 1] = dense[: t + 1, t] = 0.25
     assert same_bits(a.to_dense(), dense)
+
+
+def dense_cell_by_cell(a: SymMatrix) -> np.ndarray:
+    """Cell (i, j) read from packed index max(i, j) (max(i, j) + 1) / 2 + min(i, j)."""
+    i, j = np.indices((a.p, a.p))
+    hi, lo = np.maximum(i, j), np.minimum(i, j)
+    return a.data[hi * (hi + 1) // 2 + lo]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 13), st.integers(1, 5), st.data())
+def test_to_dense_equals_cell_by_cell_build(p, side, data):
+    """Every block shape, with signed zeros, which an arithmetic mirror would turn to +0.0."""
+    cells = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(allow_nan=False))
+    a = SymMatrix(p, np.array(data.draw(st.lists(cells, min_size=p * (p + 1) // 2, max_size=p * (p + 1) // 2))))
+    with mock.patch.object(treelets.symmat, "_BLOCK_SIDE", side):
+        assert a.to_dense().tobytes() == dense_cell_by_cell(a).tobytes()
+
+
+def test_to_dense_crosses_the_real_block_side():
+    p = 2 * treelets.symmat._BLOCK_SIDE + 3
+    rng = np.random.default_rng(0)
+    a = SymMatrix(p, rng.normal(size=p * (p + 1) // 2))
+    a.data[rng.random(len(a.data)) < 0.1] = -0.0
+    assert a.to_dense().tobytes() == dense_cell_by_cell(a).tobytes()
 
 
 @st.composite
