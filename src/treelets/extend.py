@@ -21,9 +21,13 @@ from .kernels import Graph, KernelSpec, gram, kernel_block, kernel_diag
 from .rng import SplitMix64
 
 # cells of one query block (queries x sample), whatever the width and the
-# thread count: 512 KB per float64 temporary (1 << 15 and 1 << 17 labeled
-# the 11000 x 1000 extension 10-40 % slower)
-_BLOCK_ELEMENTS = 1 << 16
+# thread count: 1 MB per float64 temporary.  On the 11000 x 1000 extension
+# (2 vCPUs, one fresh process per round) 1 << 17 beat 1 << 16 in 9 and 10
+# of two sets of 10 rounds (median 0.27 vs 0.30 s), 1 << 15 in 4 of 10
+_BLOCK_ELEMENTS = 1 << 17
+# where K(x, x) is one constant c, query cells whose kernel value is more
+# than |c| * _SCREEN_MARGIN below a row's k-th largest are screened out
+_SCREEN_MARGIN = 2.0**-26
 
 
 @dataclass(frozen=True)
@@ -84,23 +88,38 @@ def sample_indices(n: int, n_sample: int, seed: int) -> list[int]:
     return SplitMix64(seed).sample_without_replacement(n, n_sample)
 
 
-def _nearest(d: np.ndarray, k: int) -> np.ndarray:
-    """Column ids of each row's k smallest entries, ascending by column; ties go to the smaller column.
+def _distance(k: np.ndarray, c: float) -> np.ndarray:
+    """sqrt(max(0, (c + c) - 2k)): the kernel distance where K(x, x) = c for every x.
 
-    This is the set np.argsort(d, kind="stable")[:, :k] picks, found by a
-    partition at k - 1: every entry below a row's k-th smallest value, then
-    the first entries equal to it, in column order, until there are k.
+    These are the operations of knn_extend's general branch, in its order,
+    so the bits are the same; each is correctly rounded and monotone, so
+    the distance never increases as k rises.
     """
-    kth = np.partition(d, k - 1, axis=1)[:, k - 1 : k]
-    taken = d <= kth
-    tied_rows = np.flatnonzero(np.count_nonzero(taken, axis=1) > k)
-    if len(tied_rows):
-        sub, sub_kth = d[tied_rows], kth[tied_rows]
-        below = sub < sub_kth
-        tied = sub == sub_kth
-        room = k - np.count_nonzero(below, axis=1)
-        taken[tied_rows] = below | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
-    return np.nonzero(taken)[1].reshape(len(d), k)
+    d = (c + c) - 2.0 * k
+    return np.sqrt(np.maximum(0.0, d, out=d), out=d)
+
+
+def _first_k(cells: np.ndarray, width: int, d: np.ndarray, kth: np.ndarray, k: int) -> np.ndarray:
+    """Column ids of each row's k nearest cells, ascending by column; ties go to the smaller column.
+
+    cells are ascending flat ids (row * width + column) with distances d;
+    they hold every cell at or below its row's k-th smallest distance
+    kth[row], and possibly others.  Every cell below kth is taken, then the
+    cells at kth in column order until the row has k: the set
+    np.argsort(d, kind="stable")[:, :k] picks.
+    """
+    n_rows = len(kth)
+    starts = np.searchsorted(cells, np.arange(0, (n_rows + 1) * width, width))
+    row_kth = np.repeat(kth, np.diff(starts))
+    below = np.flatnonzero(d < row_kth)
+    tied = np.flatnonzero(d == row_kth)
+    room = k - np.diff(np.searchsorted(below, starts))
+    # positions in `tied` of each row's first room[row] tied cells
+    at = np.repeat(np.searchsorted(tied, starts[:-1]) - (np.cumsum(room) - room), room)
+    at += np.arange(len(at))
+    # the picked positions, back in row-major order: k per row
+    picked = np.sort(np.concatenate((below, tied[at])))
+    return (cells[picked] % width).reshape(n_rows, k)
 
 
 def knn_extend(
@@ -131,7 +150,12 @@ def knn_extend(
 
     self_sample = kernel_diag(spec, data, sample)
     n_labels = int(sample_labels.max()) + 1
-    height = max(1, _BLOCK_ELEMENTS // len(sample))
+    n = len(sample)
+    height = max(1, _BLOCK_ELEMENTS // n)
+    # the screen needs one self-similarity c everywhere, and c + c finite so
+    # that no distance is NaN
+    c = self_sample[0]
+    constant_diag = bool((self_sample == c).all()) and abs(c) <= np.finfo(float).max / 2
 
     def label_block(start: int) -> np.ndarray:
         block = queries[start : start + height]
@@ -142,10 +166,24 @@ def knn_extend(
             raise ValueError(
                 f"kernel {spec} gives a non-finite value for query id {block[np.argmin(finite)]}"
             )
-        d = self_block[:, None] + self_sample
-        d -= np.multiply(k, 2.0, out=k)
-        np.sqrt(np.maximum(0.0, d, out=d), out=d)
-        nearest = sample_labels[_nearest(d, knn_k)]
+        if constant_diag and (self_block == c).all():
+            # the k-th largest kernel value kappa gives the k-th smallest
+            # distance; a cell whose value is below lo = kappa - margin is
+            # farther still if f(lo) > f(kappa), else the row keeps every cell
+            kappa = np.partition(k, n - knn_k, axis=1)[:, n - knn_k]
+            kth = _distance(kappa, c)
+            lo = kappa - _SCREEN_MARGIN * abs(c)
+            lo = np.where(_distance(lo, c) > kth, lo, -np.inf)
+            cells = np.flatnonzero(k >= lo[:, None])
+            d = _distance(k.ravel()[cells], c)
+        else:
+            d = self_block[:, None] + self_sample
+            d -= np.multiply(k, 2.0, out=k)
+            np.sqrt(np.maximum(0.0, d, out=d), out=d)
+            kth = np.partition(d, knn_k - 1, axis=1)[:, knn_k - 1]
+            cells = np.flatnonzero(d <= kth[:, None])
+            d = d.ravel()[cells]
+        nearest = sample_labels[_first_k(cells, n, d, kth, knn_k)]
         flat = (np.arange(len(block))[:, None] * n_labels + nearest).ravel()
         votes = np.bincount(flat, minlength=len(block) * n_labels)
         return votes.reshape(len(block), n_labels).argmax(axis=1)

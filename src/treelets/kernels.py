@@ -256,8 +256,7 @@ def kernel_block(spec: KernelSpec, data, rows, cols) -> np.ndarray:
 
     if isinstance(spec, RbfKernel):
         out = _squared_distances(data.values[rows], data.values[cols])
-        np.negative(out, out=out)
-        np.divide(out, 2.0 * spec.sigma**2, out=out)
+        np.divide(out, -2.0 * spec.sigma**2, out=out)
         return np.exp(out, out=out)
     if isinstance(spec, MissingRbfKernel):
         # attributes present in both rows; 0/1 products sum exactly in any order

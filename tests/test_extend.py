@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -296,6 +297,154 @@ def test_partition_selection_votes_like_stable_argsort(case):
     spec, data, sample, labels, queries, knn_k = case
     got = knn_extend(spec, data, sample, labels, queries, knn_k)
     assert np.array_equal(got, argsort_vote(spec, data, sample, labels, queries, knn_k))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 30),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 3, 5]),
+)
+def test_first_k_takes_the_stable_argsort_set(n_rows, width, seed, k):
+    rng = np.random.default_rng(seed)
+    k = min(k, width)
+    d = rng.integers(0, 4, size=(n_rows, width)).astype(float)
+    kth = np.partition(d, k - 1, axis=1)[:, k - 1]
+    # candidates: every cell at or below kth and a random share of the rest
+    cells = np.flatnonzero((d <= kth[:, None]) | (rng.random(d.shape) < 0.5))
+    got = treelets.extend._first_k(cells, width, d.ravel()[cells], kth, k)
+    expected = np.sort(np.argsort(d, axis=1, kind="stable")[:, :k], axis=1)
+    assert np.array_equal(got, expected)
+
+
+@st.composite
+def screened_extension(draw):
+    """Cases for the constant-diagonal screen: tied kernel values, values a few
+    ulps below 1, distinct values near 0 for which c - 2k rounds to one
+    distance, values that all underflow to 0, missing cells, and graphs whose
+    query vertices have no sampled neighbour."""
+    knn_k = draw(st.sampled_from([1, 3, 5]))
+    n = draw(st.integers(knn_k + 1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(
+        st.sampled_from(["rbf", "near-one", "near-zero", "underflow", "missing-rbf", "graph", "unit-linear"])
+    )
+    if kind == "graph":
+        edge_p = draw(st.sampled_from([0.02, 0.1, 0.3]))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < edge_p]
+        data = Graph(n, pairs)
+        spec = GraphKernel(diag=float(max(1, data.max_degree)))
+    elif kind == "unit-linear":
+        axes = np.vstack([np.eye(3), -np.eye(3)])
+        data, spec = Dataset(axes[rng.integers(0, 6, size=n)]), LinearKernel()
+    else:
+        # half-integer coordinates with duplicated rows
+        values = rng.integers(-2, 3, size=(n, draw(st.integers(1, 3)))) / 2
+        dup = rng.integers(0, n, size=n // 3)
+        values[rng.integers(0, n, size=len(dup))] = values[dup]
+        present = rng.random(values.shape) < 0.7
+        present[:, 0] = True
+        spec, data = {
+            "rbf": (RbfKernel(sigma=draw(st.sampled_from([0.3, 1.0]))), Dataset(values)),
+            # squared distances of a few 1e-16: kernel values 1 or a few ulps below
+            "near-one": (RbfKernel(sigma=1.0), Dataset(values * 1e-8)),
+            # kernel values of 1e-15 and below: 2 - 2k rounds to 2
+            "near-zero": (RbfKernel(sigma=0.06), Dataset(values)),
+            # distinct rows are at least 0.5 apart: every kernel value off the diagonal is 0
+            "underflow": (RbfKernel(sigma=1e-3), Dataset(values)),
+            "missing-rbf": (MissingRbfKernel(gamma=draw(st.sampled_from([0.5, 1e6]))), Dataset(values, present)),
+        }[kind]
+    order = rng.permutation(n)
+    n_sample = draw(st.integers(knn_k, n - 1))
+    sample, queries = order[:n_sample], order[n_sample:]
+    labels = rng.integers(0, draw(st.integers(1, 4)), size=n_sample)
+    return spec, data, sample, labels, queries, knn_k
+
+
+@settings(max_examples=150, deadline=None)
+@given(screened_extension())
+def test_screen_votes_like_stable_argsort(case):
+    """The default margin, a margin of 0 (every row falls back to all its cells)
+    and an infinite one (every cell is a candidate) all give the stable
+    argsort's vote, at every thread count and block height."""
+    spec, data, sample, labels, queries, knn_k = case
+    expected = argsort_vote(spec, data, sample, labels, queries, knn_k)
+    for margin in (treelets.extend._SCREEN_MARGIN, 0.0, math.inf):
+        for budget in (treelets.extend._BLOCK_ELEMENTS, 3 * len(sample)):
+            with patch.object(treelets.extend, "_SCREEN_MARGIN", margin), patch.object(
+                treelets.extend, "_BLOCK_ELEMENTS", budget
+            ):
+                for threads in (1, 2, 4):
+                    got = knn_extend(spec, data, sample, labels, queries, knn_k, threads=threads)
+                    assert np.array_equal(got, expected), (margin, budget, threads)
+
+
+@pytest.mark.parametrize("kind", ["rbf", "missing-rbf", "graph", "linear"])
+def test_constant_diagonal_selects_on_kernel_values(kind, monkeypatch):
+    """Where K(x, x) is constant the partition runs on kernel values, for the
+    k-th largest; otherwise on distances, for the k-th smallest."""
+    spec, data = extension_case(kind)
+    sample = np.arange(0, 40, 3)
+    queries = np.setdiff1d(np.arange(40), sample)
+    labels = np.arange(len(sample)) % 3
+    kths = []
+    partition = np.partition
+
+    def spy(a, kth, **kwargs):
+        kths.append(kth)
+        return partition(a, kth, **kwargs)
+
+    monkeypatch.setattr(np, "partition", spy)
+    knn_extend(spec, data, sample, labels, queries, 3)
+    assert kths == [2 if kind == "linear" else len(sample) - 3]
+
+
+@pytest.mark.parametrize("margin", [2.0**-26, 0.0])
+def test_screen_keeps_a_tie_below_the_kth_largest_kernel_value(margin):
+    """Kernel values 4e-61 and 1.9e-22 both give distance sqrt(2), so the
+    earlier sample position wins the tie though its kernel value is the
+    smaller; a margin of 0 proves nothing and must fall back to every cell."""
+    data = Dataset([[0.0], [1.0], [0.6]])
+    with patch.object(treelets.extend, "_SCREEN_MARGIN", margin):
+        got = knn_extend(RbfKernel(sigma=0.06), data, np.array([1, 2]), np.array([0, 1]), np.array([0]), 1)
+    assert got[0] == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_self_similarity_whose_double_overflows_takes_the_general_branch():
+    """K(x, x) = 1e308 for every row, so c + c is inf and a parallel pair's
+    distance is NaN, which the partition on distances sorts last."""
+    data = Dataset([[1e154, 0.0], [0.0, 1e154], [-1e154, 0.0], [1e154, 0.0]])
+    sample, labels, queries = np.array([0, 1, 2]), np.array([0, 1, 2]), np.array([3])
+    got = knn_extend(LinearKernel(), data, sample, labels, queries, 1)
+    assert got[0] == argsort_vote(LinearKernel(), data, sample, labels, queries, 1)[0] == 1
+
+
+def stress_case(kind):
+    data, _ = generate(Circles(factor=0.5, noise=0.05), 1500, 3)
+    sample = np.array(sorted(sample_indices(1500, 300, 3)))
+    if kind == "sparse-graph":
+        rng = np.random.default_rng(7)
+        pairs = rng.integers(0, 1500, size=(2250, 2))
+        graph = Graph(1500, pairs[pairs[:, 0] != pairs[:, 1]])
+        return GraphKernel(diag=float(graph.max_degree)), graph, sample
+    if kind == "heavy-ties":
+        return RbfKernel(sigma=0.1), Dataset(np.round(data.values * 4) / 2), sample
+    sigma = {"far-queries": 1e-3, "mid-sigma": 0.3}[kind]
+    return RbfKernel(sigma=sigma), data, sample
+
+
+@pytest.mark.parametrize("kind", ["far-queries", "heavy-ties", "mid-sigma", "sparse-graph"])
+def test_screen_stress_cases_vote_like_stable_argsort(kind):
+    """Far queries (every kernel value 0) and a sparse graph (most k-th largest
+    values 0) keep every cell; heavy ties and a mid sigma keep few."""
+    spec, data, sample = stress_case(kind)
+    n = data.n_vertices if isinstance(data, Graph) else data.n
+    queries = np.setdiff1d(np.arange(n), sample)
+    labels = np.random.default_rng(11).integers(0, 3, size=len(sample))
+    got = knn_extend(spec, data, sample, labels, queries, 5)
+    assert np.array_equal(got, argsort_vote(spec, data, sample, labels, queries, 5))
 
 
 class TestKtConfig:
