@@ -188,8 +188,12 @@ def knn_extend(
         votes = np.bincount(flat, minlength=len(block) * n_labels)
         return votes.reshape(len(block), n_labels).argmax(axis=1)
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        blocks = list(pool.map(label_block, range(0, len(queries), height)))
+    starts = range(0, len(queries), height)
+    if threads <= 1:  # in the calling thread: a pool thread may allocate from its own malloc arena
+        blocks = list(map(label_block, starts))
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            blocks = list(pool.map(label_block, starts))
     return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
 
 

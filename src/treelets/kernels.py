@@ -168,7 +168,10 @@ def graph_kernel_for(graph: Graph) -> GraphKernel:
 
 
 # cells of one Gram row block (rows x sample ids): 256 KB per float64
-# temporary; 16- to 32-row blocks of the 1080-row masked Gram ran fastest
+# temporary.  On the 1080-row masked Gram (2 vCPUs, medians of 11 calls in
+# four processes) 1 << 15 took 0.13-0.15 s, 1 << 14 0.18-0.19 s, 1 << 16
+# 0.12-0.14 s and 1 << 17 0.13-0.14 s; but 1 << 16 was no faster in the
+# bench's missing-mpe job and raised its peak RSS by 3 %
 _BLOCK_ELEMENTS = 1 << 15
 
 
@@ -198,25 +201,38 @@ def _pairwise_sum(term, lo: int, n: int, shape) -> np.ndarray:
     return r[0]
 
 
+def _gaps_by_attribute(gap: np.ndarray) -> list:
+    """For each column c of a rows x attributes gap mask, the rows where it is True, ascending."""
+    n, width = gap.shape
+    # flat ids c * n + row of the transposed copy (a 2-D np.nonzero is 3x slower)
+    cells = np.flatnonzero(gap.T.copy())
+    bounds = np.searchsorted(cells, np.arange(width + 1) * n).tolist()
+    rows = cells % n
+    return [rows[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def _squared_distances(left: np.ndarray, right: np.ndarray, left_gap=None, right_gap=None) -> np.ndarray:
     """||l - r||^2 for every row l of left and r of right, one attribute at a time.
 
     Each cell has the bits of ((l - r) ** 2).sum(), with no rows x cols x
     width temporary.  With gap masks (True where a value is missing), a
-    term missing on either side is zero.
+    term missing on either side is zero: its gap rows and gap columns are
+    zeroed by index, so a sparse mask costs a few rows, not a block pass.
     """
     right = right.T.copy()  # a row per attribute
     shape = (len(left), right.shape[1])
     if left_gap is not None:
-        right_gap = right_gap.T
-        gap = np.empty(shape, dtype=bool)
+        gap_rows = _gaps_by_attribute(left_gap)
+        gap_cols = _gaps_by_attribute(right_gap)
 
     def term(c: int, out: np.ndarray) -> np.ndarray:
-        np.subtract(right[c], left[:, c, None], out=out)
+        # fl(r - l), as a broadcast subtract gives it, but faster
+        np.copyto(out, right[c])
+        np.subtract(out, left[:, c, None], out=out)
         np.square(out, out=out)
         if left_gap is not None:
-            np.logical_or(right_gap[c], left_gap[:, c, None], out=gap)
-            np.copyto(out, 0.0, where=gap)
+            out[gap_rows[c]] = 0.0
+            out[:, gap_cols[c]] = 0.0
         return out
 
     return _pairwise_sum(term, 0, left.shape[1], shape)
@@ -299,10 +315,13 @@ def gram(spec: KernelSpec, data, indices) -> SymMatrix:
     polynomial kernel overflowing) is an error that names the kernel and the
     first offending pair of ids in packed order.
     """
-    indices = np.asarray(list(indices), dtype=np.int64)
+    indices = np.asarray(list(indices))
     m = len(indices)
     if m == 0:
         raise ValueError("gram needs at least one index")
+    if indices.dtype.kind not in "iu":  # a cast would truncate floats and take bools as 0/1
+        raise ValueError(f"indices must be integers, not {indices.dtype}")
+    indices = indices.astype(np.int64, copy=False)
     if len(np.unique(indices)) != m:
         raise ValueError("indices must be distinct")
     limit = data.n_vertices if isinstance(data, Graph) else data.n

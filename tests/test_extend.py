@@ -189,6 +189,10 @@ class TestKnnExtend:
         a = knn_extend(spec, data, sample, labels, queries, knn_k=3, threads=1)
         b = knn_extend(spec, data, sample, labels, queries, knn_k=3, threads=4)
         assert np.array_equal(a, b)
+        # one thread labels its blocks in the calling thread, with no pool
+        with patch.object(treelets.extend, "ThreadPoolExecutor", side_effect=AssertionError("pool started")):
+            c = knn_extend(spec, data, sample, labels, queries, knn_k=3, threads=1)
+        assert np.array_equal(a, c)
 
     def test_non_finite_query_names_kernel_and_query_id(self):
         data = Dataset([[0.1, 0.0], [0.2, 0.0], [1000.0, 0.0], [0.3, 0.0], [2000.0, 0.0]])

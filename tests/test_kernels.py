@@ -223,6 +223,12 @@ class TestGram:
         with pytest.raises(ValueError, match="distinct"):
             gram(RbfKernel(sigma=1.0), data, [0, 0, 1])
 
+    @pytest.mark.parametrize("ids", [[0, 1.7, 2.2], [True, False], [0.0, 1.0]])
+    def test_non_integer_indices_rejected(self, ids):
+        data = Dataset(np.arange(6.0).reshape(3, 2))
+        with pytest.raises(ValueError, match="indices must be integers"):
+            gram(RbfKernel(sigma=1.0), data, ids)
+
     def test_graph_diag_below_max_degree_rejected(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
         with pytest.raises(ValueError, match="diagonal dominance"):
@@ -303,23 +309,32 @@ def test_kernel_block_is_blocking_invariant_and_matches_eval_kernel(case):
     st.integers(1, 6),
     st.integers(1, 6),
     st.booleans(),
+    st.sampled_from([0.3, 0.7, 0.99, 1.0]),
+    st.none() | st.integers(1, 299),
     st.integers(0, 2**32 - 1),
 )
-@example(7, 3, 4, True, 0)
-@example(8, 3, 4, False, 1)
-@example(128, 2, 5, True, 2)
-@example(129, 2, 5, False, 3)
-@example(300, 4, 3, True, 4)
-def test_column_wise_distances_equal_numpy_sum_bit_for_bit(width, n_rows, n_cols, masked, seed):
+@example(7, 3, 4, True, 0.7, None, 0)
+@example(8, 3, 4, False, 1.0, None, 1)
+@example(128, 2, 5, True, 0.7, None, 2)
+@example(129, 2, 5, False, 1.0, None, 3)
+@example(300, 4, 3, True, 0.7, None, 4)
+# attribute 0 is never missing; the attribute `lost` is missing in every left row
+@example(7, 3, 4, True, 1.0, 3, 5)
+@example(9, 6, 2, True, 0.99, 8, 6)
+@example(300, 4, 3, True, 0.99, 200, 7)
+@example(129, 1, 6, True, 0.3, 128, 8)
+def test_column_wise_distances_equal_numpy_sum_bit_for_bit(width, n_rows, n_cols, masked, rate, lost, seed):
     """Attribute by attribute, in numpy's pairwise order, against one .sum(axis=-1)."""
     rng = np.random.default_rng(seed)
     n = max(n_rows, n_cols)
     values = rng.normal(size=(n, width)) * rng.uniform(0.01, 100.0, size=width)
-    present = rng.random(values.shape) < 0.7 if masked else np.ones(values.shape, dtype=bool)
-    present[:, 0] = True
-    values[~present] = np.nan  # masked cells must not leak into the sum
     rows = rng.integers(0, n, size=n_rows)
     cols = rng.integers(0, n, size=n_cols)
+    present = rng.random(values.shape) < rate if masked else np.ones(values.shape, dtype=bool)
+    if masked and lost is not None:
+        present[rows, lost % width] = False
+    present[:, 0] = True
+    values[~present] = np.nan  # masked cells must not leak into the sum
     diff2 = (values[cols] - values[rows][:, None, :]) ** 2
     shared = present[cols] & present[rows][:, None, :]
     expected = np.where(shared, diff2, 0.0).sum(axis=-1)
