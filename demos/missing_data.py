@@ -42,7 +42,7 @@ KMEANS_SWEEP = range(1, 41)
 
 def load_protein_csv(path):
     """77 numeric protein columns + the class column of the UCI export."""
-    rows = _csv_rows(path)
+    rows = list(_csv_rows(path))
     header = [h.strip().lower() for h in rows[0]]
     meta = {"mouseid", "genotype", "treatment", "behavior", "class"}
     numeric_cols = [i for i, h in enumerate(header) if h not in meta]

@@ -17,7 +17,7 @@ import numpy as np
 # the helper keeps the name `decompose`, under which bench/worker.py traces it
 from .core import DEFAULT_STOP_TOL, TreeletDecomposition, _decompose as decompose
 from .hierarchy import ClusterLabels, Dendrogram, cut, merge_tree
-from .kernels import Graph, KernelSpec, gram, kernel_block, kernel_diag
+from .kernels import Graph, KernelSpec, gram, kernel_block, kernel_diag, unshared
 from .rng import SplitMix64
 
 # cells of one query block (queries x sample), whatever the width and the
@@ -163,9 +163,11 @@ def knn_extend(
         self_block = kernel_diag(spec, data, block)
         finite = np.isfinite(k).all(axis=1) & np.isfinite(self_block)
         if not finite.all():
-            raise ValueError(
-                f"kernel {spec} gives a non-finite value for query id {block[np.argmin(finite)]}"
-            )
+            a = np.argmin(finite)
+            j = sample[np.argmin(np.isfinite(k[a]))]
+            if unshared(spec, data, block[a], j):
+                raise ValueError(f"no shared observed attributes between rows {block[a]} and {j}")
+            raise ValueError(f"kernel {spec} gives a non-finite value for query id {block[a]}")
         if constant_diag and (self_block == c).all():
             # the k-th largest kernel value kappa gives the k-th smallest
             # distance; a cell whose value is below lo = kappa - margin is

@@ -244,7 +244,8 @@ def kernel_block(spec: KernelSpec, data, rows, cols) -> np.ndarray:
     A cell's bits do not depend on the other rows of the block: distance
     kernels sum attribute by attribute in numpy's pairwise order, inner-product
     kernels take one matrix-vector product per row, whose bits do depend on
-    the number of columns.
+    the number of columns.  Masked rows that share no observed attribute
+    give NaN, which the callers' finiteness checks name.
     """
     if isinstance(spec, GraphKernel):
         if not isinstance(data, Graph):
@@ -277,12 +278,10 @@ def kernel_block(spec: KernelSpec, data, rows, cols) -> np.ndarray:
     if isinstance(spec, MissingRbfKernel):
         # attributes present in both rows; 0/1 products sum exactly in any order
         count = data.present[rows].astype(float) @ data.present[cols].T
-        if (count == 0).any():
-            a, c = np.argwhere(count == 0)[0]
-            raise ValueError(f"no shared observed attributes between rows {rows[a]} and {cols[c]}")
         out = _squared_distances(data.values[rows], data.values[cols], ~data.present[rows], ~data.present[cols])
         np.multiply(out, -spec.gamma, out=out)
-        np.divide(out, count, out=out)
+        with np.errstate(invalid="ignore"):  # -0/0: NaN where no attribute is shared
+            np.divide(out, count, out=out)
         return np.exp(out, out=out)
     raise TypeError(f"unknown kernel spec {spec!r}")
 
@@ -306,14 +305,20 @@ def kernel_diag(spec: KernelSpec, data, ids) -> np.ndarray:
     raise TypeError(f"unknown kernel spec {spec!r}")
 
 
+def unshared(spec: KernelSpec, data, i: int, j: int) -> bool:
+    """Whether K(x_i, x_j) is NaN because masked rows i and j share no observed attribute."""
+    return isinstance(spec, MissingRbfKernel) and not (data.present[i] & data.present[j]).any()
+
+
 def gram(spec: KernelSpec, data, indices) -> SymMatrix:
     """Gram matrix K(S, S) over the given row/vertex ids.
 
     Row blocks of the lower triangle are kernel_block calls of indices[s:e]
     against indices[:e]; each unordered pair is stored in a single cell, so
     the result is symmetric by construction.  A non-finite value (say, a
-    polynomial kernel overflowing) is an error that names the kernel and the
-    first offending pair of ids in packed order.
+    polynomial kernel overflowing, or masked rows with no shared attribute)
+    is an error that names the first offending pair of ids in packed order,
+    whatever the block height.
     """
     indices = np.asarray(list(indices))
     m = len(indices)
@@ -346,9 +351,10 @@ def gram(spec: KernelSpec, data, indices) -> SymMatrix:
         bad = lower & ~np.isfinite(block)
         if bad.any():
             a, c = np.argwhere(bad)[0]
-            raise ValueError(
-                f"kernel {spec} gives a non-finite value for sample ids ({indices[s + a]}, {indices[c]})"
-            )
+            i, j = indices[s + a], indices[c]
+            if unshared(spec, data, i, j):
+                raise ValueError(f"no shared observed attributes between rows {j} and {i}")
+            raise ValueError(f"kernel {spec} gives a non-finite value for sample ids ({i}, {j})")
         for t in range(s, e):
             out.lower(t)[:] = block[t - s, : t + 1]
     return out

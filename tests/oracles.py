@@ -23,7 +23,7 @@ from treelets import (
     matching_matrix,
 )
 from treelets.core import DEFAULT_STOP_TOL
-from treelets.io import DEFAULT_MISSING_TOKENS, MAX_VERTEX_ID, _csv_body
+from treelets.io import DEFAULT_MISSING_TOKENS, MAX_VERTEX_ID, _is_header
 
 
 def obs(data, i: int):
@@ -145,8 +145,17 @@ def read_edge_list(path) -> Graph:
 
 
 def read_csv_numeric(path, has_header=False, missing_tokens=DEFAULT_MISSING_TOKENS) -> Dataset:
-    """io.read_csv_numeric cell by cell: each cell parsed, checked and stored on its own."""
-    rows, offset, label = _csv_body(path, has_header, missing_tokens)
+    """io.read_csv_numeric cell by cell: the whole file read into a list of rows, then each
+    cell parsed, checked and stored on its own.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    if has_header is None:
+        has_header = bool(rows) and _is_header(rows[0], missing_tokens, classes_last=False)
+    offset = 2 if has_header and rows else 1
+    header = [h.strip() for h in rows[0]] if offset == 2 else []
+    label = header.index("label") if "label" in header else None
+    rows = rows[offset - 1 :]
     if not rows:
         raise ValueError(f"{path}: no data rows")
     width = len(rows[0])

@@ -234,7 +234,7 @@ def test_criterion_08_social_graph():
 
 def load_protein_expression(path):
     """Rows of the protein-expression CSV: numeric columns + class labels."""
-    rows = _csv_rows(path)
+    rows = list(_csv_rows(path))
     header = [h.strip() for h in rows[0]]
     meta = {"mouseid", "genotype", "treatment", "behavior", "class"}
     numeric_cols = [i for i, h in enumerate(header) if h.lower() not in meta]

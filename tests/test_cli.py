@@ -101,6 +101,17 @@ class TestExitCodes:
         assert code == 1
         assert "--sample-size full" in capsys.readouterr().err
 
+    def test_roc_reference_row_of_the_wrong_width_is_data_error(self, blob_csv, tmp_path, capsys):
+        tree = tmp_path / "t.json"
+        assert run("cluster", "--input", blob_csv, "--kernel", "rbf:sigma=1", "--clusters", 3,
+                   "-o", tmp_path / "l.json", "--tree", tree) == 0
+        rows = blob_csv.read_text().splitlines()
+        rows[3] = rows[3].rsplit(",", 1)[0]
+        reference = tmp_path / "short.csv"
+        reference.write_text("\n".join(rows) + "\n")
+        assert run("roc", "--tree", tree, "--reference", reference, "-o", tmp_path / "r.csv") == 1
+        assert capsys.readouterr().err == f"error: {reference}: row 4 has 2 cells, expected 3\n"
+
     def test_invalid_tree_merge_names_the_step(self, tmp_path, capsys):
         ref = tmp_path / "ref.csv"
         ref.write_text("label\na\nb\na\n")
@@ -169,6 +180,20 @@ class TestExitCodes:
         tree.write_text(f'{{"n_leaves": {n_leaves}, "merges": []}}')
         assert run("roc", "--tree", tree, "--reference", ref, "-o", tmp_path / "r.csv") == 1
         assert capsys.readouterr().err == "error: tree file needs an integer 'n_leaves' and a list of 'merges'\n"
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 8.00 EiB for an array"), "Unable to allocate 8.00 EiB for an array"),
+        (MemoryError(), "an allocation failed"),
+    ])
+    def test_out_of_memory_is_one_error_line(self, blob_csv, tmp_path, capsys, monkeypatch, exc, message):
+        def exhausted(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(treelets.extend, "gram", exhausted)
+        code = run("cluster", "--input", blob_csv, "--kernel", "rbf:sigma=1", "--clusters", 3,
+                   "-o", tmp_path / "l.json")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: out of memory: {message}\n"
 
     def test_non_finite_gram_fails_before_decompose(self, tmp_path, capsys, monkeypatch):
         import treelets.extend

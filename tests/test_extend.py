@@ -200,6 +200,13 @@ class TestKnnExtend:
         with pytest.raises(ValueError, match=r"PolynomialKernel\(.*query id 2$"):
             knn_extend(spec, data, np.array([0, 1]), np.array([0, 1]), np.array([3, 2, 4]), knn_k=1)
 
+    def test_query_sharing_no_attribute_names_the_pair(self):
+        present = np.array([[True, True], [True, False], [False, True], [True, True]])
+        data = Dataset(np.ones((4, 2)), present)
+        with pytest.raises(ValueError, match="^no shared observed attributes between rows 2 and 1$"):
+            knn_extend(MissingRbfKernel(gamma=1.0), data, np.array([0, 1]), np.array([0, 1]),
+                       np.array([3, 2]), knn_k=1)
+
     def test_empty_sample_rejected(self, np_rng):
         data = Dataset(np_rng.normal(size=(3, 2)))
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
 import json
+import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -73,6 +75,13 @@ class TestReadCsvNumeric:
             io.read_csv_numeric(f, has_header=None)
         f.write_text("x,label,y\n1,a,2\n3,b,4\n")
         assert np.array_equal(io.read_csv_numeric(f, has_header=None).values, [[1, 2], [3, 4]])
+
+    def test_label_header_past_the_data_width_drops_nothing(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("x,y,label\n1,2\n3,4\n")
+        for budget in (1, 2**20):
+            with patch.object(io, "_CHUNK_CELLS", budget):
+                assert np.array_equal(io.read_csv_numeric(f, has_header=True).values, [[1, 2], [3, 4]])
 
     def test_sniff_uses_the_missing_tokens(self, tmp_path):
         f = tmp_path / "d.csv"
@@ -226,51 +235,65 @@ def test_edge_list_matches_line_by_line_reference(tmp_path_factory, text):
             assert set(got.neighbors(u).tolist()) == set(want.neighbors(u).tolist())
 
 
+# cells float() reads in its own way (underscores, Arabic-Indic digits, a
+# signed zero) or refuses, and faults that reshape a row
+_ODD_CELLS = ["1_0", "-0.0", "nan", "\u0661", "1.5x", "inf", '"1,5"', "missing-row", "short-row"]
+_PAD = st.text(" \t", max_size=2)
+
+
 @st.composite
 def csv_texts(draw):
-    """write_csv_numeric output, maybe under a header with a 'label' column, with up to two faults injected."""
+    """CSV text: padded and quoted numbers or missing tokens, maybe under a header whose
+    'label' column sits at any position, with up to two odd cells or faults.
+
+    Returns the text and the missing tokens to read it with.
+    """
     n, p = draw(st.integers(1, 6)), draw(st.integers(1, 4))
-    cell = st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False))
-    row = st.lists(cell, min_size=p, max_size=p).filter(lambda r: any(x is not None for x in r))
-    grid = draw(st.lists(row, min_size=n, max_size=n))
-    present = np.array([[x is not None for x in r] for r in grid])
-    values = np.array([[0.0 if x is None else x for x in r] for r in grid])
-    return values, present, draw(st.sampled_from(["none", "plain", "label"])), draw(
-        st.lists(st.tuples(st.sampled_from(["1.5x", "inf", "missing-row", "short-row"]),
-                           st.integers(0, n - 1), st.integers(0, p - 1)), max_size=2)
-    )
+    missing_tokens = draw(st.sampled_from([io.DEFAULT_MISSING_TOKENS, frozenset({"?"})]))
+    number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    cell = st.one_of(number, number, st.sampled_from(sorted(missing_tokens)))
+    rows = [draw(st.lists(cell, min_size=p, max_size=p)) for _ in range(n)]
+    for kind, r, c in sorted(draw(st.lists(st.tuples(st.sampled_from(_ODD_CELLS), st.integers(0, n - 1),
+                                                     st.integers(0, p - 1)), max_size=2)),
+                             key=lambda odd: odd[0] == "short-row"):
+        if kind == "missing-row":
+            rows[r] = [min(missing_tokens)] * len(rows[r])
+        elif kind == "short-row":
+            rows[r] = rows[r][:-1]
+        else:
+            rows[r][c] = kind
+    rows = [[draw(_PAD) + cell + draw(_PAD) for cell in cells] for cells in rows]
+    rows = [[f'"{cell}"' if draw(st.booleans()) and '"' not in cell else cell for cell in cells] for cells in rows]
+    header = draw(st.sampled_from(["none", "plain", "label"]))
+    names = [f"c{c}" for c in range(p)]
+    if header == "label":
+        at = draw(st.integers(0, p))  # first, a middle or the last column
+        names.insert(at, "label")
+        for r, cells in enumerate(rows):
+            cells.insert(at, "ab"[r % 2])
+    if header != "none":
+        rows.insert(0, names)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(",".join(cells) + end for cells in rows), missing_tokens, header
 
 
 @settings(max_examples=300, deadline=None)
 @given(csv_texts(), st.booleans())
 def test_csv_matches_cell_by_cell_reference(tmp_path_factory, case, sniff):
-    values, present, header, faults = case
+    """Bit for bit and message for message, with one row per chunk and with the whole file in one."""
+    text, missing_tokens, header = case
     f = tmp_path_factory.getbasetemp() / "prop.csv"
-    io.write_csv_numeric(f, Dataset(values, present))
-    rows = [line.split(",") for line in f.read_text().splitlines()]
-    for fault, r, c in sorted(faults, key=lambda fault: fault[0] == "short-row"):
-        if fault == "missing-row":
-            rows[r] = ["NA"] * len(rows[r])
-        elif fault == "short-row":
-            rows[r] = rows[r][:-1]
-        else:
-            rows[r][c] = fault
-    names = [f"c{c}" for c in range(values.shape[1])]
-    if header == "label":
-        names.insert(1, "label")
-        for r, cells in enumerate(rows):
-            cells.insert(1, "ab"[r % 2])
-    if header != "none":
-        rows.insert(0, names)
-    f.write_text("".join(",".join(cells) + "\n" for cells in rows))
+    f.write_bytes(text.encode())
     has_header = None if sniff else header != "none"
-    (got, err), (want, want_err) = _read_both(
-        io.read_csv_numeric, oracles.read_csv_numeric, f, has_header=has_header
-    )
-    assert err == want_err
-    if want is not None:
-        assert got.values.tobytes() == want.values.tobytes()
-        assert np.array_equal(got.present, want.present)
+    for budget in (1, 2**20):
+        with patch.object(io, "_CHUNK_CELLS", budget):
+            (got, err), (want, want_err) = _read_both(
+                io.read_csv_numeric, oracles.read_csv_numeric, f, has_header=has_header, missing_tokens=missing_tokens
+            )
+        assert err == want_err
+        if want is not None:
+            assert got.values.tobytes() == want.values.tobytes()
+            assert np.array_equal(got.present, want.present)
 
 
 class TestLabelsJson:
@@ -398,3 +421,23 @@ class TestClassLabels:
             f = tmp_path / "c.csv"
             f.write_text(text)
             assert list(io.read_class_labels(f, has_header=None)) == expected, text
+
+    @pytest.mark.parametrize("text, has_header, message", [
+        ("x,label,y\n1,a,2\n3\n5,c,6\n", True, "row 3 has 1 cells, expected 3"),
+        ("1,2,x\n3,4\n5,6,y\n", False, "row 2 has 2 cells, expected 3"),
+        ("1,2,x\n3,4,y,z\n", None, "row 2 has 4 cells, expected 3"),
+        ("x,y,label\n1,2\n3,4\n", True, "row 2 has 2 cells, none in the class column"),
+        ("\n1,2\n", False, "row 1 has 0 cells, none in the class column"),
+    ])
+    def test_row_of_the_wrong_width_rejected(self, tmp_path, text, has_header, message):
+        f = tmp_path / "c.csv"
+        f.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(f))}: {message}$"):
+            io.read_class_labels(f, has_header=has_header)
+
+    def test_no_data_rows(self, tmp_path):
+        f = tmp_path / "c.csv"
+        for text in ("", "label\n"):
+            f.write_text(text)
+            with pytest.raises(ValueError, match="no data rows"):
+                io.read_class_labels(f, has_header=None)

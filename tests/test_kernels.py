@@ -382,6 +382,16 @@ def test_gram_bytes_do_not_depend_on_row_block_budget(budget, monkeypatch):
     assert [gram(spec, data, ids).data.tobytes() for spec, data in cases] == expected
 
 
+@pytest.mark.parametrize("budget", [1, 2**15])
+def test_gram_names_the_first_unshared_pair_in_packed_order_whatever_the_budget(budget, monkeypatch):
+    """Rows 1 and 2 share no attribute with rows 3 and 4; the packed order meets (3, 1) first."""
+    present = np.array([[True, True], [True, False], [True, False], [False, True], [False, True], [True, True]])
+    data = Dataset(np.ones((6, 2)), present)
+    monkeypatch.setattr(treelets.kernels, "_BLOCK_ELEMENTS", budget)
+    with pytest.raises(ValueError, match="^no shared observed attributes between rows 1 and 3$"):
+        gram(MissingRbfKernel(gamma=1.0), data, range(6))
+
+
 class TestCheckSpsd:
     def test_identity(self):
         from treelets import SymMatrix
