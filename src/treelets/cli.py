@@ -221,6 +221,9 @@ def cmd_cluster(args, argv) -> int:
         "steps": decomp.stop_level,
         "stop": "completed" if decomp.stop_score is None else "stalled",
         "stop_score": decomp.stop_score,
+        "rows_refreshed": decomp.rows_refreshed,
+        "rows_made_lazy": decomp.rows_made_lazy,
+        "lazy_rescans": decomp.lazy_rescans,
     }
     _write_manifest(args.output, argv, manifest_config, [args.input], timings, decomposition=how)
     if args.tree:

@@ -52,7 +52,7 @@ class Dendrogram:
         n_leaves, rows = payload["n_leaves"], payload["merges"]
         if type(n_leaves) is not int or not isinstance(rows, list):
             raise ValueError("tree file needs an integer 'n_leaves' and a list of 'merges'")
-        removed = bytearray(max(n_leaves, 0))
+        removed = set()  # not a leaf-sized array: n_leaves is not yet checked against anything
         merges = []
         for index, row in enumerate(rows, 1):
             try:
@@ -69,11 +69,11 @@ class Dendrogram:
             for leaf in (m.removed, m.kept):
                 if not 0 <= leaf < n_leaves:
                     raise ValueError(f"tree merge step {m.step}: leaf {leaf} outside 0..{n_leaves - 1}")
-                if removed[leaf]:
+                if leaf in removed:
                     raise ValueError(f"tree merge step {m.step}: leaf {leaf} was removed by an earlier merge")
             if m.removed == m.kept:
                 raise ValueError(f"tree merge step {m.step}: leaf {m.removed} merged with itself")
-            removed[m.removed] = 1
+            removed.add(m.removed)
             merges.append(m)
         return cls(n_leaves=n_leaves, merges=tuple(merges))
 

@@ -40,9 +40,17 @@ _CHUNK_CELLS = 1 << 12
 
 
 def _csv_rows(path):
-    """The rows of a CSV file, streamed: no more than one buffer of text is held."""
+    """The rows of a CSV file, streamed: no more than one buffer of text is held.
+
+    A malformed row (say, a cell over csv.field_size_limit()) raises ValueError
+    naming the file line the reader had reached.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        yield from csv.reader(fh)
+        reader = csv.reader(fh)
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _is_header(row, missing_tokens, classes_last: bool) -> bool:

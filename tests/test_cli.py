@@ -172,6 +172,42 @@ class TestExitCodes:
         row = json.dumps(json.loads(merges))
         assert capsys.readouterr().err == f"error: tree merge row 1 is {row}, not [step, removed, kept, score]\n"
 
+    def test_tree_claiming_huge_leaf_count_fails_before_allocating(self, tmp_path, capsys):
+        import tracemalloc
+
+        ref = tmp_path / "ref.csv"
+        ref.write_text("label\na\nb\n")
+        tree = tmp_path / "t.json"
+        tree.write_text('{"merges": [], "n_leaves": 100000000}')
+        tracemalloc.start()
+        try:
+            code = run("roc", "--tree", tree, "--reference", ref, "-o", tmp_path / "r.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: tree has 100000000 leaves but the reference covers 2 rows;")
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("command", ["cluster", "normalize", "kmeans", "roc", "eval"])
+    def test_csv_cell_over_the_field_limit_is_one_error_line(self, tmp_path, capsys, command):
+        data = tmp_path / "big.csv"
+        data.write_text('1.0,2.0\n3.0,"' + "9" * 140_000 + '"\n')
+        tree, labels = tmp_path / "t.json", tmp_path / "l.json"
+        tree.write_text('{"merges": [], "n_leaves": 2}')
+        labels.write_text('{"labels": [0, 1], "n_clusters": 2}')
+        out = tmp_path / "out"
+        argv = {
+            "cluster": ["--input", data, "--kernel", "rbf:sigma=1", "--clusters", 2, "-o", out],
+            "normalize": ["--input", data, "-o", out],
+            "kmeans": ["--input", data, "--k", 2, "-o", out],
+            "roc": ["--tree", tree, "--reference", data, "-o", out],
+            "eval": ["--pred", labels, "--reference", data],
+        }[command]
+        assert run(command, *argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {data}: line 2: field larger than field limit (131072)\n"
+
     @pytest.mark.parametrize("n_leaves", ["true", "1.0"])
     def test_tree_leaf_count_must_be_an_integer(self, tmp_path, capsys, n_leaves):
         ref = tmp_path / "ref.csv"
@@ -312,7 +348,29 @@ class TestPipeline:
                     assert how["stop"] == "stalled"
                     assert how["stop_score"] < manifest["config"]["stop_tol"]
                 else:
-                    assert how == {"steps": 5, "stop": "completed", "stop_score": None}
+                    # six rows, none lazy: the counters are the eager path's
+                    assert how == {"steps": 5, "stop": "completed", "stop_score": None,
+                                   "rows_refreshed": 5, "rows_made_lazy": 0, "lazy_rescans": 0}
+
+    def test_manifest_counts_the_pair_search_the_same_way_every_run(self, tmp_path):
+        """A star's first step leaves every other leaf stale, so rows go lazy and are rescanned."""
+        from treelets import decompose, gram, graph_kernel_for
+
+        graph = tmp_path / "star.txt"
+        graph.write_text("".join(f"0 {v}\n" for v in range(1, 24)))
+        sections = []
+        for name in ("a.json", "b.json"):
+            assert run("cluster", "--input", graph, "--kernel", "graph:diag=auto",
+                       "--clusters", 2, "-o", tmp_path / name) == 0
+            manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+            sections.append(manifest["decomposition"])
+        assert sections[0] == sections[1]
+        g = io.read_edge_list(graph)
+        d = decompose(gram(graph_kernel_for(g), g, range(g.n_vertices)))
+        counters = {k: sections[0][k] for k in ("rows_refreshed", "rows_made_lazy", "lazy_rescans")}
+        assert counters == {"rows_refreshed": d.rows_refreshed, "rows_made_lazy": d.rows_made_lazy,
+                            "lazy_rescans": d.lazy_rescans}
+        assert counters["lazy_rescans"] > 0
 
     def test_normalize_preserves_missing_cells(self, tmp_path):
         src = tmp_path / "m.csv"

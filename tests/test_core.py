@@ -214,6 +214,27 @@ class TestDecompose:
             assert same_decomposition(d, decompose_rescan(a, lam=lam))
         assert a.data.tobytes() == before
 
+    def test_lazy_rows_reach_the_top_and_are_rescanned(self, monkeypatch):
+        """A star: every leaf's best partner is the hub, so the first step, on
+        (0, 1), leaves all p - 2 other leaves stale, more than _LAZY_MIN, and
+        they go lazy.  Later steps take them from the top after a rescan."""
+        from treelets import Graph, gram, graph_kernel_for
+
+        p = treelets.core._LAZY_MIN + 4
+        g = Graph(p, {(0, v) for v in range(1, p)})
+        a = gram(graph_kernel_for(g), g, range(p))
+        d = decompose(a)
+        assert (d.records[0].alpha, d.records[0].beta) == (0, 1)
+        assert d.rows_made_lazy >= p - 2 and d.lazy_rescans > 0
+        assert same_decomposition(d, decompose_rescan(a))
+        again = decompose(a)
+        assert (again.rows_refreshed, again.rows_made_lazy, again.lazy_rescans) == (
+            d.rows_refreshed, d.rows_made_lazy, d.lazy_rescans)
+        monkeypatch.setattr(treelets.core, "_LAZY_MIN", p)
+        eager = decompose(a)
+        assert eager == d  # the counters are not part of the result
+        assert eager.rows_made_lazy == eager.lazy_rescans == 0
+
     def test_initial_fill_across_block_boundaries(self, monkeypatch, np_rng):
         """4 x 4 mirror blocks in to_dense and 16-cell row chunks on p up to 31:
         the fill crosses block and chunk boundaries, some blocks partial, and
@@ -286,17 +307,23 @@ class TestDecompose:
         assert np.array_equal(a.data, before)
 
 
+def graph_gram(draw, p: int) -> np.ndarray:
+    """Dense Gram of a random 0/1 graph on p vertices, diagonal the largest degree (at least 1)."""
+    dense = np.zeros((p, p))
+    pairs = p * (p - 1) // 2
+    dense[np.triu_indices(p, 1)] = draw(st.lists(st.booleans(), min_size=pairs, max_size=pairs))
+    dense += dense.T
+    dense[np.diag_indices(p)] = max(1.0, dense.sum(axis=1).max())
+    return dense
+
+
 @st.composite
 def selection_case(draw):
     """A tie-heavy 0/1 graph Gram or a float G Gt, with lambda 0, 0.5 or 2."""
     p = draw(st.integers(2, 14))
     lam = draw(st.sampled_from([0.0, 0.5, 2.0]))
     if draw(st.booleans()):
-        dense = np.zeros((p, p))
-        pairs = p * (p - 1) // 2
-        dense[np.triu_indices(p, 1)] = draw(st.lists(st.booleans(), min_size=pairs, max_size=pairs))
-        dense += dense.T
-        dense[np.diag_indices(p)] = max(1.0, dense.sum(axis=1).max())
+        dense = graph_gram(draw, p)
     else:
         width = draw(st.integers(1, p))
         entries = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
@@ -322,6 +349,30 @@ def test_cached_records_do_not_depend_on_row_chunking(case):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(treelets.core, "_BLOCK_ELEMENTS", budget)
             assert decompose(a, lam=lam).records == default
+
+
+@st.composite
+def graph_case(draw):
+    """A tie-heavy 0/1 graph Gram on up to 40 vertices, with lambda 0, 0.5 or 2."""
+    p = draw(st.integers(2, 40))
+    return SymMatrix.from_dense(graph_gram(draw, p)), draw(st.sampled_from([0.0, 0.5, 2.0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_case(), st.sampled_from([treelets.core.DEFAULT_STOP_TOL, 0.0]))
+def test_lazy_and_eager_rows_give_the_rescan_records(case, stop_tol):
+    """Every stale row lazy, the default threshold, and every stale row rescanned at once."""
+    a, lam = case
+    want = decompose_rescan(a, lam, stop_tol)
+    for lazy_min in (0, treelets.core._LAZY_MIN, 1 << 40):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(treelets.core, "_LAZY_MIN", lazy_min)
+            d = decompose(a, lam, stop_tol)
+        assert same_decomposition(d, want)
+        if lazy_min == 0:
+            assert d.rows_refreshed == 0 and d.lazy_rescans <= d.rows_made_lazy
+        elif lazy_min == 1 << 40:
+            assert d.rows_made_lazy == d.lazy_rescans == 0
 
 
 @settings(max_examples=100, deadline=None)
