@@ -224,6 +224,7 @@ def cmd_cluster(args, argv) -> int:
         "rows_refreshed": decomp.rows_refreshed,
         "rows_made_lazy": decomp.rows_made_lazy,
         "lazy_rescans": decomp.lazy_rescans,
+        "compactions": decomp.compactions,
     }
     _write_manifest(args.output, argv, manifest_config, [args.input], timings, decomposition=how)
     if args.tree:

@@ -34,6 +34,15 @@ _BLOCK_ELEMENTS = 1 << 14
 # rarely have 16 stale rows in a step, ran level at every value
 _LAZY_MIN = 16
 
+# when the active count falls to 1 / _COMPACT_SHRINK of the stored size m, and
+# m is above _COMPACT_MIN, the active block is moved to the front of the packed
+# matrix and of the score matrix, and the loop goes on at the smaller size.
+# Floors of 16 to 256 ran the three bench Grams' decompose level (2 vCPUs);
+# never compacting ran the 1000-row RBF and 1080-row masked Grams 10-13 %
+# slower and the 700-vertex graph 6-9 % slower.  A shrink of 1.5 ran level with 2.
+_COMPACT_SHRINK = 2
+_COMPACT_MIN = 64
+
 
 @dataclass(frozen=True)
 class RotationRecord:
@@ -72,6 +81,8 @@ class TreeletDecomposition:
     rows_refreshed: int = 0
     rows_made_lazy: int = 0
     lazy_rescans: int = 0
+    # times the active block was moved to the front of the stored matrices
+    compactions: int = 0
 
     def __eq__(self, other):  # by value: the generated one would compare arrays to a truth value
         if not isinstance(other, TreeletDecomposition):
@@ -141,14 +152,23 @@ def decompose(
     Each step takes the highest-scoring active pair; ties go to the
     lexicographically smallest (min, max) pair, which makes the choice
     platform-independent.  Every pair score is kept in a p x p matrix (8p^2
-    bytes) whose own-index cells and retired columns hold -inf.  It is filled
-    once from SymMatrix.to_dense and scored in place in row chunks.  A
-    rotation changes scores only in the rotated rows and columns.  Each step
-    gathers the two rows once, rotates them and writes them back
-    (symmat.rotate_pair), takes both new diagonals from the rotated rows,
-    sets the retired index's column to -inf (its row is never read again),
-    and rescores the surviving index from its rotated row into its row and
-    column; that row's best partner is its first maximum.
+    bytes) whose own-index cells hold -inf.  It is filled once from
+    SymMatrix.to_dense and scored in place in row chunks.  A rotation changes
+    scores only in the rotated rows and columns.  Each step gathers the two
+    rows once, rotates them and writes them back (symmat.rotate_pair), takes
+    both new diagonals from the rotated rows, marks the retired index (its
+    row is never read again, and its column is not set to -inf), and rescores
+    the surviving index from its rotated row into its row and column; that
+    row's best partner is its first maximum.  Retired columns are masked
+    where a row is read: -inf is assigned to them in the survivor's fresh
+    row, in each chunk of stale rows gathered and in a lazy row rescanned.
+
+    When the active count falls to half the stored size m, and m is above
+    _COMPACT_MIN, the active block is moved to the front, in order and in
+    place: the packed matrix by SymMatrix.compact, the score matrix in row
+    chunks into the top-left m' x m' cells of its own buffer, and the
+    per-index arrays with it.  Later steps touch only m' entries per row, and
+    the index order, so every tie rule below, is unchanged.
 
     Each row caches its best partner.  A row whose partner was one of the two
     rotated indices is stale.  When at most _LAZY_MIN rows go stale in a
@@ -167,42 +187,51 @@ def decompose(
 
 
 def _decompose(a: SymMatrix, lam: float, stop_tol: float) -> TreeletDecomposition:
-    """decompose, rotating `a` itself: for callers that own the matrix."""
+    """decompose, rotating `a` itself: for callers that own the matrix.
+
+    After a compaction `a` holds only the active block, in index order.
+    """
     if lam < 0:
         raise ValueError("lam must be >= 0")
     if stop_tol < 0:
         raise ValueError("stop_tol must be >= 0")
 
     p = a.p
-    diag = a.diagonal()
+    final_diag = diag = a.diagonal()
     if not np.isfinite(a.data).all():
         raise ValueError("similarity matrix has a non-finite entry")
     if diag.min() < -1e-10:
         raise ValueError("similarity matrix has a negative diagonal entry")
 
+    # every per-index array below is indexed by storage position; ids maps a
+    # position to its sample index, and compaction keeps both in index order
     records: list[RotationRecord] = []
-    active = np.ones(p, dtype=bool)
+    ids = np.arange(p)
+    m = p  # stored size
+    retired = np.zeros(p, dtype=bool)
     exact = np.ones(p, dtype=bool)  # active and not lazy: best_score is the row's best, not a bound
     height = max(1, _BLOCK_ELEMENTS // p)
     scores = _initial_scores(a, diag, lam)
-    best_score = np.empty(p)
-    best_j = np.empty(p, dtype=np.int64)
-    refreshed = made_lazy = rescans = 0
+    cells = scores.reshape(-1)  # the score buffer; an m x m block at its front is in use
+    refreshed = made_lazy = rescans = compactions = 0
 
     def refresh(rows: np.ndarray) -> None:
         """Cache each row's best partner: its first maximum, the smallest column."""
         for start in range(0, len(rows), height):
             chunk = rows[start : start + height]
-            best_j[chunk] = scores[chunk].argmax(axis=1)
-            best_score[chunk] = scores[chunk, best_j[chunk]]
+            block = np.where(retired, -np.inf, scores[chunk])
+            best_j[chunk] = block.argmax(axis=1)
+            best_score[chunk] = block.max(axis=1)  # the value at the argmax, also when it is NaN
 
-    refresh(np.arange(p))
+    best_j = scores.argmax(axis=1)  # nothing is retired yet: no mask and no gather
+    best_score = scores.max(axis=1)
     stop_score = None
     for step in range(1, p):
         i_star = int(np.argmax(best_score))  # first max = smallest row
         while not exact[i_star]:  # a lazy bound on top: rescan that row alone
-            j = int(scores[i_star].argmax())
-            best_j[i_star], best_score[i_star] = j, scores[i_star, j]
+            row = np.where(retired, -np.inf, scores[i_star])
+            j = int(row.argmax())
+            best_j[i_star], best_score[i_star] = j, row[j]
             exact[i_star] = True
             rescans += 1
             i_star = int(np.argmax(best_score))
@@ -227,25 +256,28 @@ def _decompose(a: SymMatrix, lam: float, stop_tol: float) -> TreeletDecompositio
         records.append(
             RotationRecord(
                 step=step,
-                alpha=alpha,
-                beta=beta,
+                alpha=int(ids[alpha]),
+                beta=int(ids[beta]),
                 coeffs=coeffs,
                 diag_alpha=float(diag[alpha]),
                 diag_beta=float(diag[beta]),
                 score=score,
             )
         )
-        active[alpha] = exact[alpha] = False
-        scores[:, alpha] = best_score[alpha] = -np.inf  # alpha's row is never read again
+        retired[alpha] = True
+        exact[alpha] = False
+        best_score[alpha] = -np.inf  # alpha's row is never read again; its column is masked on read
 
         vals = row_i if beta == i_sel else row_j
         fresh = _scores(np.abs(vals, out=vals), diag[beta] * diag, lam)
-        fresh[~active] = fresh[beta] = -np.inf
+        fresh[retired] = fresh[beta] = -np.inf  # assigned: an overflowed +inf plus -inf would be NaN
         scores[beta] = scores[:, beta] = fresh
         # a lazy row is never stale, so take raises its bound to its fresh
         # score (its best_j means nothing until it is rescanned)
         stale = exact & ((best_j == alpha) | (best_j == beta))
-        take = active & ~stale & ((fresh > best_score) | ((fresh == best_score) & (beta < best_j)))
+        # take may also touch a retired row (its best_j is never read) or a
+        # stale one (refreshed below, or bounded by max(old best, fresh) either way)
+        take = (fresh > best_score) | ((fresh == best_score) & (beta < best_j))
         best_score[take] = fresh[take]
         best_j[take] = beta
         stale[beta] = False
@@ -263,15 +295,39 @@ def _decompose(a: SymMatrix, lam: float, stop_tol: float) -> TreeletDecompositio
         best_score[beta] = fresh[j]
         exact[beta] = True
 
+        live = p - step
+        if m > _COMPACT_MIN and live * _COMPACT_SHRINK <= m:
+            # move the active block to the front, in order: first maxima and
+            # the beta < best_j rule see the same order as before
+            keep = np.flatnonzero(~retired)
+            final_diag[ids] = diag
+            a.compact(keep)
+            old = scores
+            scores = cells[: live * live].reshape(live, live)
+            # in row chunks: row t lands at or before its source row keep[t], and
+            # before every row not yet moved
+            for start in range(0, live, height):
+                moved = keep[start : start + height]
+                scores[start : start + len(moved)] = old[moved].take(keep, axis=1)
+            ids, diag, exact = ids[keep], diag[keep], exact[keep]
+            best_score = best_score[keep]
+            best_j = np.searchsorted(keep, best_j[keep])  # order-preserving, also for a lazy row's stale partner
+            m = live
+            retired = np.zeros(m, dtype=bool)
+            height = max(1, _BLOCK_ELEMENTS // m)
+            compactions += 1
+
+    final_diag[ids] = diag
     return TreeletDecomposition(
         p=p,
         records=tuple(records),
-        final_diag=diag,
+        final_diag=final_diag,
         lam=lam,
         stop_score=stop_score,
         rows_refreshed=refreshed,
         rows_made_lazy=made_lazy,
         lazy_rescans=rescans,
+        compactions=compactions,
     )
 
 

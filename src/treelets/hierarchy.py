@@ -43,7 +43,10 @@ class Dendrogram:
 
         Values are checked, not converted: integers must be JSON integers, scores finite numbers.
         """
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except RecursionError:
+            raise ValueError("tree file is nested too deeply") from None
         if not isinstance(payload, dict):
             raise ValueError("tree file is not a JSON object")
         for key in ("n_leaves", "merges"):

@@ -223,11 +223,26 @@ def write_labels_json(path, labels: ClusterLabels, seed: int, kernel: KernelSpec
 
 
 def read_labels_json(path) -> ClusterLabels:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return ClusterLabels(
-        assignments=np.array(payload["labels"], dtype=np.int64),
-        n_clusters=int(payload["n_clusters"]),
-    )
+    """Parse a labels file: checked as Dendrogram.from_json checks a tree, not converted.
+
+    It must be a JSON object whose 'labels' is a list of JSON integers and
+    whose 'n_clusters' is a JSON integer between 1 and the number of labels.
+    """
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError(f"{path}: labels file is nested too deeply") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: labels file is not a JSON object")
+    labels, n_clusters = payload.get("labels"), payload.get("n_clusters")
+    if not isinstance(labels, list) or not all(type(x) is int for x in labels):
+        raise ValueError(f"{path}: 'labels' is not a list of JSON integers")
+    # bounded before any conversion, so no value can overflow an int64
+    if type(n_clusters) is not int or not 1 <= n_clusters <= len(labels):
+        raise ValueError(f"{path}: 'n_clusters' is not a JSON integer between 1 and the number of labels")
+    if not all(0 <= x < n_clusters for x in labels):
+        raise ValueError(f"{path}: 'labels' holds a cluster id outside 0..{n_clusters - 1}")
+    return ClusterLabels(assignments=np.array(labels, dtype=np.int64), n_clusters=n_clusters)
 
 
 def write_roc_csv(path, curve: RocCurve) -> None:

@@ -118,6 +118,19 @@ class SymMatrix:
         head, tail = self._cells(i)
         return np.concatenate((self.data[head], self.data[tail]))
 
+    def compact(self, keep: np.ndarray) -> None:
+        """Keep only rows and columns `keep` (ascending), moved to the front in place.
+
+        Packed row t takes old row keep[t] at columns keep[:t+1].  As keep[t] >= t,
+        it lands at or before its source and before every row not yet copied, so
+        the copy needs no second buffer; data becomes a view of the front of the old one.
+        """
+        s, data = self._starts, self.data
+        for t, k in enumerate(keep.tolist()):
+            data[s[t] : s[t + 1]] = data[s[k] + keep[: t + 1]]
+        m = len(keep)
+        self.p, self._starts, self.data = m, s[: m + 1], data[: s[m]]
+
 
 def jacobi_coeffs(a_pp: float, a_qq: float, a_pq: float) -> RotationCoeffs:
     """Rotation coefficients that zero the (p, q) entry of a symmetric 2x2 block.

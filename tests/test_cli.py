@@ -172,6 +172,43 @@ class TestExitCodes:
         row = json.dumps(json.loads(merges))
         assert capsys.readouterr().err == f"error: tree merge row 1 is {row}, not [step, removed, kept, score]\n"
 
+    def test_deeply_nested_json_is_one_error_line(self, tmp_path, capsys):
+        """json.loads raises RecursionError on deep nesting; both readers turn it into a data error."""
+        ref = tmp_path / "ref.csv"
+        ref.write_text("label\na\nb\n")
+        tree, labels = tmp_path / "t.json", tmp_path / "l.json"
+        tree.write_text("[" * 200_000)
+        labels.write_text('{"labels": ' + "[" * 200_000)
+        assert run("roc", "--tree", tree, "--reference", ref, "-o", tmp_path / "r.csv") == 1
+        assert capsys.readouterr().err == "error: tree file is nested too deeply\n"
+        assert run("eval", "--pred", labels, "--reference", ref) == 1
+        assert capsys.readouterr().err == f"error: {labels}: labels file is nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[0, 1]", "labels file is not a JSON object"),
+            ('{"n_clusters": 2}', "'labels' is not a list of JSON integers"),
+            ('{"labels": null, "n_clusters": 2}', "'labels' is not a list of JSON integers"),
+            ('{"labels": [0, 1.5], "n_clusters": 2}', "'labels' is not a list of JSON integers"),
+            ('{"labels": [0, true], "n_clusters": 2}', "'labels' is not a list of JSON integers"),
+            ('{"labels": [0, 1], "n_clusters": 1e400}',
+             "'n_clusters' is not a JSON integer between 1 and the number of labels"),
+            ('{"labels": [0, 1], "n_clusters": 2.0}',
+             "'n_clusters' is not a JSON integer between 1 and the number of labels"),
+            ('{"labels": [0, 1]}', "'n_clusters' is not a JSON integer between 1 and the number of labels"),
+            ('{"labels": [0, 100000000000000000000000], "n_clusters": 2}',
+             "'labels' holds a cluster id outside 0..1"),
+        ],
+    )
+    def test_labels_file_values_are_checked_not_converted(self, tmp_path, capsys, text, message):
+        ref = tmp_path / "ref.csv"
+        ref.write_text("label\na\nb\n")
+        labels = tmp_path / "l.json"
+        labels.write_text(text)
+        assert run("eval", "--pred", labels, "--reference", ref) == 1
+        assert capsys.readouterr().err == f"error: {labels}: {message}\n"
+
     def test_tree_claiming_huge_leaf_count_fails_before_allocating(self, tmp_path, capsys):
         import tracemalloc
 
@@ -350,7 +387,8 @@ class TestPipeline:
                 else:
                     # six rows, none lazy: the counters are the eager path's
                     assert how == {"steps": 5, "stop": "completed", "stop_score": None,
-                                   "rows_refreshed": 5, "rows_made_lazy": 0, "lazy_rescans": 0}
+                                   "rows_refreshed": 5, "rows_made_lazy": 0, "lazy_rescans": 0,
+                                   "compactions": 0}
 
     def test_manifest_counts_the_pair_search_the_same_way_every_run(self, tmp_path):
         """A star's first step leaves every other leaf stale, so rows go lazy and are rescanned."""

@@ -235,6 +235,28 @@ class TestDecompose:
         assert eager == d  # the counters are not part of the result
         assert eager.rows_made_lazy == eager.lazy_rescans == 0
 
+    def test_compaction_above_the_default_floor(self, np_rng):
+        """Three 50-vertex ego communities: each hub joins all its members, which
+        also share random edges.  The loop runs past half of p = 150, so with
+        the default floor the active block is compacted at least once."""
+        from treelets import Graph, gram, graph_kernel_for
+
+        p = 150
+        assert p > treelets.core._COMPACT_MIN
+        edges = set()
+        for hub in range(0, p, 50):
+            members = range(hub + 1, hub + 50)
+            edges |= {(hub, v) for v in members}
+            for _ in range(150):
+                u, v = np_rng.choice(members, size=2, replace=False)
+                edges.add((int(u), int(v)))
+        g = Graph(p, edges)
+        a = gram(graph_kernel_for(g), g, range(p))
+        for lam in (0.0, 0.5):
+            d = decompose(a, lam=lam)
+            assert d.stop_level >= p // 2 and d.compactions > 0
+            assert same_decomposition(d, decompose_rescan(a, lam=lam))
+
     def test_initial_fill_across_block_boundaries(self, monkeypatch, np_rng):
         """4 x 4 mirror blocks in to_dense and 16-cell row chunks on p up to 31:
         the fill crosses block and chunk boundaries, some blocks partial, and
@@ -318,11 +340,13 @@ def graph_gram(draw, p: int) -> np.ndarray:
 
 
 @st.composite
-def selection_case(draw):
-    """A tie-heavy 0/1 graph Gram or a float G Gt, with lambda 0, 0.5 or 2."""
-    p = draw(st.integers(2, 14))
+def selection_case(draw, max_graph: int = 14, max_float: int = 14):
+    """A tie-heavy 0/1 graph Gram on up to max_graph vertices or a float G Gt on up to
+    max_float rows, with lambda 0, 0.5 or 2."""
+    graph = draw(st.booleans())
+    p = draw(st.integers(2, max_graph if graph else max_float))
     lam = draw(st.sampled_from([0.0, 0.5, 2.0]))
-    if draw(st.booleans()):
+    if graph:
         dense = graph_gram(draw, p)
     else:
         width = draw(st.integers(1, p))
@@ -373,6 +397,30 @@ def test_lazy_and_eager_rows_give_the_rescan_records(case, stop_tol):
             assert d.rows_refreshed == 0 and d.lazy_rescans <= d.rows_made_lazy
         elif lazy_min == 1 << 40:
             assert d.rows_made_lazy == d.lazy_rescans == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(selection_case(max_graph=40, max_float=24), st.sampled_from([treelets.core.DEFAULT_STOP_TOL, 0.0]))
+def test_compacted_and_uncompacted_runs_give_the_rescan_records(case, stop_tol):
+    """A floor of 1 compacts at every halving of the active count; 2**40 never compacts."""
+    a, lam = case
+    want = decompose_rescan(a, lam, stop_tol)
+    runs = []
+    for floor in (1, 1 << 40):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(treelets.core, "_COMPACT_MIN", floor)
+            d = decompose(a, lam, stop_tol)
+        assert same_decomposition(d, want)
+        runs.append(d)
+    every, never = runs
+    # at a floor of 1 a compaction follows each step that leaves half the stored size active
+    stored, halvings = a.p, 0
+    for live in range(a.p - 1, a.p - 1 - every.stop_level, -1):
+        if 2 * live <= stored:
+            stored, halvings = live, halvings + 1
+    assert (every.compactions, never.compactions) == (halvings, 0)
+    assert (every.rows_refreshed, every.rows_made_lazy, every.lazy_rescans) == (
+        never.rows_refreshed, never.rows_made_lazy, never.lazy_rescans)
 
 
 @settings(max_examples=100, deadline=None)
