@@ -181,6 +181,8 @@ def cmd_cluster(args, argv) -> int:
         n = data.n_vertices
         if not isinstance(args.kernel, (GraphKernel, _GraphDiagAuto)):
             raise UsageError("graph input requires the graph kernel")
+        if data.n_edges == 0:  # before diag=auto resolves to a max degree of 0
+            raise ValueError(f"{args.input}: no edges")
         kernel = graph_kernel_for(data) if isinstance(args.kernel, _GraphDiagAuto) else args.kernel
     else:
         if isinstance(args.kernel, (GraphKernel, _GraphDiagAuto)):
@@ -221,7 +223,6 @@ def cmd_cluster(args, argv) -> int:
         "steps": decomp.stop_level,
         "stop": "completed" if decomp.stop_score is None else "stalled",
         "stop_score": decomp.stop_score,
-        "rows_refreshed": decomp.rows_refreshed,
         "rows_made_lazy": decomp.rows_made_lazy,
         "lazy_rescans": decomp.lazy_rescans,
         "compactions": decomp.compactions,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symmat import RotationCoeffs, SymMatrix, rotate_pair
+from .symmat import RotationCoeffs, SymMatrix, rotate_rows
 
 # below this diagonal product the correlation term is treated as zero so the
 # regularization term alone can still drive pair selection
@@ -21,25 +21,19 @@ _TINY_DIAG_PRODUCT = 1e-300
 
 DEFAULT_STOP_TOL = 1e-10
 
-# cells of the p x p score matrix per chunk: the initial fill scores row
-# chunks of this size, and a stale-row refresh gathers one row chunk at a
-# time for its argmax, so neither allocates a p x p temporary; 128 KB per
-# float64 temporary (1 << 13 ran the graph Gram's decompose ~10% slower)
-_BLOCK_ELEMENTS = 1 << 14
-
-# a step that leaves more than this many rows stale marks them lazy instead of
-# rescanning them; fewer are rescanned at once.  Of 0, 4, 8, 16, 32, 64 and
-# never, 16 ran the 700-vertex graph Gram's decompose fastest (13 % under
-# never, on 2 vCPUs); the 1000-row RBF and 1080-row masked Grams, which
-# rarely have 16 stale rows in a step, ran level at every value
-_LAZY_MIN = 16
+# cells of one row chunk of the first scan (so it allocates no p x p
+# temporary) and of one chunk a compaction moves: 64 KB per float64 chunk.
+# Budgets of 1 << 12 to 1 << 16 ran the three bench Grams' decompose level
+# (2 vCPUs); the first scan holds about four chunks at once (|a|, the scores,
+# and a transient copy numpy's broadcast product takes), under 0.3 MB here
+_BLOCK_ELEMENTS = 1 << 13
 
 # when the active count falls to 1 / _COMPACT_SHRINK of the stored size m, and
-# m is above _COMPACT_MIN, the active block is moved to the front of the packed
-# matrix and of the score matrix, and the loop goes on at the smaller size.
-# Floors of 16 to 256 ran the three bench Grams' decompose level (2 vCPUs);
-# never compacting ran the 1000-row RBF and 1080-row masked Grams 10-13 %
-# slower and the 700-vertex graph 6-9 % slower.  A shrink of 1.5 ran level with 2.
+# m is above _COMPACT_MIN, the active block is moved to the front of the dense
+# Gram, and the loop goes on at the smaller size.  Floors of 16 to 256 ran the
+# three bench Grams' decompose level (2 vCPUs); never compacting ran the
+# 1000-row RBF and 1080-row masked Grams 10-13 % slower and the 700-vertex
+# graph 6-9 % slower.  A shrink of 1.5 ran level with 2.
 _COMPACT_SHRINK = 2
 _COMPACT_MIN = 64
 
@@ -77,11 +71,10 @@ class TreeletDecomposition:
     # best remaining pair score when the loop stalled below stop_tol; None when it completed
     stop_score: float | None = None
     # work counters of the pair search, not part of the result: stale rows
-    # rescanned at once, stale rows made lazy, lazy rows rescanned at the top
-    rows_refreshed: int = 0
+    # made lazy, lazy rows rescanned at the top
     rows_made_lazy: int = 0
     lazy_rescans: int = 0
-    # times the active block was moved to the front of the stored matrices
+    # times the active block was moved to the front of the dense Gram
     compactions: int = 0
 
     def __eq__(self, other):  # by value: the generated one would compare arrays to a truth value
@@ -120,26 +113,34 @@ def _rotate(records, w: np.ndarray) -> np.ndarray:
 
 
 def _scores(vals: np.ndarray, prod: np.ndarray, lam: float) -> np.ndarray:
-    """Selection scores from |a_ij| and a_ii a_jj, elementwise."""
-    corr = np.where(prod > _TINY_DIAG_PRODUCT, vals / np.sqrt(np.maximum(prod, _TINY_DIAG_PRODUCT)), 0.0)
+    """Selection scores from |a_ij| and a_ii a_jj, elementwise; written over prod, which callers own."""
+    tiny = ~(prod > _TINY_DIAG_PRODUCT)  # not <=: a NaN product scores 0 too
+    root = np.sqrt(np.maximum(prod, _TINY_DIAG_PRODUCT, out=prod), out=prod)
+    corr = np.divide(vals, root, out=prod)
+    corr[tiny] = 0.0
     # corr >= +0 and vals is finite, so at lam 0 the sum would be corr bit for bit
-    return corr + lam * vals if lam else corr
+    if lam:
+        corr += lam * vals
+    return corr
 
 
-def _initial_scores(a: SymMatrix, diag: np.ndarray, lam: float) -> np.ndarray:
-    """Score of every pair (i, j) in a p x p matrix; (i, i) scores -inf.
+def _first_scan(g: np.ndarray, diag: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's best partner (its first maximum) and score, in row chunks of at most _BLOCK_ELEMENTS cells.
 
-    The dense copy of A is scored in place in row chunks of at most
-    _BLOCK_ELEMENTS cells.
+    Nothing is retired yet, so only each row's own cell is masked.
     """
-    p = a.p
-    scores = a.to_dense()
+    p = len(g)
     height = max(1, _BLOCK_ELEMENTS // p)
+    best_j = np.empty(p, dtype=np.intp)
+    best_score = np.empty(p)
+    buf = np.empty((min(height, p), p))  # |a| of each chunk
     for r in range(0, p, height):
-        chunk = scores[r : r + height]
-        chunk[:] = _scores(np.abs(chunk, out=chunk), diag[r : r + height, None] * diag, lam)
-    np.fill_diagonal(scores, -np.inf)
-    return scores
+        rows = g[r : r + height]
+        chunk = _scores(np.abs(rows, out=buf[: len(rows)]), diag[r : r + height, None] * diag, lam)
+        np.fill_diagonal(chunk[:, r:], -np.inf)
+        best_j[r : r + height] = chunk.argmax(axis=1)
+        best_score[r : r + height] = chunk.max(axis=1)  # the value at the argmax, also when it is NaN
+    return best_j, best_score
 
 
 def decompose(
@@ -147,58 +148,45 @@ def decompose(
     lam: float = 0.0,
     stop_tol: float = DEFAULT_STOP_TOL,
 ) -> TreeletDecomposition:
-    """Run the rotation loop on a copy of a similarity matrix until done or stalled.
+    """Run the rotation loop on a dense copy of a similarity matrix until done or stalled.
 
     Each step takes the highest-scoring active pair; ties go to the
     lexicographically smallest (min, max) pair, which makes the choice
-    platform-independent.  Every pair score is kept in a p x p matrix (8p^2
-    bytes) whose own-index cells hold -inf.  It is filled once from
-    SymMatrix.to_dense and scored in place in row chunks.  A rotation changes
-    scores only in the rotated rows and columns.  Each step gathers the two
-    rows once, rotates them and writes them back (symmat.rotate_pair), takes
-    both new diagonals from the rotated rows, marks the retired index (its
-    row is never read again, and its column is not set to -inf), and rescores
-    the surviving index from its rotated row into its row and column; that
-    row's best partner is its first maximum.  Retired columns are masked
-    where a row is read: -inf is assigned to them in the survivor's fresh
-    row, in each chunk of stale rows gathered and in a lazy row rescanned.
+    platform-independent.  The loop holds one p x p array (8p^2 bytes), the
+    dense Gram from SymMatrix.to_dense; a0 is not modified.  Each step
+    rotates rows and columns i and j of it (symmat.rotate_rows), takes both
+    new diagonals from the rotated rows, marks the retired index (its row is
+    never read again, and its column is masked where a row is read), and
+    scores the surviving index's rotated row; that row's best partner is its
+    first maximum.  No pair score is stored: a row is scored where it is
+    read, by the chunked first scan, a lazy row's rescan and the survivor's
+    fresh row, and -inf is assigned at its own and at retired columns.
 
     When the active count falls to half the stored size m, and m is above
-    _COMPACT_MIN, the active block is moved to the front, in order and in
-    place: the packed matrix by SymMatrix.compact, the score matrix in row
-    chunks into the top-left m' x m' cells of its own buffer, and the
-    per-index arrays with it.  Later steps touch only m' entries per row, and
-    the index order, so every tie rule below, is unchanged.
+    _COMPACT_MIN, the active block is moved to the front of the dense Gram's
+    own buffer, in order and in place, and the per-index arrays with it.
+    Later steps touch only m' entries per row, and the index order, so every
+    tie rule below, is unchanged.
 
-    Each row caches its best partner.  A row whose partner was one of the two
-    rotated indices is stale.  When at most _LAZY_MIN rows go stale in a
-    step, each is rescanned at once by one argmax over its stored scores, in
-    row chunks of at most _BLOCK_ELEMENTS cells.  When more go stale, each
-    keeps max(old best, new score against the survivor) as an upper bound on
-    its best and is marked lazy (lazy greedy evaluation, Minoux 1978); later
-    steps raise the bound by the survivor's new score.  A step takes the
-    first maximum of the cached scores, and while that row is lazy it
-    rescans that row alone and takes the first maximum again.  The row taken
-    is then exact and every other row's best is at or below its cached
-    value, so the pair, the tie rules and the stop test are those of an
-    exact rescan of every row.
-    """
-    return _decompose(a0.copy(), lam, stop_tol)
-
-
-def _decompose(a: SymMatrix, lam: float, stop_tol: float) -> TreeletDecomposition:
-    """decompose, rotating `a` itself: for callers that own the matrix.
-
-    After a compaction `a` holds only the active block, in index order.
+    Each row caches its best partner and score.  A row whose partner was one
+    of the two rotated indices is stale: it keeps max(old best, new score
+    against the survivor) as an upper bound on its best and is marked lazy
+    (lazy greedy evaluation, Minoux 1978); later steps raise the bound by
+    the survivor's new score.  A step takes the first maximum of the cached
+    scores, and while that row is lazy it rescans that row alone and takes
+    the first maximum again.  The row taken is then exact and every other
+    row's best is at or below its cached value, so the pair, the tie rules
+    and the stop test are those of an exact rescan of every row.
     """
     if lam < 0:
         raise ValueError("lam must be >= 0")
     if stop_tol < 0:
         raise ValueError("stop_tol must be >= 0")
 
-    p = a.p
-    final_diag = diag = a.diagonal()
-    if not np.isfinite(a.data).all():
+    p = a0.p
+    final_diag = diag = a0.diagonal()
+    # on the packed cells, ahead of the dense copy: the bool temporary is half the size
+    if not np.isfinite(a0.data).all():
         raise ValueError("similarity matrix has a non-finite entry")
     if diag.min() < -1e-10:
         raise ValueError("similarity matrix has a negative diagonal entry")
@@ -210,26 +198,17 @@ def _decompose(a: SymMatrix, lam: float, stop_tol: float) -> TreeletDecompositio
     m = p  # stored size
     retired = np.zeros(p, dtype=bool)
     exact = np.ones(p, dtype=bool)  # active and not lazy: best_score is the row's best, not a bound
-    height = max(1, _BLOCK_ELEMENTS // p)
-    scores = _initial_scores(a, diag, lam)
-    cells = scores.reshape(-1)  # the score buffer; an m x m block at its front is in use
-    refreshed = made_lazy = rescans = compactions = 0
+    g = a0.to_dense()
+    cells = g.reshape(-1)  # the Gram's buffer; an m x m block at its front is in use
+    made_lazy = rescans = compactions = 0
 
-    def refresh(rows: np.ndarray) -> None:
-        """Cache each row's best partner: its first maximum, the smallest column."""
-        for start in range(0, len(rows), height):
-            chunk = rows[start : start + height]
-            block = np.where(retired, -np.inf, scores[chunk])
-            best_j[chunk] = block.argmax(axis=1)
-            best_score[chunk] = block.max(axis=1)  # the value at the argmax, also when it is NaN
-
-    best_j = scores.argmax(axis=1)  # nothing is retired yet: no mask and no gather
-    best_score = scores.max(axis=1)
+    best_j, best_score = _first_scan(g, diag, lam)
     stop_score = None
     for step in range(1, p):
         i_star = int(np.argmax(best_score))  # first max = smallest row
         while not exact[i_star]:  # a lazy bound on top: rescan that row alone
-            row = np.where(retired, -np.inf, scores[i_star])
+            row = _scores(np.abs(g[i_star]), diag[i_star] * diag, lam)
+            row[retired] = row[i_star] = -np.inf
             j = int(row.argmax())
             best_j[i_star], best_score[i_star] = j, row[j]
             exact[i_star] = True
@@ -243,7 +222,9 @@ def _decompose(a: SymMatrix, lam: float, stop_tol: float) -> TreeletDecompositio
             stop_score = score
             break
 
-        coeffs, row_i, row_j = rotate_pair(a, i_sel, j_sel)
+        coeffs, row_i, row_j = rotate_rows(g[i_sel], g[j_sel], i_sel, j_sel)
+        g[i_sel] = g[:, i_sel] = row_i
+        g[j_sel] = g[:, j_sel] = row_j
         diag[i_sel] = row_i[i_sel]
         diag[j_sel] = row_j[j_sel]
 
@@ -271,26 +252,22 @@ def _decompose(a: SymMatrix, lam: float, stop_tol: float) -> TreeletDecompositio
         vals = row_i if beta == i_sel else row_j
         fresh = _scores(np.abs(vals, out=vals), diag[beta] * diag, lam)
         fresh[retired] = fresh[beta] = -np.inf  # assigned: an overflowed +inf plus -inf would be NaN
-        scores[beta] = scores[:, beta] = fresh
         # a lazy row is never stale, so take raises its bound to its fresh
         # score (its best_j means nothing until it is rescanned)
         stale = exact & ((best_j == alpha) | (best_j == beta))
         # take may also touch a retired row (its best_j is never read) or a
-        # stale one (refreshed below, or bounded by max(old best, fresh) either way)
+        # stale one (bounded by max(old best, fresh) below either way)
         take = (fresh > best_score) | ((fresh == best_score) & (beta < best_j))
         best_score[take] = fresh[take]
         best_j[take] = beta
         stale[beta] = False
+        # the row's other scores did not move, and its old best bounds them;
+        # np.maximum keeps a NaN fresh score, which take cannot
         rows = np.flatnonzero(stale)
-        if len(rows) > _LAZY_MIN:
-            # the row's other scores did not move, and its old best bounds them
-            best_score[rows] = np.maximum(best_score[rows], fresh[rows])
-            exact[rows] = False
-            made_lazy += len(rows)
-        else:
-            refresh(rows)
-            refreshed += len(rows)
-        # beta's whole row is fresh: its best partner needs no gather
+        best_score[rows] = np.maximum(best_score[rows], fresh[rows])
+        exact[rows] = False
+        made_lazy += len(rows)
+        # beta's whole row is fresh: its best partner needs no rescan
         best_j[beta] = j = int(fresh.argmax())
         best_score[beta] = fresh[j]
         exact[beta] = True
@@ -301,20 +278,19 @@ def _decompose(a: SymMatrix, lam: float, stop_tol: float) -> TreeletDecompositio
             # the beta < best_j rule see the same order as before
             keep = np.flatnonzero(~retired)
             final_diag[ids] = diag
-            a.compact(keep)
-            old = scores
-            scores = cells[: live * live].reshape(live, live)
+            old = g
+            g = cells[: live * live].reshape(live, live)
+            height = max(1, _BLOCK_ELEMENTS // m)
             # in row chunks: row t lands at or before its source row keep[t], and
             # before every row not yet moved
             for start in range(0, live, height):
                 moved = keep[start : start + height]
-                scores[start : start + len(moved)] = old[moved].take(keep, axis=1)
+                g[start : start + len(moved)] = old[moved].take(keep, axis=1)
             ids, diag, exact = ids[keep], diag[keep], exact[keep]
             best_score = best_score[keep]
             best_j = np.searchsorted(keep, best_j[keep])  # order-preserving, also for a lazy row's stale partner
             m = live
             retired = np.zeros(m, dtype=bool)
-            height = max(1, _BLOCK_ELEMENTS // m)
             compactions += 1
 
     final_diag[ids] = diag
@@ -324,7 +300,6 @@ def _decompose(a: SymMatrix, lam: float, stop_tol: float) -> TreeletDecompositio
         final_diag=final_diag,
         lam=lam,
         stop_score=stop_score,
-        rows_refreshed=refreshed,
         rows_made_lazy=made_lazy,
         lazy_rescans=rescans,
         compactions=compactions,

@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# the pipeline owns its Gram, so it rotates it in place with no working copy;
-# the helper keeps the name `decompose`, under which bench/worker.py traces it
-from .core import DEFAULT_STOP_TOL, TreeletDecomposition, _decompose as decompose
+from .core import DEFAULT_STOP_TOL, TreeletDecomposition, decompose
 from .hierarchy import ClusterLabels, Dendrogram, cut, merge_tree
 from .kernels import Graph, KernelSpec, gram, kernel_block, kernel_diag, unshared
 from .rng import SplitMix64

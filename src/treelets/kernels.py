@@ -8,6 +8,7 @@ meant for, which is what lets the Gram matrix stand in for a covariance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import ClassVar, Union
 
@@ -26,6 +27,13 @@ class RbfKernel:
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError("rbf sigma must be > 0")
+        try:
+            scale = 2.0 * self.sigma**2
+        except OverflowError:  # a float power raises where a product would give inf
+            scale = math.inf
+        # 0 makes every kernel value NaN or 0, inf makes every one 1, whatever the data
+        if not 0.0 < scale < math.inf:
+            raise ValueError(f"rbf sigma {self.sigma} is out of range: 2 sigma^2 is {scale}")
 
 
 @dataclass(frozen=True)
@@ -61,8 +69,8 @@ class MissingRbfKernel:
     gamma: float
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError("missing-rbf gamma must be > 0")
+        if not 0 < self.gamma < np.inf:
+            raise ValueError("missing-rbf gamma must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -273,15 +281,16 @@ def kernel_block(spec: KernelSpec, data, rows, cols) -> np.ndarray:
 
     if isinstance(spec, RbfKernel):
         out = _squared_distances(data.values[rows], data.values[cols])
-        np.divide(out, -2.0 * spec.sigma**2, out=out)
+        with np.errstate(over="ignore"):  # -inf, whose exp is the intended 0
+            np.divide(out, -2.0 * spec.sigma**2, out=out)
         return np.exp(out, out=out)
     if isinstance(spec, MissingRbfKernel):
         # attributes present in both rows; 0/1 products sum exactly in any order
         count = data.present[rows].astype(float) @ data.present[cols].T
         out = _squared_distances(data.values[rows], data.values[cols], ~data.present[rows], ~data.present[cols])
-        np.multiply(out, -spec.gamma, out=out)
-        with np.errstate(invalid="ignore"):  # -0/0: NaN where no attribute is shared
-            np.divide(out, count, out=out)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(out, -spec.gamma, out=out)  # an overflow is -inf, whose exp is the intended 0
+            np.divide(out, count, out=out)  # -0/0: NaN where no attribute is shared
         return np.exp(out, out=out)
     raise TypeError(f"unknown kernel spec {spec!r}")
 

@@ -118,19 +118,6 @@ class SymMatrix:
         head, tail = self._cells(i)
         return np.concatenate((self.data[head], self.data[tail]))
 
-    def compact(self, keep: np.ndarray) -> None:
-        """Keep only rows and columns `keep` (ascending), moved to the front in place.
-
-        Packed row t takes old row keep[t] at columns keep[:t+1].  As keep[t] >= t,
-        it lands at or before its source and before every row not yet copied, so
-        the copy needs no second buffer; data becomes a view of the front of the old one.
-        """
-        s, data = self._starts, self.data
-        for t, k in enumerate(keep.tolist()):
-            data[s[t] : s[t + 1]] = data[s[k] + keep[: t + 1]]
-        m = len(keep)
-        self.p, self._starts, self.data = m, s[: m + 1], data[: s[m]]
-
 
 def jacobi_coeffs(a_pp: float, a_qq: float, a_pq: float) -> RotationCoeffs:
     """Rotation coefficients that zero the (p, q) entry of a symmetric 2x2 block.
@@ -153,25 +140,19 @@ def jacobi_coeffs(a_pp: float, a_qq: float, a_pq: float) -> RotationCoeffs:
     return RotationCoeffs(float(c), float(c * t))
 
 
-def rotate_pair(
-    a: SymMatrix, p_idx: int, q_idx: int, coeffs: RotationCoeffs | None = None
+def rotate_rows(
+    row_p: np.ndarray, row_q: np.ndarray, p_idx: int, q_idx: int, coeffs: RotationCoeffs | None = None
 ) -> tuple[RotationCoeffs, np.ndarray, np.ndarray]:
-    """In-place Jt A J on rows/columns (p_idx, q_idx); returns the coefficients and both rotated rows.
+    """Rows p_idx and q_idx of Jt A J from rows p_idx and q_idx of a symmetric A; returns new arrays.
 
-    Each row is gathered once, rotated whole and written back to the same
-    cells; coeffs None takes jacobi_coeffs of the 2x2 block as read from the
-    gathered rows.  The block is then overwritten by its closed forms, with
-    the (p_idx, q_idx) cell a literal zero so later passes see no residual.
-    Everything outside the two rows/columns is untouched.  The returned rows
-    are new arrays holding the rotated entries (t, 0), ..., (t, p - 1).
+    coeffs None takes jacobi_coeffs of the 2x2 block as read from the rows.
+    Each row is rotated whole, then the block is overwritten by its closed
+    forms, with the (p_idx, q_idx) cell a literal zero so later passes see no
+    residual.  Column t of the result is entry (p_idx, t) or (q_idx, t) of
+    the rotated matrix, and also its mirror.
     """
-    head_p, tail_p = a._cells(p_idx)
-    head_q, tail_q = a._cells(q_idx)
     if p_idx == q_idx:
         raise IndexError("rotation needs two distinct indices")
-    data = a.data
-    row_p = np.concatenate((data[head_p], data[tail_p]))
-    row_q = np.concatenate((data[head_q], data[tail_q]))
     app = float(row_p[p_idx])
     aqq = float(row_q[q_idx])
     apq = float(row_p[q_idx])
@@ -184,6 +165,23 @@ def rotate_pair(
     new_p[p_idx] = c * c * app - 2.0 * s * c * apq + s * s * aqq
     new_q[q_idx] = s * s * app + 2.0 * s * c * apq + c * c * aqq
     new_p[q_idx] = new_q[p_idx] = 0.0
+    return coeffs, new_p, new_q
+
+
+def rotate_pair(
+    a: SymMatrix, p_idx: int, q_idx: int, coeffs: RotationCoeffs | None = None
+) -> tuple[RotationCoeffs, np.ndarray, np.ndarray]:
+    """In-place Jt A J on rows/columns (p_idx, q_idx); returns the coefficients and both rotated rows.
+
+    Each row is gathered once, rotated by rotate_rows and written back to the
+    same cells.  Everything outside the two rows/columns is untouched.
+    """
+    head_p, tail_p = a._cells(p_idx)
+    head_q, tail_q = a._cells(q_idx)
+    data = a.data
+    row_p = np.concatenate((data[head_p], data[tail_p]))
+    row_q = np.concatenate((data[head_q], data[tail_q]))
+    coeffs, new_p, new_q = rotate_rows(row_p, row_q, p_idx, q_idx, coeffs)
     data[head_p] = new_p[: p_idx + 1]
     data[tail_p] = new_p[p_idx + 1 :]
     data[head_q] = new_q[: q_idx + 1]

@@ -1,10 +1,15 @@
+import argparse
+import contextlib
 import json
 import os
 import subprocess
 import sys
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treelets
 from treelets import io
@@ -24,6 +29,12 @@ def output_bytes(directory: Path) -> dict:
         for p in sorted(directory.iterdir())
         if not p.name.endswith(".manifest.json")
     }
+
+
+def cluster_usage() -> str:
+    """The usage block argparse prints above a `cluster` usage error."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices["cluster"].format_usage()
 
 
 @pytest.fixture
@@ -302,6 +313,40 @@ class TestExitCodes:
             "gives a non-finite value for query id 1\n"
         )
 
+    @pytest.mark.parametrize("kernel, message", [
+        ("rbf:sigma=1e-200", "rbf sigma 1e-200 is out of range: 2 sigma^2 is 0.0"),
+        ("rbf:sigma=1e200", "rbf sigma 1e+200 is out of range: 2 sigma^2 is inf"),
+        ("missing-rbf:gamma=inf", "missing-rbf gamma must be finite and > 0"),
+    ])
+    def test_kernel_parameter_that_breaks_the_kernel_is_usage_error(self, tmp_path, capsys, kernel, message):
+        """A 2 sigma^2 of 0 or an infinite gamma gives NaN on the diagonal, which the Gram
+        check would blame on the data; sigma^2 past the float range raised OverflowError."""
+        data = tmp_path / "three.csv"
+        data.write_text("1.0,2.0\n1.5,2.5\n3.0,0.5\n")
+        assert run("cluster", "--input", data, "--kernel", kernel, "--clusters", 3, "-o", tmp_path / "l.json") == 2
+        err, usage = capsys.readouterr().err, cluster_usage()
+        assert err.startswith(usage)
+        assert err[len(usage):] == f"treelets cluster: error: argument --kernel: bad kernel parameter: {message}\n"
+
+    @pytest.mark.parametrize("kernel", ["rbf:sigma=1e-160", "missing-rbf:gamma=1e308"])
+    def test_kernel_scaling_that_overflows_warns_nothing(self, tmp_path, capsys, kernel):
+        """Every scaled squared distance off the diagonal overflows to -inf, whose exp
+        is the intended 0: no pair is similar, and the three rows stay apart."""
+        data = tmp_path / "three.csv"
+        data.write_text("1.0,2.0\n1.5,2.5\n3.0,0.5\n")
+        labels = tmp_path / "l.json"
+        assert run("cluster", "--input", data, "--kernel", kernel, "--clusters", 3, "-o", labels) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads(labels.read_text())["labels"] == [0, 1, 2]
+
+    @pytest.mark.parametrize("text", ["", "# comments only\n"])
+    @pytest.mark.parametrize("kernel", ["graph:diag=auto", "graph:diag=3"])
+    def test_edge_list_without_edges_is_one_error_line(self, tmp_path, capsys, text, kernel):
+        graph = tmp_path / "g.txt"
+        graph.write_text(text)
+        assert run("cluster", "--input", graph, "--kernel", kernel, "--clusters", 2, "-o", tmp_path / "l.json") == 1
+        assert capsys.readouterr().err == f"error: {graph}: no edges\n"
+
     def test_unreachable_cut_is_data_error(self, tmp_path):
         graph = tmp_path / "g.txt"
         graph.write_text("0 1\n2 3\n")  # two components, cut at 1 unreachable
@@ -310,6 +355,54 @@ class TestExitCodes:
             "--clusters", 1, "-o", tmp_path / "l.json",
         )
         assert code == 1
+
+
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-2, 6), st.floats(), st.text(max_size=3))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.sampled_from(["n_leaves", "merges", "x"]), inner,
+                                                                 max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def tree_texts(draw):
+    """Tree JSON texts: any small JSON value, or an object shaped nearly like a tree file
+    (a leaf count near the reference's 3 rows or of the wrong type; rows of four small
+    numbers, of 0 to 5 values or of any JSON; a key dropped), whole or cut short."""
+    if draw(st.integers(0, 3)) == 0:
+        return json.dumps(draw(json_values))
+    small = st.integers(-1, 4)
+    cell = st.one_of(small, st.floats(), st.booleans(), st.none(), st.text(max_size=2))
+    row = st.one_of(st.tuples(small, small, small, st.one_of(st.floats(), small)).map(list),
+                    st.lists(cell, max_size=5), json_values)
+    payload = {
+        "n_leaves": draw(st.one_of(st.just(3), small, json_scalars)),
+        "merges": draw(st.lists(row, max_size=4)),
+    }
+    if draw(st.integers(0, 7)) == 0:
+        del payload[draw(st.sampled_from(list(payload)))]
+    text = json.dumps(payload)
+    return text[: draw(st.integers(0, len(text)))] if draw(st.integers(0, 7)) == 0 else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree_texts(), st.sampled_from(["ref.csv", "ref.txt"]))
+def test_roc_on_any_tree_text_exits_cleanly(tmp_path_factory, text, reference):
+    """0, 1 or 2 and nothing raised; a failure is one error line on stderr."""
+    base = tmp_path_factory.getbasetemp()
+    (base / "ref.csv").write_text("label\na\nb\na\n")
+    (base / "ref.txt").write_text("0 1\n1 2\n")
+    tree = base / "prop_roc_tree.json"
+    tree.write_text(text)
+    err = StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(StringIO()):
+        code = run("roc", "--tree", tree, "--reference", base / reference, "-o", base / "prop_roc.csv")
+    assert code in (0, 1, 2)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestPipeline:
@@ -385,10 +478,9 @@ class TestPipeline:
                     assert how["stop"] == "stalled"
                     assert how["stop_score"] < manifest["config"]["stop_tol"]
                 else:
-                    # six rows, none lazy: the counters are the eager path's
+                    # six rows, below the compaction floor; every stale row goes lazy
                     assert how == {"steps": 5, "stop": "completed", "stop_score": None,
-                                   "rows_refreshed": 5, "rows_made_lazy": 0, "lazy_rescans": 0,
-                                   "compactions": 0}
+                                   "rows_made_lazy": 4, "lazy_rescans": 2, "compactions": 0}
 
     def test_manifest_counts_the_pair_search_the_same_way_every_run(self, tmp_path):
         """A star's first step leaves every other leaf stale, so rows go lazy and are rescanned."""
@@ -405,9 +497,8 @@ class TestPipeline:
         assert sections[0] == sections[1]
         g = io.read_edge_list(graph)
         d = decompose(gram(graph_kernel_for(g), g, range(g.n_vertices)))
-        counters = {k: sections[0][k] for k in ("rows_refreshed", "rows_made_lazy", "lazy_rescans")}
-        assert counters == {"rows_refreshed": d.rows_refreshed, "rows_made_lazy": d.rows_made_lazy,
-                            "lazy_rescans": d.lazy_rescans}
+        counters = {k: sections[0][k] for k in ("rows_made_lazy", "lazy_rescans")}
+        assert counters == {"rows_made_lazy": d.rows_made_lazy, "lazy_rescans": d.lazy_rescans}
         assert counters["lazy_rescans"] > 0
 
     def test_normalize_preserves_missing_cells(self, tmp_path):

@@ -214,13 +214,13 @@ class TestDecompose:
             assert same_decomposition(d, decompose_rescan(a, lam=lam))
         assert a.data.tobytes() == before
 
-    def test_lazy_rows_reach_the_top_and_are_rescanned(self, monkeypatch):
+    def test_lazy_rows_reach_the_top_and_are_rescanned(self):
         """A star: every leaf's best partner is the hub, so the first step, on
-        (0, 1), leaves all p - 2 other leaves stale, more than _LAZY_MIN, and
-        they go lazy.  Later steps take them from the top after a rescan."""
+        (0, 1), leaves all p - 2 other leaves stale, and they go lazy.  Later
+        steps take them from the top after a rescan."""
         from treelets import Graph, gram, graph_kernel_for
 
-        p = treelets.core._LAZY_MIN + 4
+        p = 20
         g = Graph(p, {(0, v) for v in range(1, p)})
         a = gram(graph_kernel_for(g), g, range(p))
         d = decompose(a)
@@ -228,12 +228,7 @@ class TestDecompose:
         assert d.rows_made_lazy >= p - 2 and d.lazy_rescans > 0
         assert same_decomposition(d, decompose_rescan(a))
         again = decompose(a)
-        assert (again.rows_refreshed, again.rows_made_lazy, again.lazy_rescans) == (
-            d.rows_refreshed, d.rows_made_lazy, d.lazy_rescans)
-        monkeypatch.setattr(treelets.core, "_LAZY_MIN", p)
-        eager = decompose(a)
-        assert eager == d  # the counters are not part of the result
-        assert eager.rows_made_lazy == eager.lazy_rescans == 0
+        assert (again.rows_made_lazy, again.lazy_rescans) == (d.rows_made_lazy, d.lazy_rescans)
 
     def test_compaction_above_the_default_floor(self, np_rng):
         """Three 50-vertex ego communities: each hub joins all its members, which
@@ -258,9 +253,10 @@ class TestDecompose:
             assert same_decomposition(d, decompose_rescan(a, lam=lam))
 
     def test_initial_fill_across_block_boundaries(self, monkeypatch, np_rng):
-        """4 x 4 mirror blocks in to_dense and 16-cell row chunks on p up to 31:
-        the fill crosses block and chunk boundaries, some blocks partial, and
-        still holds every pair's score bit for bit, and the records the rescan's."""
+        """4 x 4 mirror blocks in to_dense and 16-cell row chunks in the first
+        scan on p up to 31: both cross block and chunk boundaries, some blocks
+        partial.  The first pair and its score are those of every pair's score
+        computed at once, bit for bit, and the records the rescan's."""
         monkeypatch.setattr(treelets.core, "_BLOCK_ELEMENTS", 16)
         monkeypatch.setattr(treelets.symmat, "_BLOCK_SIDE", 4)
         for p in (5, 17, 31):
@@ -277,7 +273,10 @@ class TestDecompose:
                     vals, prod = np.abs(dense), np.outer(diag, diag)
                     want = np.where(prod > 1e-300, vals / np.sqrt(np.maximum(prod, 1e-300)), 0.0) + lam * vals
                     np.fill_diagonal(want, -np.inf)
-                    assert treelets.core._initial_scores(a, diag, lam).tobytes() == want.tobytes()
+                    d = decompose(a, lam=lam, stop_tol=0.0)
+                    first = divmod(int(want.argmax()), p)  # first maximum in row-major order: (min, max)
+                    assert sorted((d.records[0].alpha, d.records[0].beta)) == list(first)
+                    assert np.float64(d.records[0].score).tobytes() == want.max().tobytes()
                     assert same_decomposition(decompose(a, lam=lam), decompose_rescan(a, lam=lam))
 
     def test_structure_invariants(self, np_rng):
@@ -359,9 +358,12 @@ def selection_case(draw, max_graph: int = 14, max_float: int = 14):
 @settings(max_examples=200, deadline=None)
 @given(selection_case(), st.sampled_from([treelets.core.DEFAULT_STOP_TOL, 0.0]))
 def test_cached_records_equal_rescan_records(case, stop_tol):
-    """stop_tol 0 also merges zero-score pairs, whose equal diagonals hit the tie rule."""
+    """stop_tol 0 also merges zero-score pairs, whose equal diagonals hit the tie rule.
+    decompose leaves its argument's bytes as they were."""
     a, lam = case
+    before = a.data.tobytes()
     assert same_decomposition(decompose(a, lam, stop_tol), decompose_rescan(a, lam, stop_tol))
+    assert a.data.tobytes() == before
 
 
 @settings(max_examples=100, deadline=None)
@@ -384,19 +386,12 @@ def graph_case(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(graph_case(), st.sampled_from([treelets.core.DEFAULT_STOP_TOL, 0.0]))
-def test_lazy_and_eager_rows_give_the_rescan_records(case, stop_tol):
-    """Every stale row lazy, the default threshold, and every stale row rescanned at once."""
+def test_lazy_rows_give_the_rescan_records(case, stop_tol):
+    """Every stale row goes lazy, and no row is rescanned more often than rows were made lazy."""
     a, lam = case
-    want = decompose_rescan(a, lam, stop_tol)
-    for lazy_min in (0, treelets.core._LAZY_MIN, 1 << 40):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(treelets.core, "_LAZY_MIN", lazy_min)
-            d = decompose(a, lam, stop_tol)
-        assert same_decomposition(d, want)
-        if lazy_min == 0:
-            assert d.rows_refreshed == 0 and d.lazy_rescans <= d.rows_made_lazy
-        elif lazy_min == 1 << 40:
-            assert d.rows_made_lazy == d.lazy_rescans == 0
+    d = decompose(a, lam, stop_tol)
+    assert same_decomposition(d, decompose_rescan(a, lam, stop_tol))
+    assert d.lazy_rescans <= d.rows_made_lazy
 
 
 @settings(max_examples=150, deadline=None)
@@ -419,22 +414,23 @@ def test_compacted_and_uncompacted_runs_give_the_rescan_records(case, stop_tol):
         if 2 * live <= stored:
             stored, halvings = live, halvings + 1
     assert (every.compactions, never.compactions) == (halvings, 0)
-    assert (every.rows_refreshed, every.rows_made_lazy, every.lazy_rescans) == (
-        never.rows_refreshed, never.rows_made_lazy, never.lazy_rescans)
+    assert (every.rows_made_lazy, every.lazy_rescans) == (never.rows_made_lazy, never.lazy_rescans)
 
 
 @settings(max_examples=100, deadline=None)
 @given(selection_case())
 def test_decompose_rotates_as_apply_rotation_does(case):
-    """Replaying the records through apply_rotation leaves the packed bytes the loop left."""
+    """Replaying the records through apply_rotation gives final_diag bit for bit,
+    with a compaction at every halving and with the default floor."""
     a, lam = case
-    work = a.copy()
-    d = treelets.core._decompose(work, lam, treelets.core.DEFAULT_STOP_TOL)
     replay = a.copy()
-    for rec in d.records:
+    for rec in decompose(a, lam).records:
         apply_rotation(replay, *rec.axes, rec.coeffs)
-    assert replay.data.tobytes() == work.data.tobytes()
-    assert d.final_diag.tobytes() == work.diagonal().tobytes()
+    for floor in (1, treelets.core._COMPACT_MIN):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(treelets.core, "_COMPACT_MIN", floor)
+            d = decompose(a, lam)
+        assert d.final_diag.tobytes() == replay.diagonal().tobytes()
 
 
 @settings(max_examples=100, deadline=None)

@@ -469,9 +469,9 @@ class TestKtConfig:
 
 
 class TestFitPredict:
-    def test_decomposes_its_gram_in_place(self, monkeypatch):
-        """The pipeline rotates the Gram it built, with no working copy, and
-        gets the records of the rescanning oracle on that Gram."""
+    def test_decomposes_its_gram_without_a_packed_copy(self, monkeypatch):
+        """The pipeline decomposes the Gram it built with no packed working
+        copy, and gets the records of the rescanning oracle on that Gram."""
         data, _ = generate(Circles(factor=0.5, noise=0.05), 60, 4)
         cfg = KtConfig(kernel=RbfKernel(sigma=0.2), sample_size=60, n_clusters=2, seed=0, lam=0.5)
         a0 = gram(cfg.kernel, data, range(60))

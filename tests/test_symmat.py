@@ -253,20 +253,6 @@ def test_rows_and_lower_match_dense(case):
     assert same_bits(a.to_dense(), dense)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 12), st.data())
-def test_compact_keeps_the_chosen_block_in_order(p, data):
-    """Distinct cell values, so a cell taken from the wrong place shows."""
-    a = SymMatrix(p, np.arange(p * (p + 1) // 2, dtype=float) + 0.5)
-    dense = a.to_dense()
-    keep = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=p, unique=True).map(sorted)))
-    buffer = a.data
-    a.compact(keep)
-    assert a.p == len(keep) and np.shares_memory(a.data, buffer)
-    assert same_bits(a.to_dense(), dense[np.ix_(keep, keep)])
-    assert same_bits(a.diagonal(), np.diag(dense)[keep])
-
-
 def dense_cell_by_cell(a: SymMatrix) -> np.ndarray:
     """Cell (i, j) read from packed index max(i, j) (max(i, j) + 1) / 2 + min(i, j)."""
     i, j = np.indices((a.p, a.p))
