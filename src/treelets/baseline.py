@@ -39,7 +39,8 @@ def kmeans(
 
     Assignment ties go to the lowest centroid index; a cluster that empties
     is re-seeded to the point farthest from its current centroid.  Missing
-    values are refused, not imputed.
+    values are refused, not imputed, and so are values large enough for a
+    sum of squared distances to overflow.
     """
     if not data.fully_present:
         raise ValueError("kmeans requires complete data")
@@ -48,6 +49,10 @@ def kmeans(
         raise ValueError(f"k must be in [1, {n}]")
 
     x = data.values
+    # then a squared distance, at most p (2 max|x|)^2, a sum of n of them and a centroid sum stay finite
+    bound = np.sqrt(np.finfo(float).max / (n * data.p)) / 2
+    if not np.abs(x).max() <= bound:
+        raise ValueError(f"kmeans requires feature values within +-sqrt(float max / np) / 2 = {bound:.6g}")
     rng = SplitMix64(seed)
     centers = _plusplus_seeding(x, k, rng)
 
@@ -84,16 +89,26 @@ def zscore_normalize(data: Dataset) -> Dataset:
     """
     values = np.zeros_like(data.values)
     present = data.present.copy()
+    # every column's statistics first, so a column too large to normalize is
+    # refused before any other column is warned about
+    stats = []
     for j in range(data.p):
-        mask = present[:, j]
-        col = data.values[mask, j]
+        col = data.values[present[:, j], j]
         if len(col) < 2:
+            stats.append(None)
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = col.mean()
+            sd = np.sqrt(((col - mean) ** 2).mean())
+        if not np.isfinite(sd):  # a sum past the float range
+            raise ValueError(f"column {j} is too large to normalize: its mean or variance overflows")
+        stats.append((mean, sd))
+    for j, stat in enumerate(stats):
+        if stat is None:
             warnings.warn(f"column {j} has fewer than 2 present values; emitting zeros")
-            continue
-        mean = col.mean()
-        sd = np.sqrt(((col - mean) ** 2).mean())
-        if sd == 0.0:
+        elif stat[1] == 0.0:
             warnings.warn(f"column {j} has zero variance; emitting zeros")
-            continue
-        values[mask, j] = (col - mean) / sd
+        else:
+            mask = present[:, j]
+            values[mask, j] = (data.values[mask, j] - stat[0]) / stat[1]
     return Dataset(values, present)

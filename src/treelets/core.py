@@ -114,10 +114,12 @@ def _rotate(records, w: np.ndarray) -> np.ndarray:
 
 def _scores(vals: np.ndarray, prod: np.ndarray, lam: float) -> np.ndarray:
     """Selection scores from |a_ij| and a_ii a_jj, elementwise; written over prod, which callers own."""
-    tiny = ~(prod > _TINY_DIAG_PRODUCT)  # not <=: a NaN product scores 0 too
+    # not <=: a NaN product scores 0 too, and a NaN minimum takes the masked path
+    tiny = None if prod.min() > _TINY_DIAG_PRODUCT else ~(prod > _TINY_DIAG_PRODUCT)
     root = np.sqrt(np.maximum(prod, _TINY_DIAG_PRODUCT, out=prod), out=prod)
     corr = np.divide(vals, root, out=prod)
-    corr[tiny] = 0.0
+    if tiny is not None:
+        np.putmask(corr, tiny, 0.0)
     # corr >= +0 and vals is finite, so at lam 0 the sum would be corr bit for bit
     if lam:
         corr += lam * vals
@@ -185,9 +187,18 @@ def decompose(
 
     p = a0.p
     final_diag = diag = a0.diagonal()
-    # on the packed cells, ahead of the dense copy: the bool temporary is half the size
-    if not np.isfinite(a0.data).all():
-        raise ValueError("similarity matrix has a non-finite entry")
+    # on the packed cells, ahead of the dense copy; min and max propagate NaN
+    # and +-inf and make no temporary.  Rotations keep the Frobenius norm, at
+    # most p max|a|, so every entry and diagonal stays within it, a rotation's
+    # intermediates within 3x it, and a diagonal product a_ii a_jj within its
+    # square: at max|a| <= sqrt(float max) / 2p nothing in the loop overflows
+    lo, hi = a0.data.min(), a0.data.max()
+    bound = np.sqrt(np.finfo(float).max) / (2 * p)
+    if not max(-lo, hi) <= bound:  # not >: a NaN fails
+        raise ValueError(
+            f"similarity matrix has a non-finite entry or one above sqrt(float max) / 2p = {bound:.6g},"
+            " where a rotation or a pair score could overflow"
+        )
     if diag.min() < -1e-10:
         raise ValueError("similarity matrix has a negative diagonal entry")
 
@@ -205,15 +216,16 @@ def decompose(
     best_j, best_score = _first_scan(g, diag, lam)
     stop_score = None
     for step in range(1, p):
-        i_star = int(np.argmax(best_score))  # first max = smallest row
+        i_star = int(best_score.argmax())  # first max = smallest row
         while not exact[i_star]:  # a lazy bound on top: rescan that row alone
             row = _scores(np.abs(g[i_star]), diag[i_star] * diag, lam)
-            row[retired] = row[i_star] = -np.inf
+            np.putmask(row, retired, -np.inf)
+            row[i_star] = -np.inf
             j = int(row.argmax())
             best_j[i_star], best_score[i_star] = j, row[j]
             exact[i_star] = True
             rescans += 1
-            i_star = int(np.argmax(best_score))
+            i_star = int(best_score.argmax())
         score = float(best_score[i_star])
         j_star = int(best_j[i_star])
         i_sel, j_sel = min(i_star, j_star), max(i_star, j_star)
@@ -251,22 +263,22 @@ def decompose(
 
         vals = row_i if beta == i_sel else row_j
         fresh = _scores(np.abs(vals, out=vals), diag[beta] * diag, lam)
-        fresh[retired] = fresh[beta] = -np.inf  # assigned: an overflowed +inf plus -inf would be NaN
+        np.putmask(fresh, retired, -np.inf)  # assigned: an overflowed +inf plus -inf would be NaN
+        fresh[beta] = -np.inf
         # a lazy row is never stale, so take raises its bound to its fresh
         # score (its best_j means nothing until it is rescanned)
         stale = exact & ((best_j == alpha) | (best_j == beta))
         # take may also touch a retired row (its best_j is never read) or a
         # stale one (bounded by max(old best, fresh) below either way)
         take = (fresh > best_score) | ((fresh == best_score) & (beta < best_j))
-        best_score[take] = fresh[take]
-        best_j[take] = beta
+        np.putmask(best_score, take, fresh)
+        np.putmask(best_j, take, beta)
         stale[beta] = False
         # the row's other scores did not move, and its old best bounds them;
         # np.maximum keeps a NaN fresh score, which take cannot
-        rows = np.flatnonzero(stale)
-        best_score[rows] = np.maximum(best_score[rows], fresh[rows])
-        exact[rows] = False
-        made_lazy += len(rows)
+        np.maximum(best_score, fresh, out=best_score, where=stale)
+        np.putmask(exact, stale, False)
+        made_lazy += int(np.count_nonzero(stale))
         # beta's whole row is fresh: its best partner needs no rescan
         best_j[beta] = j = int(fresh.argmax())
         best_score[beta] = fresh[j]

@@ -40,17 +40,27 @@ _CHUNK_CELLS = 1 << 12
 
 
 def _csv_rows(path):
-    """The rows of a CSV file, streamed: no more than one buffer of text is held.
+    """The rows of a CSV file as csv.reader gives them, streamed: no more than one buffer of text is held.
 
-    A malformed row (say, a cell over csv.field_size_limit()) raises ValueError
-    naming the file line the reader had reached.
+    A line with no '"' and no longer than csv.field_size_limit() is split on
+    commas, which is what csv.reader makes of it (a blank line is []); the
+    first line that is not goes, with the rest of the file, to one
+    csv.reader.  Opened with newline="", the file ends lines where csv does.
+    A malformed row (say, a cell over the limit) raises ValueError naming
+    the file line the reader had reached.
     """
+    limit = csv.field_size_limit()
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            yield from reader
-        except csv.Error as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+        for done, line in enumerate(fh):
+            if '"' in line or len(line) > limit:
+                reader = csv.reader(itertools.chain([line], fh))
+                try:
+                    yield from reader
+                except csv.Error as exc:
+                    raise ValueError(f"{path}: line {done + reader.line_num}: {exc}") from None
+                return
+            body = line.rstrip("\r\n")
+            yield body.split(",") if body else []
 
 
 def _is_header(row, missing_tokens, classes_last: bool) -> bool:

@@ -243,7 +243,9 @@ def _squared_distances(left: np.ndarray, right: np.ndarray, left_gap=None, right
             out[:, gap_cols[c]] = 0.0
         return out
 
-    return _pairwise_sum(term, 0, left.shape[1], shape)
+    # a difference or square past the float range is +inf: an RBF kernel's 0
+    with np.errstate(over="ignore"):
+        return _pairwise_sum(term, 0, left.shape[1], shape)
 
 
 def kernel_block(spec: KernelSpec, data, rows, cols) -> np.ndarray:
@@ -272,10 +274,10 @@ def kernel_block(spec: KernelSpec, data, rows, cols) -> np.ndarray:
     if isinstance(spec, (LinearKernel, PolynomialKernel)):
         values = data.values[cols]
         out = np.empty((len(rows), len(cols)))
-        for a, r in enumerate(rows):
-            out[a] = values @ data.values[r]
-            if isinstance(spec, PolynomialKernel):
-                with np.errstate(over="ignore"):  # callers reject the inf
+        with np.errstate(over="ignore"):  # callers reject the inf
+            for a, r in enumerate(rows):
+                out[a] = values @ data.values[r]
+                if isinstance(spec, PolynomialKernel):
                     out[a] = (spec.alpha * out[a] + spec.c0) ** spec.degree
         return out
 

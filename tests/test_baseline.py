@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,14 @@ class TestKmeans:
         with pytest.raises(ValueError, match="complete data"):
             kmeans(data, 2)
 
+    def test_values_whose_squared_distances_could_overflow_refused(self):
+        bound = np.sqrt(np.finfo(float).max / (3 * 2)) / 2
+        values = np.array([[bound, -bound], [-bound, bound], [0.0, 0.0]])
+        kmeans(Dataset(values), 2)  # no overflow warned
+        values[2, 1] = np.nextafter(-bound, -np.inf)
+        with pytest.raises(ValueError, match=r"kmeans requires feature values within \+-sqrt\(float max / np\) / 2"):
+            kmeans(Dataset(values), 2)
+
     def test_no_empty_clusters(self, np_rng):
         # more clusters than natural groups still yields k non-empty clusters
         data = Dataset(np.vstack([np.zeros((20, 2)), np.ones((2, 2)) * 50]))
@@ -81,6 +91,17 @@ class TestZscoreNormalize:
             out = zscore_normalize(Dataset([[2.0, 1.0], [2.0, 3.0]]))
         assert list(out.values[:, 0]) == [0.0, 0.0]
         assert list(out.values[:, 1]) == [-1.0, 1.0]
+
+    @pytest.mark.parametrize("column", [[1e308, -1e308, 1.0], [1.7e308, 1.7e308, 1.0]])  # the variance, the mean
+    def test_column_whose_statistics_overflow_refused_before_any_warning(self, column):
+        # column 0 has zero variance and column 1 one present value: both would warn
+        values = np.array([[2.0] * 3, [5.0, 0.0, 0.0], column, [1.0, 2.0, 3.0]]).T
+        present = np.ones_like(values, dtype=bool)
+        present[1:, 1] = False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^column 2 is too large to normalize: its mean or variance overflows$"):
+                zscore_normalize(Dataset(values, present))
 
     def test_single_present_value_warns(self):
         values = [[1.0, 1.0], [0.0, 2.0]]

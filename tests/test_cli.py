@@ -1,9 +1,11 @@
 import argparse
 import contextlib
+import csv
 import json
 import os
 import subprocess
 import sys
+import warnings
 from io import StringIO
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from treelets import io
 from treelets.cli import build_parser, main, parse_kernel
 from treelets.core import DEFAULT_STOP_TOL
 from treelets.kernels import GraphKernel, MissingRbfKernel, PolynomialKernel, RbfKernel
+from test_io import RAW_FIELD_LIMIT, raw_csv_texts
 
 
 def run(*args) -> int:
@@ -339,6 +342,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == ""
         assert json.loads(labels.read_text())["labels"] == [0, 1, 2]
 
+    @pytest.mark.parametrize("kernel, code", [("rbf:sigma=1", 0), ("missing-rbf:gamma=1", 0), ("linear", 1)])
+    def test_distance_or_inner_product_that_overflows_warns_nothing(self, tmp_path, capsys, kernel, code):
+        """A squared distance past the float range is +inf, the RBF kernels' 0; an
+        inner product past it is a non-finite Gram cell, refused with one line."""
+        data = tmp_path / "far.csv"
+        data.write_text("0.0,1.0\n1e200,1.0\n-1e200,1.0\n")
+        labels = tmp_path / "l.json"
+        assert run("cluster", "--input", data, "--kernel", kernel, "--clusters", 3, "-o", labels) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert err == "" and json.loads(labels.read_text())["labels"] == [0, 1, 2]
+
     @pytest.mark.parametrize("text", ["", "# comments only\n"])
     @pytest.mark.parametrize("kernel", ["graph:diag=auto", "graph:diag=3"])
     def test_edge_list_without_edges_is_one_error_line(self, tmp_path, capsys, text, kernel):
@@ -399,6 +416,37 @@ def test_roc_on_any_tree_text_exits_cleanly(tmp_path_factory, text, reference):
     err = StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(StringIO()):
         code = run("roc", "--tree", tree, "--reference", base / reference, "-o", base / "prop_roc.csv")
+    assert code in (0, 1, 2)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_csv_texts(), st.sampled_from([
+    ["cluster", "--kernel", "rbf:sigma=1", "--clusters", 2, "--threads", 1, "--tree", "prop_tree.json"],
+    ["cluster", "--kernel", "missing-rbf:gamma=1", "--clusters", 2, "--threads", 1, "--sample-size", 3],
+    ["cluster", "--kernel", "linear", "--clusters", 1, "--threads", 1, "--has-header"],
+    ["normalize"],
+    ["kmeans", "--k", 2],
+]))
+def test_csv_commands_on_any_small_text_exit_cleanly(tmp_path_factory, text, command):
+    """0, 1 or 2 and nothing raised, for quoted, CR-ended and malformed texts alike; a failure is one error line."""
+    base = tmp_path_factory.getbasetemp()
+    data = base / "prop_cli.csv"
+    data.write_bytes(text.encode())
+    name, *flags = [base / a if str(a).endswith(".json") else a for a in command]
+    err = StringIO()
+    limit = csv.field_size_limit(RAW_FIELD_LIMIT)
+    try:
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(StringIO()), warnings.catch_warnings():
+            # a warning is a line on stderr, as outside the tests; a RuntimeWarning still raises
+            warnings.simplefilter("always")
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.showwarning = lambda message, *args, **kwargs: print(f"warning: {message}", file=sys.stderr)
+            code = run(name, "--input", data, "-o", base / "prop_cli.out", *flags)
+    finally:
+        csv.field_size_limit(limit)
     assert code in (0, 1, 2)
     if code:
         lines = err.getvalue().splitlines()

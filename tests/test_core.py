@@ -151,6 +151,29 @@ class TestDecompose:
             with pytest.raises(ValueError, match="non-finite"):
                 decompose(SymMatrix(2, np.array([1.0, bad, 1.0])))
 
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
+    def test_entries_past_the_overflow_bound_are_refused_up_front(self, np_rng, lam):
+        """Entries up to sqrt(float max) / 2p run to the end with no overflow warned; one ulp past it is refused before any step."""
+        for p in (2, 3, 7, 16):
+            bound = np.sqrt(np.finfo(float).max) / (2 * p)
+            for _ in range(8):
+                dense = np_rng.uniform(-1.0, 1.0, size=(p, p))
+                dense += dense.T
+                np.fill_diagonal(dense, np_rng.uniform(0.0, 2.0, size=p))
+                dense = dense / np.abs(dense).max() * bound  # the largest entry is +-bound exactly
+                d = decompose(SymMatrix.from_dense(dense), lam=lam, stop_tol=0.0)
+                assert d.stop_level == p - 1 and np.isfinite(d.final_diag).all()
+                i, j = np.unravel_index(np.abs(dense).argmax(), dense.shape)
+                dense[i, j] = dense[j, i] = np.nextafter(dense[i, j], np.copysign(np.inf, dense[i, j]))
+                with pytest.raises(ValueError, match=r"above sqrt\(float max\) / 2p = .*, where a rotation or a pair score could overflow"):
+                    decompose(SymMatrix.from_dense(dense), lam=lam)
+
+    def test_nan_and_tiny_diagonal_products_score_no_correlation(self):
+        vals = np.array([0.5, 0.5, 0.5, 0.5])
+        for lam in (0.0, 2.0):
+            prod = np.array([0.25, np.nan, 1e-301, 4.0])
+            assert treelets.core._scores(vals, prod, lam).tolist() == [1.0 + lam * 0.5, lam * 0.5, lam * 0.5, 0.25 + lam * 0.5]
+
     def test_matches_brute_force_oracle(self, np_rng):
         for _ in range(40):
             p = int(np_rng.integers(2, 13))

@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 from unittest.mock import patch
@@ -294,6 +295,68 @@ def test_csv_matches_cell_by_cell_reference(tmp_path_factory, case, sniff):
         if want is not None:
             assert got.values.tobytes() == want.values.tobytes()
             assert np.array_equal(got.present, want.present)
+
+
+# pieces that send a line to csv.reader or that it ends lines at; the long
+# cell is over the field limit of 40 that the properties set
+_RAW_PIECES = ['"', '"', "\r", "\r\n", "\n", "\n\n", "\x00", ",", "é", "x" * 41]
+RAW_FIELD_LIMIT = 40
+
+
+@st.composite
+def raw_csv_texts(draw):
+    """A csv_texts text with up to four quotes, line ends, blank lines, NULs, commas or long cells put anywhere."""
+    text = draw(csv_texts())[0]
+    for piece in draw(st.lists(st.sampled_from(_RAW_PIECES), max_size=4)):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + piece + text[at:]
+    return text
+
+
+def _csv_reader_rows(path):
+    """csv.reader's rows, or the ValueError message _csv_rows should give instead."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            return list(reader), None
+        except csv.Error as exc:
+            return None, f"{path}: line {reader.line_num}: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_csv_texts())
+def test_csv_rows_equal_csv_readers(tmp_path_factory, text):
+    """Row for row and line number for line number, quoted or not, at a small field limit."""
+    f = tmp_path_factory.getbasetemp() / "raw.csv"
+    f.write_bytes(text.encode())
+    limit = csv.field_size_limit(RAW_FIELD_LIMIT)
+    try:
+        want = _csv_reader_rows(f)
+        try:
+            got = list(io._csv_rows(f)), None
+        except ValueError as exc:
+            got = None, str(exc)
+    finally:
+        csv.field_size_limit(limit)
+    assert got == want
+
+
+def test_quote_free_file_never_builds_a_csv_reader(tmp_path, monkeypatch):
+    """The header sniff, both readers and their fault path split every line themselves."""
+    f = tmp_path / "plain.csv"
+    f.write_bytes(b"a,label,b\r\n1.5,x,\r\n\r\n,y,2\n3,z,NA\r4,w,5")
+
+    def refused(*args, **kwargs):
+        raise AssertionError("csv.reader built for a quote-free file")
+
+    monkeypatch.setattr(csv, "reader", refused)
+    assert list(io._csv_rows(f)) == [["a", "label", "b"], ["1.5", "x", ""], [], ["", "y", "2"],
+                                     ["3", "z", "NA"], ["4", "w", "5"]]
+    with pytest.raises(ValueError, match="row 3 has 0 cells, expected 3"):
+        io.read_csv_numeric(f, has_header=None)
+    f.write_bytes(b"a,label,b\r\n1.5,x,\r\n,y,2\n3,z,NA\r4,w,5")
+    assert io.read_csv_numeric(f, has_header=None).values.tolist() == [[1.5, 0], [0, 2], [3, 0], [4, 5]]
+    assert io.read_class_labels(f, has_header=None).tolist() == ["x", "y", "z", "w"]
 
 
 class TestLabelsJson:
