@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, baseline, datagen, io, metrics
-from .core import DEFAULT_STOP_TOL
+from .core import DEFAULT_STOP_TOL, MAX_LAM
 from .extend import KtConfig, Timer, fit_predict
 from .hierarchy import Dendrogram
 from .kernels import (
@@ -55,8 +55,16 @@ def nonneg_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if value < 0:
+    if not value >= 0:  # not <: a NaN fails
         raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text}")
+    return value
+
+
+def lambda_arg(text: str) -> float:
+    value = nonneg_float(text)
+    if value > MAX_LAM:
+        raise argparse.ArgumentTypeError(f"lambda {text} is above sqrt(float max) = {MAX_LAM:.6g}, "
+                                         "where a pair score could overflow")
     return value
 
 
@@ -315,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--clusters", type=positive_int, required=True)
     c.add_argument("--sample-size", type=sample_size_arg, default="full",
                    help="number of sampled observations, or 'full'")
-    c.add_argument("--lambda", dest="lam", type=nonneg_float, default=0.0,
+    c.add_argument("--lambda", dest="lam", type=lambda_arg, default=0.0,
                    help="similarity regularization weight")
     c.add_argument("--knn-k", type=positive_int, default=5,
                    help="neighbors for out-of-sample label votes (odd)")

@@ -9,6 +9,7 @@ tree over the observations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,11 @@ from .symmat import RotationCoeffs, SymMatrix, rotate_rows
 _TINY_DIAG_PRODUCT = 1e-300
 
 DEFAULT_STOP_TOL = 1e-10
+
+# the largest lambda.  decompose's entry bound keeps every entry within
+# sqrt(float max) / 2 throughout the loop, so lam |a_ij| stays within
+# float max / 2, and a pair score corr + lam |a_ij| stays finite
+MAX_LAM = math.sqrt(np.finfo(float).max)
 
 # cells of one row chunk of the first scan (so it allocates no p x p
 # temporary) and of one chunk a compaction moves: 64 KB per float64 chunk.
@@ -145,28 +151,32 @@ def _first_scan(g: np.ndarray, diag: np.ndarray, lam: float) -> tuple[np.ndarray
     return best_j, best_score
 
 
-def decompose(
-    a0: SymMatrix,
-    lam: float = 0.0,
-    stop_tol: float = DEFAULT_STOP_TOL,
-) -> TreeletDecomposition:
-    """Run the rotation loop on a dense copy of a similarity matrix until done or stalled.
+def check_params(lam: float, stop_tol: float) -> None:
+    """Refuse a lambda or stop_tol under which a pair score or the stop test means nothing."""
+    if not 0 <= lam <= MAX_LAM:  # not <: a NaN fails
+        raise ValueError(f"lam must be in [0, sqrt(float max) = {MAX_LAM:.6g}], not {lam}")
+    if not stop_tol >= 0:
+        raise ValueError(f"stop_tol must be >= 0, not {stop_tol}")
+
+
+def decompose(a0: SymMatrix, lam: float = 0.0, stop_tol: float = DEFAULT_STOP_TOL) -> TreeletDecomposition:
+    """Run the rotation loop on a copy of a similarity matrix until done or stalled; a0 is not modified.
 
     Each step takes the highest-scoring active pair; ties go to the
     lexicographically smallest (min, max) pair, which makes the choice
-    platform-independent.  The loop holds one p x p array (8p^2 bytes), the
-    dense Gram from SymMatrix.to_dense; a0 is not modified.  Each step
-    rotates rows and columns i and j of it (symmat.rotate_rows), takes both
-    new diagonals from the rotated rows, marks the retired index (its row is
-    never read again, and its column is masked where a row is read), and
-    scores the surviving index's rotated row; that row's best partner is its
-    first maximum.  No pair score is stored: a row is scored where it is
+    platform-independent.  The loop holds one p x p array g (8p^2 bytes),
+    here a0.to_dense(); fit_predict runs it (_decompose) on the Gram it
+    built instead.  Each step rotates rows and columns i and j of g
+    (symmat.rotate_rows), takes both new diagonals from the rotated rows,
+    marks the retired index (its row is never read again, and its column is
+    masked where a row is read), and scores the surviving index's rotated
+    row; that row's best partner is its first maximum.  No pair score is stored: a row is scored where it is
     read, by the chunked first scan, a lazy row's rescan and the survivor's
     fresh row, and -inf is assigned at its own and at retired columns.
 
     When the active count falls to half the stored size m, and m is above
-    _COMPACT_MIN, the active block is moved to the front of the dense Gram's
-    own buffer, in order and in place, and the per-index arrays with it.
+    _COMPACT_MIN, the active block is moved to the front of g's own buffer,
+    in order and in place, and the per-index arrays with it.
     Later steps touch only m' entries per row, and the index order, so every
     tie rule below, is unchanged.
 
@@ -180,19 +190,24 @@ def decompose(
     row's best is at or below its cached value, so the pair, the tie rules
     and the stop test are those of an exact rescan of every row.
     """
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    if stop_tol < 0:
-        raise ValueError("stop_tol must be >= 0")
+    return _decompose(a0.to_dense(), lam, stop_tol)
 
-    p = a0.p
-    final_diag = diag = a0.diagonal()
-    # on the packed cells, ahead of the dense copy; min and max propagate NaN
-    # and +-inf and make no temporary.  Rotations keep the Frobenius norm, at
-    # most p max|a|, so every entry and diagonal stays within it, a rotation's
-    # intermediates within 3x it, and a diagonal product a_ii a_jj within its
-    # square: at max|a| <= sqrt(float max) / 2p nothing in the loop overflows
-    lo, hi = a0.data.min(), a0.data.max()
+
+def _decompose(g: np.ndarray, lam: float = 0.0, stop_tol: float = DEFAULT_STOP_TOL) -> TreeletDecomposition:
+    """decompose's loop on g, a C-contiguous symmetric p x p array, which it rotates and compacts in place.
+
+    g's contents mean nothing once it returns.
+    """
+    check_params(lam, stop_tol)
+
+    p = len(g)
+    final_diag = diag = g.diagonal().copy()
+    # ahead of the loop; min and max propagate NaN and +-inf and make no
+    # temporary.  Rotations keep the Frobenius norm, at most p max|a|, so
+    # every entry and diagonal stays within it, a rotation's intermediates
+    # within 3x it, and a diagonal product a_ii a_jj within its square: at
+    # max|a| <= sqrt(float max) / 2p nothing in the loop overflows
+    lo, hi = g.min(), g.max()
     bound = np.sqrt(np.finfo(float).max) / (2 * p)
     if not max(-lo, hi) <= bound:  # not >: a NaN fails
         raise ValueError(
@@ -209,8 +224,7 @@ def decompose(
     m = p  # stored size
     retired = np.zeros(p, dtype=bool)
     exact = np.ones(p, dtype=bool)  # active and not lazy: best_score is the row's best, not a bound
-    g = a0.to_dense()
-    cells = g.reshape(-1)  # the Gram's buffer; an m x m block at its front is in use
+    cells = g.reshape(-1)  # g's buffer; an m x m block at its front is in use
     made_lazy = rescans = compactions = 0
 
     best_j, best_score = _first_scan(g, diag, lam)

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DEFAULT_STOP_TOL, TreeletDecomposition, decompose
+from .core import DEFAULT_STOP_TOL, TreeletDecomposition, check_params
+from .core import _decompose as decompose
 from .hierarchy import ClusterLabels, Dendrogram, cut, merge_tree
 from .kernels import Graph, KernelSpec, gram, kernel_block, kernel_diag, unshared
 from .rng import SplitMix64
@@ -45,10 +46,7 @@ class KtConfig:
             raise ValueError("n_clusters must be >= 1")
         if self.knn_k < 1 or self.knn_k % 2 == 0:
             raise ValueError("knn_k must be a positive odd number")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.stop_tol < 0:
-            raise ValueError("stop_tol must be >= 0")
+        check_params(self.lam, self.stop_tol)
 
 
 @dataclass(frozen=True)
@@ -212,7 +210,13 @@ def fit_predict(data, config: KtConfig, threads: int = 1) -> KtResult:
     timer.lap("sample")
     a0 = gram(config.kernel, data, sample)
     timer.lap("gram")
-    decomp = decompose(a0, lam=config.lam, stop_tol=config.stop_tol)
+    # decomposed in place, then dropped: its rotated cells mean nothing.
+    # Freeing it also raises glibc's mmap threshold, so the extension's 1 MB
+    # block temporaries come from the heap, not fresh mappings (held, a fresh
+    # process took 70k minor faults, not 8k, and twice the time to extend
+    # 11000 queries from a 1000-row sample)
+    decomp = decompose(a0.data, lam=config.lam, stop_tol=config.stop_tol)
+    del a0
     timer.lap("decompose")
     tree = merge_tree(decomp)
     sample_labels = cut(tree, config.n_clusters)

@@ -181,6 +181,9 @@ def graph_kernel_for(graph: Graph) -> GraphKernel:
 # 0.12-0.14 s and 1 << 17 0.13-0.14 s; but 1 << 16 was no faster in the
 # bench's missing-mpe job and raised its peak RSS by 3 %
 _BLOCK_ELEMENTS = 1 << 15
+# side of the square blocks gram mirrors one at a time: 128 KB per float64
+# block, so a block's source rows and target columns stay in cache
+_BLOCK_SIDE = 128
 
 
 def _pairwise_sum(term, lo: int, n: int, shape) -> np.ndarray:
@@ -325,11 +328,12 @@ def gram(spec: KernelSpec, data, indices) -> SymMatrix:
     """Gram matrix K(S, S) over the given row/vertex ids.
 
     Row blocks of the lower triangle are kernel_block calls of indices[s:e]
-    against indices[:e]; each unordered pair is stored in a single cell, so
-    the result is symmetric by construction.  A non-finite value (say, a
-    polynomial kernel overflowing, or masked rows with no shared attribute)
-    is an error that names the first offending pair of ids in packed order,
-    whatever the block height.
+    against indices[:e], written into rows s to e of one p x p array; the
+    lower triangle is then mirrored into the upper by assignment, so the
+    result is symmetric bit for bit.  A non-finite value (say, a polynomial
+    kernel overflowing, or masked rows with no shared attribute) is an error
+    that names the first offending pair of ids on or below the diagonal, in
+    row-major order, whatever the block height.
     """
     indices = np.asarray(list(indices))
     m = len(indices)
@@ -350,6 +354,7 @@ def gram(spec: KernelSpec, data, indices) -> SymMatrix:
         )
 
     out = SymMatrix(m)
+    g = out.data
     # a BLAS matrix-vector product rounds a cell differently with the matrix's
     # height, so an inner-product row keeps its own prefix indices[: t + 1]
     inner = isinstance(spec, (LinearKernel, PolynomialKernel))
@@ -357,7 +362,7 @@ def gram(spec: KernelSpec, data, indices) -> SymMatrix:
     for s in range(0, m, height):
         e = min(m, s + height)
         block = kernel_block(spec, data, indices[s:e], indices[:e])
-        # only cells on or below the diagonal are stored, so only they are checked
+        # cells above the diagonal are overwritten by the mirror, so only the others are checked
         lower = np.arange(e) <= np.arange(s, e)[:, None]
         bad = lower & ~np.isfinite(block)
         if bad.any():
@@ -366,9 +371,24 @@ def gram(spec: KernelSpec, data, indices) -> SymMatrix:
             if unshared(spec, data, i, j):
                 raise ValueError(f"no shared observed attributes between rows {j} and {i}")
             raise ValueError(f"kernel {spec} gives a non-finite value for sample ids ({i}, {j})")
-        for t in range(s, e):
-            out.lower(t)[:] = block[t - s, : t + 1]
+        g[s:e, :e] = block
+    _mirror_lower(g)
     return out
+
+
+def _mirror_lower(g: np.ndarray) -> None:
+    """Assign each cell below the diagonal of g to its mirror above it, in _BLOCK_SIDE squares.
+
+    Only assigns, so a -0.0 stays -0.0.
+    """
+    side = _BLOCK_SIDE
+    upper = np.triu(np.ones((side, side), dtype=bool), 1)
+    for r in range(0, len(g), side):
+        rows = slice(r, r + side)
+        block = g[rows, rows]
+        np.copyto(block, block.T.copy(), where=upper[: len(block), : len(block)])
+        for c in range(r + side, len(g), side):
+            g[rows, c : c + side] = g[c : c + side, rows].T
 
 
 @dataclass(frozen=True)
@@ -386,11 +406,12 @@ def check_spsd(k: SymMatrix, tol: float = 0.0) -> SpsdReport:
     diagonally_dominant is true when every diagonal entry covers its
     off-diagonal absolute row sum (within tol); the eigenvalue bound is
     min_i (K_ii - sum_{j != i} |K_ij|), which is O(p^2) instead of the
-    O(p^3) a spectral check would cost.  Row sums are taken one row at a
-    time, so no dense copy is made.
+    O(p^3) a spectral check would cost.  Row sums are taken in row chunks
+    of at most _BLOCK_ELEMENTS cells, so no p x p temporary is made.
     """
     diag = k.diagonal()
-    sums = np.array([np.abs(k.row(i)).sum() for i in range(k.p)])
+    height = max(1, _BLOCK_ELEMENTS // k.p)
+    sums = np.concatenate([np.abs(k.data[r : r + height]).sum(axis=1) for r in range(0, k.p, height)])
     bound = float((diag - (sums - np.abs(diag))).min())
     return SpsdReport(
         symmetric=True,

@@ -1,7 +1,8 @@
-"""Symmetric matrices with structural symmetry, and the 2x2 rotations on them.
+"""Symmetric matrices and the 2x2 plane rotations on them.
 
-Storage is the packed lower triangle: one cell per unordered index pair, so
-`get(i, j) == get(j, i)` holds by construction, not by floating-point luck.
+A SymMatrix is one dense p x p array whose mirror cells hold the same bits:
+it is built symmetric by assignment, and a rotation writes each rotated row
+to its row and its column alike.
 """
 
 from __future__ import annotations
@@ -10,10 +11,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-
-# side of the square blocks to_dense mirrors one at a time: 128 KB per float64
-# block, so a block's source rows and target columns stay in cache
-_BLOCK_SIDE = 128
 
 
 class RotationCoeffs(NamedTuple):
@@ -24,31 +21,23 @@ class RotationCoeffs(NamedTuple):
 
 
 class SymMatrix:
-    """Dense symmetric p x p matrix, packed lower-triangle storage.
+    """Symmetric p x p matrix held as one C-contiguous float64 array, data.
 
-    Entry (i, j) with i >= j lives at data[s_i + j], where the row start
-    s_t = t (t + 1) / 2 is _starts[t]; the mirror entry is the same cell.
+    Cells (i, j) and (j, i) hold the same bits; every way of building one
+    (zeros, from_dense, kernels.gram) and every rotation here keeps that.
     """
 
-    __slots__ = ("p", "data", "_starts")
+    __slots__ = ("p", "data")
 
-    def __init__(self, p: int, data: np.ndarray | None = None):
+    def __init__(self, p: int):
         if p < 1:
             raise ValueError("dimension must be >= 1")
         self.p = p
-        t = np.arange(p + 1, dtype=np.int64)
-        self._starts = t * (t + 1) // 2
-        size = p * (p + 1) // 2
-        if data is None:
-            self.data = np.zeros(size)
-        else:
-            if data.shape != (size,):
-                raise ValueError(f"packed data must have length {size}")
-            self.data = np.asarray(data, dtype=float)
+        self.data = np.zeros((p, p))
 
     @classmethod
     def from_dense(cls, arr) -> "SymMatrix":
-        """Pack a dense symmetric array; rejects asymmetric or non-finite input."""
+        """Copy a dense symmetric array, its lower triangle mirrored; rejects asymmetric or non-finite input."""
         a = np.asarray(arr, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square matrix")
@@ -57,66 +46,18 @@ class SymMatrix:
         skew = np.abs(a - a.T).max() if a.size else 0.0
         if skew > 1e-12 * max(1.0, float(np.abs(a).max())):
             raise ValueError("matrix is not symmetric")
-        p = a.shape[0]
-        rows, cols = np.tril_indices(p)
-        return cls(p, a[rows, cols].copy())
-
-    def to_dense(self) -> np.ndarray:
-        """Dense p x p copy: each packed row into its row, and its column within the diagonal block,
-        then the other blocks mirrored square by square.  Only assigns, so a -0.0 stays -0.0.
-        """
-        p = self.p
-        out = np.empty((p, p))
-        for i in range(p):
-            row = self.lower(i)
-            out[i, : i + 1] = row
-            top = i - i % _BLOCK_SIDE  # first row of i's diagonal block
-            out[top:i, i] = row[top:i]
-        for r in range(0, p, _BLOCK_SIDE):
-            rows = slice(r, r + _BLOCK_SIDE)
-            for c in range(r + _BLOCK_SIDE, p, _BLOCK_SIDE):
-                out[rows, c : c + _BLOCK_SIDE] = out[c : c + _BLOCK_SIDE, rows].T
+        out = cls(a.shape[0])
+        # picked, not summed, so a -0.0 stays -0.0
+        out.data = np.where(np.tri(out.p, dtype=bool), a, a.T)
         return out
 
-    def copy(self) -> "SymMatrix":
-        return SymMatrix(self.p, self.data.copy())
-
-    def _check_index(self, i: int) -> None:
-        if not 0 <= i < self.p:
-            raise IndexError(f"index {i} out of range for dimension {self.p}")
-
-    def get(self, i: int, j: int) -> float:
-        self._check_index(i)
-        self._check_index(j)
-        if i < j:
-            i, j = j, i
-        return float(self.data[self._starts[i] + j])
-
-    def set(self, i: int, j: int, value: float) -> None:
-        self._check_index(i)
-        self._check_index(j)
-        if i < j:
-            i, j = j, i
-        self.data[self._starts[i] + j] = value
+    def to_dense(self) -> np.ndarray:
+        """A copy of data."""
+        return self.data.copy()
 
     def diagonal(self) -> np.ndarray:
-        return self.data[self._starts[1:] - 1]  # (i, i) is the last cell of packed row i
-
-    def lower(self, t: int) -> np.ndarray:
-        """Writable view of packed row t: entries (t, 0), ..., (t, t)."""
-        self._check_index(t)
-        return self.data[self._starts[t] : self._starts[t + 1]]
-
-    def _cells(self, i: int) -> tuple[slice, np.ndarray]:
-        """Where entries (i, 0), ..., (i, p - 1) live: packed row i, then column i below the diagonal."""
-        self._check_index(i)
-        s = self._starts
-        return slice(s[i], s[i + 1]), s[i + 1 : -1] + i
-
-    def row(self, i: int) -> np.ndarray:
-        """Entries (i, 0), ..., (i, p - 1), gathered into a new array."""
-        head, tail = self._cells(i)
-        return np.concatenate((self.data[head], self.data[tail]))
+        """The diagonal, as a new array."""
+        return self.data.diagonal().copy()
 
 
 def jacobi_coeffs(a_pp: float, a_qq: float, a_pq: float) -> RotationCoeffs:
@@ -168,28 +109,17 @@ def rotate_rows(
     return coeffs, new_p, new_q
 
 
-def rotate_pair(
-    a: SymMatrix, p_idx: int, q_idx: int, coeffs: RotationCoeffs | None = None
-) -> tuple[RotationCoeffs, np.ndarray, np.ndarray]:
-    """In-place Jt A J on rows/columns (p_idx, q_idx); returns the coefficients and both rotated rows.
-
-    Each row is gathered once, rotated by rotate_rows and written back to the
-    same cells.  Everything outside the two rows/columns is untouched.
-    """
-    head_p, tail_p = a._cells(p_idx)
-    head_q, tail_q = a._cells(q_idx)
-    data = a.data
-    row_p = np.concatenate((data[head_p], data[tail_p]))
-    row_q = np.concatenate((data[head_q], data[tail_q]))
-    coeffs, new_p, new_q = rotate_rows(row_p, row_q, p_idx, q_idx, coeffs)
-    data[head_p] = new_p[: p_idx + 1]
-    data[tail_p] = new_p[p_idx + 1 :]
-    data[head_q] = new_q[: q_idx + 1]
-    data[tail_q] = new_q[q_idx + 1 :]
-    return coeffs, new_p, new_q
-
-
 def apply_rotation(a: SymMatrix, p_idx: int, q_idx: int, coeffs: RotationCoeffs) -> SymMatrix:
-    """rotate_pair with the given coefficients; returns the same matrix."""
-    rotate_pair(a, p_idx, q_idx, coeffs)
+    """In-place Jt A J on rows and columns p_idx and q_idx with the given coefficients; returns a.
+
+    Both rows are rotated by rotate_rows and written to their rows and their
+    columns.  Everything outside the two rows and columns is untouched.
+    """
+    for t in (p_idx, q_idx):
+        if not 0 <= t < a.p:
+            raise IndexError(f"index {t} out of range for dimension {a.p}")
+    g = a.data
+    _, row_p, row_q = rotate_rows(g[p_idx], g[q_idx], p_idx, q_idx, coeffs)
+    g[p_idx] = g[:, p_idx] = row_p
+    g[q_idx] = g[:, q_idx] = row_q
     return a

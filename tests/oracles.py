@@ -17,7 +17,6 @@ from treelets import (
     RotationRecord,
     SymMatrix,
     TreeletDecomposition,
-    apply_rotation,
     cut,
     jacobi_coeffs,
     matching_matrix,
@@ -184,55 +183,6 @@ def read_csv_numeric(path, has_header=False, missing_tokens=DEFAULT_MISSING_TOKE
     return Dataset(values, present)
 
 
-def jacobi_eigh(a: SymMatrix, rel_tol: float = 1e-12, max_sweeps: int = 60):
-    """Eigen-decomposition by cyclic Jacobi sweeps.
-
-    Returns (eigenvalues, eigenvectors) with eigenvectors in columns, so
-    a = V diag(w) Vt.  Sweeps run until every off-diagonal magnitude drops
-    below rel_tol times the largest absolute entry of the input.
-    """
-    work = a.copy()
-    p = work.p
-    v = np.eye(p)
-    scale = float(np.abs(work.data).max())
-    if scale == 0.0:
-        return np.zeros(p), v
-    thresh = rel_tol * scale
-    for _ in range(max_sweeps):
-        rotated = False
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                aij = work.get(i, j)
-                if abs(aij) <= thresh:
-                    continue
-                rotated = True
-                coeffs = jacobi_coeffs(work.get(i, i), work.get(j, j), aij)
-                apply_rotation(work, i, j, coeffs)
-                c, s = coeffs
-                vi = v[:, i].copy()
-                vj = v[:, j].copy()
-                v[:, i] = c * vi - s * vj
-                v[:, j] = s * vi + c * vj
-        if not rotated:
-            break
-    return work.diagonal().copy(), v
-
-
-def psd_sqrt(k: SymMatrix, tol: float = 1e-10) -> SymMatrix:
-    """Symmetric PSD square root S with S S ~= K.  Used to check kernels and decompositions.
-
-    Eigenvalues in [-tol, 0) are clamped to zero; anything below -tol means
-    the input is not a valid similarity matrix.
-    """
-    w, v = jacobi_eigh(k)
-    if w.min() < -tol:
-        raise ValueError("kernel matrix not PSD")
-    w = np.where(w < 0.0, 0.0, w)
-    dense = (v * np.sqrt(w)) @ v.T
-    dense = 0.5 * (dense + dense.T)
-    return SymMatrix.from_dense(dense)
-
-
 def rotate_dense(d: np.ndarray, i: int, j: int, coeffs) -> np.ndarray:
     """Jt D J on rows/columns i and j of a dense symmetric array, in place; returns d.
 
@@ -251,6 +201,55 @@ def rotate_dense(d: np.ndarray, i: int, j: int, coeffs) -> np.ndarray:
     d[j, j] = s * s * aii + 2.0 * s * c * aij + c * c * ajj
     d[i, j] = d[j, i] = 0.0
     return d
+
+
+def jacobi_eigh(a: SymMatrix, rel_tol: float = 1e-12, max_sweeps: int = 60):
+    """Eigen-decomposition by cyclic Jacobi sweeps.
+
+    Returns (eigenvalues, eigenvectors) with eigenvectors in columns, so
+    a = V diag(w) Vt.  Sweeps run until every off-diagonal magnitude drops
+    below rel_tol times the largest absolute entry of the input.
+    """
+    work = a.to_dense()
+    p = a.p
+    v = np.eye(p)
+    scale = float(np.abs(work).max())
+    if scale == 0.0:
+        return np.zeros(p), v
+    thresh = rel_tol * scale
+    for _ in range(max_sweeps):
+        rotated = False
+        for i in range(p - 1):
+            for j in range(i + 1, p):
+                aij = float(work[i, j])
+                if abs(aij) <= thresh:
+                    continue
+                rotated = True
+                coeffs = jacobi_coeffs(float(work[i, i]), float(work[j, j]), aij)
+                rotate_dense(work, i, j, coeffs)
+                c, s = coeffs
+                vi = v[:, i].copy()
+                vj = v[:, j].copy()
+                v[:, i] = c * vi - s * vj
+                v[:, j] = s * vi + c * vj
+        if not rotated:
+            break
+    return np.diag(work).copy(), v
+
+
+def psd_sqrt(k: SymMatrix, tol: float = 1e-10) -> SymMatrix:
+    """Symmetric PSD square root S with S S ~= K.  Used to check kernels and decompositions.
+
+    Eigenvalues in [-tol, 0) are clamped to zero; anything below -tol means
+    the input is not a valid similarity matrix.
+    """
+    w, v = jacobi_eigh(k)
+    if w.min() < -tol:
+        raise ValueError("kernel matrix not PSD")
+    w = np.where(w < 0.0, 0.0, w)
+    dense = (v * np.sqrt(w)) @ v.T
+    dense = 0.5 * (dense + dense.T)
+    return SymMatrix.from_dense(dense)
 
 
 def select_pair(a, active, lam: float = 0.0) -> tuple[int, int, float]:

@@ -79,10 +79,10 @@ def test_criterion_01_rotation_correctness():
         a = random_symmetric(rng, 8)
         dense = a.to_dense()
         i, j = sorted(rng.choice(8, size=2, replace=False))
-        coeffs = jacobi_coeffs(a.get(i, i), a.get(j, j), a.get(i, j))
+        coeffs = jacobi_coeffs(float(a.data[i, i]), float(a.data[j, j]), float(a.data[i, j]))
         apply_rotation(a, int(i), int(j), coeffs)
 
-        ok &= a.get(i, j) == 0.0
+        ok &= a.data[i, j] == a.data[j, i] == 0.0
         rot = np.eye(8)
         rot[i, i] = rot[j, j] = coeffs.c
         rot[i, j] = coeffs.s

@@ -331,6 +331,30 @@ class TestExitCodes:
         assert err.startswith(usage)
         assert err[len(usage):] == f"treelets cluster: error: argument --kernel: bad kernel parameter: {message}\n"
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lambda", "nan", "expected a non-negative number, got nan"),
+        ("--lambda", "1e308", "lambda 1e308 is above sqrt(float max) = 1.34078e+154, where a pair score could overflow"),
+        ("--lambda", "1.35e154", "lambda 1.35e154 is above sqrt(float max) = 1.34078e+154, where a pair score could overflow"),
+        ("--lambda", "inf", "lambda inf is above sqrt(float max) = 1.34078e+154, where a pair score could overflow"),
+        ("--stop-tol", "nan", "expected a non-negative number, got nan"),
+        ("--stop-tol", "-1", "expected a non-negative number, got -1"),
+    ])
+    def test_lambda_or_stop_tol_that_corrupts_scores_is_usage_error(self, tmp_path, capsys, flag, value, message):
+        """--lambda 1e308 scored pairs inf with a RuntimeWarning and exited 0; a NaN
+        lambda scored them NaN, and a NaN stop_tol acted as 0."""
+        data = tmp_path / "three.csv"
+        data.write_text("1.0,2.0\n1.5,2.5\n3.0,0.5\n")
+        code = run("cluster", "--input", data, "--kernel", "rbf:sigma=1", "--clusters", 2, flag, value,
+                   "-o", tmp_path / "l.json")
+        assert code == 2
+        err, usage = capsys.readouterr().err, cluster_usage()
+        assert err.startswith(usage)
+        assert err[len(usage):] == f"treelets cluster: error: argument {flag}: {message}\n"
+
+    def test_nan_noise_is_usage_error(self, tmp_path, capsys):
+        assert run("generate", "--shape", "moons", "--n", 10, "--noise", "nan", "-o", tmp_path / "m.csv") == 2
+        assert capsys.readouterr().err.endswith("error: argument --noise: expected a non-negative number, got nan\n")
+
     @pytest.mark.parametrize("kernel", ["rbf:sigma=1e-160", "missing-rbf:gamma=1e308"])
     def test_kernel_scaling_that_overflows_warns_nothing(self, tmp_path, capsys, kernel):
         """Every scaled squared distance off the diagonal overflows to -inf, whose exp
@@ -422,11 +446,34 @@ def test_roc_on_any_tree_text_exits_cleanly(tmp_path_factory, text, reference):
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+def run_capturing(*args) -> tuple[int, list]:
+    """run() with stdout dropped; returns the exit code and the stderr lines.
+
+    A warning is a line on stderr, as outside the tests; a RuntimeWarning still raises.
+    """
+    err = StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.showwarning = lambda message, *args, **kwargs: print(f"warning: {message}", file=sys.stderr)
+        code = run(*args)
+    return code, err.getvalue().splitlines()
+
+
+def assert_clean_exit(code: int, lines: list) -> None:
+    """0, 1 or 2; a failure is one error line."""
+    assert code in (0, 1, 2)
+    if code:
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 @settings(max_examples=300, deadline=None)
 @given(raw_csv_texts(), st.sampled_from([
     ["cluster", "--kernel", "rbf:sigma=1", "--clusters", 2, "--threads", 1, "--tree", "prop_tree.json"],
     ["cluster", "--kernel", "missing-rbf:gamma=1", "--clusters", 2, "--threads", 1, "--sample-size", 3],
     ["cluster", "--kernel", "linear", "--clusters", 1, "--threads", 1, "--has-header"],
+    # the largest lambda the CLI takes: lambda |a_ij| is near float max / 2 on the linear Gram
+    ["cluster", "--kernel", "linear", "--clusters", 2, "--threads", 1, "--lambda", "1.3407807929942596e154"],
     ["normalize"],
     ["kmeans", "--k", 2],
 ]))
@@ -436,21 +483,61 @@ def test_csv_commands_on_any_small_text_exit_cleanly(tmp_path_factory, text, com
     data = base / "prop_cli.csv"
     data.write_bytes(text.encode())
     name, *flags = [base / a if str(a).endswith(".json") else a for a in command]
-    err = StringIO()
     limit = csv.field_size_limit(RAW_FIELD_LIMIT)
     try:
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(StringIO()), warnings.catch_warnings():
-            # a warning is a line on stderr, as outside the tests; a RuntimeWarning still raises
-            warnings.simplefilter("always")
-            warnings.simplefilter("error", RuntimeWarning)
-            warnings.showwarning = lambda message, *args, **kwargs: print(f"warning: {message}", file=sys.stderr)
-            code = run(name, "--input", data, "-o", base / "prop_cli.out", *flags)
+        code, lines = run_capturing(name, "--input", data, "-o", base / "prop_cli.out", *flags)
     finally:
         csv.field_size_limit(limit)
-    assert code in (0, 1, 2)
+    assert_clean_exit(code, lines)
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Small edge-list texts: edges between ids 0 to 6, comments, blank and whitespace-only
+    lines, tabs, runs and other kinds of blanks, CR, CRLF or LF ends.  Half of them hold
+    one faulty line: a negative id, a self-loop, an id past int()'s 4300-digit limit (one
+    of them the small id 3 behind leading zeros), an id one past the largest vertex id, a
+    malformed token or a wrong token count.  No valid id is large: a valid id near 2**20
+    would ask for a Gram of 2**20 rows."""
+    small = st.integers(0, 6).map(str)
+    blank = st.sampled_from([" ", "\t", "  ", " \t ", "\x0c", "\u00a0"])
+    margin = st.sampled_from(["", "", " ", "\t"])
+    good = st.one_of(
+        st.tuples(margin, st.lists(small, min_size=2, max_size=2, unique=True), blank, margin).map(
+            lambda t: t[0] + t[2].join(t[1]) + t[3]),
+        st.sampled_from(["", "   ", "\t", "# comment", "  # indented 1 2", "#1 2"]),
+    )
+    token = st.one_of(small, st.integers(-3, -1).map(str), st.sampled_from(
+        ["1" * 4301, "0" * 4400 + "3", "9" * 20, str(io.MAX_VERTEX_ID + 1), "+1", "1.0", "1e2", "x", "\u0663"]))
+    bad = st.one_of(
+        st.tuples(token, blank, token).map("".join),
+        small.map(lambda u: f"{u} {u}"),
+        st.sampled_from(["0 1 # trailing", "0", "0 1 2"]),
+    )
+    lines = draw(st.lists(good, max_size=10))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(bad))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + (end if lines and draw(st.booleans()) else "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_list_texts(), st.sampled_from(["graph:diag=auto", "graph:diag=3"]), st.integers(1, 4))
+def test_edge_list_commands_on_any_small_text_exit_cleanly(tmp_path_factory, text, kernel, clusters):
+    """`cluster` with the graph kernel, then `roc` with the text as its reference, on the
+    tree that run wrote (or a 3-leaf tree if it failed): each gives 0, 1 or 2 and raises
+    nothing, a failure is one error line."""
+    base = tmp_path_factory.getbasetemp()
+    graph = base / "prop_graph.txt"
+    graph.write_bytes(text.encode())
+    tree = base / "prop_graph_tree.json"
+    code, lines = run_capturing("cluster", "--input", graph, "--kernel", kernel, "--clusters", clusters,
+                                "--threads", 1, "-o", base / "prop_graph_labels.json", "--tree", tree)
+    assert_clean_exit(code, lines)
     if code:
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        tree.write_text('{"n_leaves": 3, "merges": []}')
+    code, lines = run_capturing("roc", "--tree", tree, "--reference", graph, "-o", base / "prop_graph_roc.csv")
+    assert_clean_exit(code, lines)
 
 
 class TestPipeline:

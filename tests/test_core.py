@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treelets.core
-import treelets.symmat
 from conftest import random_spsd
 from oracles import decompose_rescan, psd_sqrt, rotate_dense, same_decomposition, select_pair
 from treelets import (
@@ -149,11 +148,14 @@ class TestDecompose:
     def test_non_finite_entry_rejected(self):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="non-finite"):
-                decompose(SymMatrix(2, np.array([1.0, bad, 1.0])))
+                a = SymMatrix(2)
+                a.data[:] = [[1.0, bad], [bad, 1.0]]
+                decompose(a)
 
-    @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0, treelets.core.MAX_LAM])
     def test_entries_past_the_overflow_bound_are_refused_up_front(self, np_rng, lam):
-        """Entries up to sqrt(float max) / 2p run to the end with no overflow warned; one ulp past it is refused before any step."""
+        """Entries up to sqrt(float max) / 2p run to the end with no overflow warned, at
+        the largest lambda too; one ulp past it is refused before any step."""
         for p in (2, 3, 7, 16):
             bound = np.sqrt(np.finfo(float).max) / (2 * p)
             for _ in range(8):
@@ -167,6 +169,19 @@ class TestDecompose:
                 dense[i, j] = dense[j, i] = np.nextafter(dense[i, j], np.copysign(np.inf, dense[i, j]))
                 with pytest.raises(ValueError, match=r"above sqrt\(float max\) / 2p = .*, where a rotation or a pair score could overflow"):
                     decompose(SymMatrix.from_dense(dense), lam=lam)
+
+    def test_lam_and_stop_tol_that_corrupt_scores_are_refused(self):
+        """An overflowing lambda scored pairs inf (with a RuntimeWarning), a NaN one NaN,
+        and a NaN stop_tol acted as 0."""
+        a = SymMatrix.from_dense(BLOCK4)
+        too_big = np.nextafter(treelets.core.MAX_LAM, np.inf)
+        for lam in (math.nan, math.inf, 1e308, too_big, -1.0):
+            with pytest.raises(ValueError, match=r"^lam must be in \[0, sqrt\(float max\) = 1.34078e\+154\], not "):
+                decompose(a, lam=lam)
+        for stop_tol in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="^stop_tol must be >= 0, not "):
+                decompose(a, stop_tol=stop_tol)
+        assert decompose(a, lam=treelets.core.MAX_LAM).stop_level == 2
 
     def test_nan_and_tiny_diagonal_products_score_no_correlation(self):
         vals = np.array([0.5, 0.5, 0.5, 0.5])
@@ -276,22 +291,19 @@ class TestDecompose:
             assert same_decomposition(d, decompose_rescan(a, lam=lam))
 
     def test_initial_fill_across_block_boundaries(self, monkeypatch, np_rng):
-        """4 x 4 mirror blocks in to_dense and 16-cell row chunks in the first
-        scan on p up to 31: both cross block and chunk boundaries, some blocks
-        partial.  The first pair and its score are those of every pair's score
-        computed at once, bit for bit, and the records the rescan's."""
+        """16-cell row chunks in the first scan on p up to 31: they cross row
+        boundaries, some chunks partial.  The first pair and its score are
+        those of every pair's score computed at once, bit for bit, and the
+        records the rescan's."""
         monkeypatch.setattr(treelets.core, "_BLOCK_ELEMENTS", 16)
-        monkeypatch.setattr(treelets.symmat, "_BLOCK_SIDE", 4)
         for p in (5, 17, 31):
-            rows, cols = np.tril_indices(p)
             grams = [random_spsd(np_rng, p)]
             tied = np.triu(np_rng.integers(0, 2, (p, p)), 1).astype(float)
             tied += tied.T
             tied[np.diag_indices(p)] = max(1.0, tied.sum(axis=1).max())
             grams.append(SymMatrix.from_dense(tied))
             for a in grams:
-                dense, diag = np.empty((p, p)), a.diagonal()
-                dense[rows, cols] = dense[cols, rows] = a.data  # not to_dense, which is under test
+                dense, diag = a.to_dense(), a.diagonal()
                 for lam in (0.0, 0.5, 2.0):
                     vals, prod = np.abs(dense), np.outer(diag, diag)
                     want = np.where(prod > 1e-300, vals / np.sqrt(np.maximum(prod, 1e-300)), 0.0) + lam * vals
@@ -314,7 +326,7 @@ class TestDecompose:
             for k in (1, d.stop_level):
                 ak = replay(a, d, k)
                 rec = d.records[k - 1]
-                assert ak.get(rec.alpha, rec.beta) == 0.0
+                assert ak.data[rec.alpha, rec.beta] == 0.0
                 assert np.trace(ak.to_dense()) == pytest.approx(trace0, rel=1e-8)
 
     def test_conjugation_consistency(self, np_rng):
@@ -420,8 +432,10 @@ def test_lazy_rows_give_the_rescan_records(case, stop_tol):
 @settings(max_examples=150, deadline=None)
 @given(selection_case(max_graph=40, max_float=24), st.sampled_from([treelets.core.DEFAULT_STOP_TOL, 0.0]))
 def test_compacted_and_uncompacted_runs_give_the_rescan_records(case, stop_tol):
-    """A floor of 1 compacts at every halving of the active count; 2**40 never compacts."""
+    """A floor of 1 compacts at every halving of the active count; 2**40 never compacts.
+    Either way decompose compacts its own copy, and leaves its argument's bytes as they were."""
     a, lam = case
+    before = a.data.tobytes()
     want = decompose_rescan(a, lam, stop_tol)
     runs = []
     for floor in (1, 1 << 40):
@@ -429,6 +443,7 @@ def test_compacted_and_uncompacted_runs_give_the_rescan_records(case, stop_tol):
             mp.setattr(treelets.core, "_COMPACT_MIN", floor)
             d = decompose(a, lam, stop_tol)
         assert same_decomposition(d, want)
+        assert a.data.tobytes() == before
         runs.append(d)
     every, never = runs
     # at a floor of 1 a compaction follows each step that leaves half the stored size active
@@ -446,7 +461,7 @@ def test_decompose_rotates_as_apply_rotation_does(case):
     """Replaying the records through apply_rotation gives final_diag bit for bit,
     with a compaction at every halving and with the default floor."""
     a, lam = case
-    replay = a.copy()
+    replay = SymMatrix.from_dense(a.data)
     for rec in decompose(a, lam).records:
         apply_rotation(replay, *rec.axes, rec.coeffs)
     for floor in (1, treelets.core._COMPACT_MIN):

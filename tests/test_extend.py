@@ -467,18 +467,48 @@ class TestKtConfig:
         with pytest.raises(ValueError):
             KtConfig(kernel=RbfKernel(sigma=1.0), sample_size=1, n_clusters=1)
 
+    def test_lam_and_stop_tol_that_corrupt_scores_rejected(self):
+        for lam in (math.nan, math.inf, 1e308, -1.0):
+            with pytest.raises(ValueError, match="^lam must be in "):
+                KtConfig(kernel=RbfKernel(sigma=1.0), sample_size=5, n_clusters=2, lam=lam)
+        with pytest.raises(ValueError, match="^stop_tol must be >= 0, not nan$"):
+            KtConfig(kernel=RbfKernel(sigma=1.0), sample_size=5, n_clusters=2, stop_tol=math.nan)
+
 
 class TestFitPredict:
     def test_decomposes_its_gram_without_a_packed_copy(self, monkeypatch):
-        """The pipeline decomposes the Gram it built with no packed working
+        """The pipeline decomposes the Gram it built in place, with no working
         copy, and gets the records of the rescanning oracle on that Gram."""
         data, _ = generate(Circles(factor=0.5, noise=0.05), 60, 4)
         cfg = KtConfig(kernel=RbfKernel(sigma=0.2), sample_size=60, n_clusters=2, seed=0, lam=0.5)
         a0 = gram(cfg.kernel, data, range(60))
-        monkeypatch.setattr(SymMatrix, "copy", lambda self: pytest.fail("SymMatrix.copy called"))
+        monkeypatch.setattr(SymMatrix, "to_dense", lambda self: pytest.fail("SymMatrix.to_dense called"))
         res = fit_predict(data, cfg)
         monkeypatch.undo()
         assert same_decomposition(res.decomposition, decompose_rescan(a0, lam=cfg.lam))
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
+    def test_in_place_decomposition_equals_the_public_one(self, lam):
+        """On a graph, an RBF and a masked Gram, each past the compaction floor:
+        fit_predict's decomposition of its own Gram has the records, final_diag and
+        stop_score that the public decompose gives on that Gram, which it leaves as it was."""
+        rng = np.random.default_rng(5)
+        graph = Graph(150, {(int(u), int(v)) for u, v in rng.integers(0, 150, size=(400, 2)) if u != v})
+        points, _ = generate(Circles(factor=0.5, noise=0.05), 150, 2)
+        present = rng.random((150, 4)) > 0.2
+        present[:, 0] = True
+        masked = Dataset(rng.normal(size=(150, 4)), present)
+        cases = [(treelets.graph_kernel_for(graph), graph), (RbfKernel(sigma=0.2), points),
+                 (MissingRbfKernel(gamma=0.5), masked)]
+        for spec, data in cases:
+            cfg = KtConfig(kernel=spec, sample_size=150, n_clusters=2, lam=lam, stop_tol=0.0)
+            a0 = gram(spec, data, range(150))
+            before = a0.data.tobytes()
+            public = treelets.decompose(a0, lam=lam, stop_tol=0.0)
+            assert a0.data.tobytes() == before
+            in_place = fit_predict(data, cfg).decomposition
+            assert public.compactions > 0
+            assert same_decomposition(in_place, public), spec
 
     def test_full_sample_labels_come_from_the_cut(self):
         data, truth = generate(Blobs(centers=((0.0, 0.0), (20.0, 0.0)), stds=(1.0, 1.0)), 40, 2)

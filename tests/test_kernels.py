@@ -382,6 +382,43 @@ def test_gram_bytes_do_not_depend_on_row_block_budget(budget, monkeypatch):
     assert [gram(spec, data, ids).data.tobytes() for spec, data in cases] == expected
 
 
+@pytest.mark.parametrize("p", [127, 128, 129, 2 * treelets.kernels._BLOCK_SIDE + 3])
+def test_gram_is_symmetric_and_matches_the_scalar_oracle_across_the_block_side(p):
+    """Every cell, the mirrored upper triangle included: bit for bit on a graph, within
+    rounding on the numeric kernels; and each cell has its mirror's bits."""
+    rng = np.random.default_rng(p)
+    graph = Graph(p + 5, [(u, v) for u, v in rng.integers(0, p + 5, size=(4 * p, 2)) if u != v])
+    ids = rng.permutation(p + 5)[:p]
+    got = gram(graph_kernel_for(graph), graph, ids).data
+    assert got.tobytes() == got.T.copy().tobytes()
+    assert got.tobytes() == gram_by_scalar_loop(graph_kernel_for(graph), graph, ids).tobytes()
+    if p <= 131:
+        present = rng.random((p + 5, 3)) > 0.2
+        present[:, 0] = True
+        data = Dataset(rng.normal(size=(p + 5, 3)), present)
+        for spec in (RbfKernel(sigma=0.8), MissingRbfKernel(gamma=3.0)):
+            got = gram(spec, data, ids).data
+            assert got.tobytes() == got.T.copy().tobytes()
+            np.testing.assert_allclose(got, gram_by_scalar_loop(spec, data, ids), rtol=1e-13)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 13), st.integers(1, 5), st.data())
+def test_gram_mirror_equals_cell_by_cell_build(p, side, data):
+    """Every block shape, with signed zeros, which an arithmetic mirror would turn to +0.0:
+    cell (i, j) above the diagonal, NaN before, gets the bits of cell (j, i), and no cell
+    on or below it moves."""
+    cells = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(allow_nan=False))
+    g = np.full((p, p), np.nan)
+    g[np.tril_indices(p)] = data.draw(st.lists(cells, min_size=p * (p + 1) // 2, max_size=p * (p + 1) // 2))
+    i, j = np.indices((p, p))
+    expected = g[np.maximum(i, j), np.minimum(i, j)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(treelets.kernels, "_BLOCK_SIDE", side)
+        treelets.kernels._mirror_lower(g)
+    assert g.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("budget", [1, 2**15])
 def test_gram_names_the_first_unshared_pair_in_packed_order_whatever_the_budget(budget, monkeypatch):
     """Rows 1 and 2 share no attribute with rows 3 and 4; the packed order meets (3, 1) first."""
@@ -413,7 +450,7 @@ class TestCheckSpsd:
         for p in (1, 2, 9, 130):
             k = random_symmetric(np_rng, p, lo=-3.0, hi=3.0)
             diag = k.diagonal()
-            off = [np.abs(k.row(i)).sum() - abs(diag[i]) for i in range(p)]
+            off = [np.abs(k.data[i]).sum() - abs(diag[i]) for i in range(p)]
             assert check_spsd(k).min_eigenvalue_lower_bound == float((diag - np.array(off)).min())
 
     def test_bound_equals_dense_formula(self, np_rng):

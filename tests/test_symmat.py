@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,9 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_spsd, random_symmetric
 from oracles import jacobi_eigh, psd_sqrt, rotate_dense
-import treelets.symmat
-from treelets import RotationCoeffs, SymMatrix, apply_rotation, jacobi_coeffs
-from treelets.symmat import rotate_pair
+from treelets import SymMatrix, apply_rotation, jacobi_coeffs
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -25,11 +22,11 @@ def dense_rotation(p, i, j, coeffs):
 
 class TestSymMatrix:
     def test_single_cell_per_pair(self):
-        a = SymMatrix(3)
-        a.set(0, 2, 5.0)
-        assert a.get(2, 0) == 5.0
-        a.set(2, 0, -1.0)
-        assert a.get(0, 2) == -1.0
+        """from_dense keeps one value per pair, the lower one, on both sides of the diagonal."""
+        a = SymMatrix.from_dense([[1.0, 2.0 + 1e-15, -0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert a.data[0, 1] == a.data[1, 0] == 2.0
+        assert a.data.tobytes() == a.data.T.copy().tobytes()  # the +0.0 at (2, 0) on both sides
+        assert a.data.flags.c_contiguous
 
     def test_round_trip_dense(self, np_rng):
         d = np_rng.normal(size=(6, 6))
@@ -47,16 +44,17 @@ class TestSymMatrix:
                 SymMatrix.from_dense(bad)
 
     def test_index_range(self):
-        a = SymMatrix(2)
-        with pytest.raises(IndexError):
-            a.get(0, 2)
+        """A rotation index outside [0, p) is refused, a negative one too, which numpy would wrap."""
+        a = SymMatrix.from_dense([[2.0, 1.0], [1.0, 2.0]])
+        for i, j in ((0, 2), (-1, 0), (1, -2)):
+            with pytest.raises(IndexError):
+                apply_rotation(a, i, j, jacobi_coeffs(2.0, 2.0, 1.0))
+        assert np.array_equal(a.data, [[2.0, 1.0], [1.0, 2.0]])
 
-    def test_row_gather_matches_dense(self, np_rng):
-        d = np_rng.normal(size=(7, 7))
-        d = (d + d.T) / 2
-        a = SymMatrix.from_dense(d)
-        for i in range(7):
-            assert np.array_equal(a.row(i), d[i])
+    def test_diagonal_is_a_new_array(self):
+        a = SymMatrix.from_dense(np.diag([1.0, 2.0]))
+        a.diagonal()[:] = 5.0
+        assert np.array_equal(a.data, np.diag([1.0, 2.0]))
 
 
 class TestJacobiCoeffs:
@@ -94,14 +92,14 @@ class TestApplyRotation:
     def test_2x2_eigendecomposition(self):
         a = SymMatrix.from_dense([[2.0, 1.0], [1.0, 2.0]])
         apply_rotation(a, 0, 1, jacobi_coeffs(2.0, 2.0, 1.0))
-        assert a.get(0, 1) == 0.0
-        assert sorted([a.get(0, 0), a.get(1, 1)]) == pytest.approx([1.0, 3.0], abs=1e-12)
+        assert a.data[0, 1] == a.data[1, 0] == 0.0
+        assert sorted(a.diagonal()) == pytest.approx([1.0, 3.0], abs=1e-12)
 
     def test_indefinite_2x2(self):
         a = SymMatrix.from_dense([[3.0, 4.0], [4.0, -3.0]])
         apply_rotation(a, 0, 1, jacobi_coeffs(3.0, -3.0, 4.0))
-        assert a.get(0, 1) == 0.0
-        assert sorted([a.get(0, 0), a.get(1, 1)]) == pytest.approx([-5.0, 5.0], abs=1e-12)
+        assert a.data[0, 1] == a.data[1, 0] == 0.0
+        assert sorted(a.diagonal()) == pytest.approx([-5.0, 5.0], abs=1e-12)
 
     def test_identity_rotation_is_noop(self):
         d = np.diag([1.0, 2.0, 3.0])
@@ -122,10 +120,10 @@ class TestApplyRotation:
             a = random_symmetric(np_rng, 8)
             dense = a.to_dense()
             i, j = sorted(np_rng.choice(8, size=2, replace=False))
-            coeffs = jacobi_coeffs(a.get(i, i), a.get(j, j), a.get(i, j))
+            coeffs = jacobi_coeffs(float(a.data[i, i]), float(a.data[j, j]), float(a.data[i, j]))
             apply_rotation(a, int(i), int(j), coeffs)
 
-            assert a.get(i, j) == 0.0
+            assert a.data[i, j] == a.data[j, i] == 0.0
             ref = dense_rotation(8, i, j, coeffs)
             expected = ref.T @ dense @ ref
             np.testing.assert_allclose(a.to_dense(), expected, rtol=0, atol=1e-12)
@@ -137,7 +135,7 @@ class TestApplyRotation:
     def test_untouched_rows_are_bitwise_identical(self, np_rng):
         a = random_symmetric(np_rng, 6)
         before = a.to_dense()
-        apply_rotation(a, 1, 4, jacobi_coeffs(a.get(1, 1), a.get(4, 4), a.get(1, 4)))
+        apply_rotation(a, 1, 4, jacobi_coeffs(float(a.data[1, 1]), float(a.data[4, 4]), float(a.data[1, 4])))
         after = a.to_dense()
         keep = [0, 2, 3, 5]
         assert np.array_equal(after[np.ix_(keep, keep)], before[np.ix_(keep, keep)])
@@ -179,7 +177,7 @@ class TestPsdSqrt:
 
     def test_small_negative_eigenvalues_clamped(self):
         s = psd_sqrt(SymMatrix.from_dense([[1e-14, 0.0], [0.0, 1.0]]), tol=1e-10)
-        assert s.get(0, 0) >= 0.0
+        assert s.data[0, 0] >= 0.0
 
     def test_adversarial_spectra(self, np_rng):
         """Rank deficiency, clustered eigenvalues, extreme scales, bad conditioning."""
@@ -221,61 +219,27 @@ def test_jacobi_eigh_matches_numpy(np_rng):
         np.testing.assert_allclose((v * w) @ v.T, a.to_dense(), atol=1e-9)
 
 
-@st.composite
-def packed_case(draw):
-    """A packed matrix of distinct cell values, and a row id."""
-    p = draw(st.integers(1, 9))
-    a = SymMatrix(p, np.arange(p * (p + 1) // 2, dtype=float) + 0.5)
-    return a, draw(st.integers(0, p - 1))
-
-
 def same_bits(x, y):
     return x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-@settings(max_examples=200, deadline=None)
-@given(packed_case())
-def test_rows_and_lower_match_dense(case):
-    a, t = case
-    dense = a.to_dense()
-    assert same_bits(np.array([a.row(i) for i in range(a.p)]), dense)
-    assert same_bits(a.lower(t), dense[t, : t + 1])
-
-    if a.p > 1:  # rows written back land in row t and column t, which are the same cells
-        u = (t + 1) % a.p
-        _, row_t, row_u = rotate_pair(a, t, u, RotationCoeffs(1.0, 0.0))
-        dense[t, u] = dense[u, t] = 0.0  # the identity rotation leaves all but the (t, u) literal zero
-        assert same_bits(a.to_dense(), dense)
-        assert same_bits(row_t, a.row(t)) and same_bits(row_u, a.row(u))
-
-    a.lower(t)[:] = 0.25  # a view: writes land in the packed cells
-    dense[t, : t + 1] = dense[: t + 1, t] = 0.25
-    assert same_bits(a.to_dense(), dense)
-
-
-def dense_cell_by_cell(a: SymMatrix) -> np.ndarray:
-    """Cell (i, j) read from packed index max(i, j) (max(i, j) + 1) / 2 + min(i, j)."""
-    i, j = np.indices((a.p, a.p))
+def from_lower(p: int, cells) -> np.ndarray:
+    """The p x p array whose cell (i, j) is cells[k], k the row-major position of (max, min) on or below the diagonal."""
+    i, j = np.indices((p, p))
     hi, lo = np.maximum(i, j), np.minimum(i, j)
-    return a.data[hi * (hi + 1) // 2 + lo]
+    return np.asarray(cells, dtype=float)[hi * (hi + 1) // 2 + lo]
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 13), st.integers(1, 5), st.data())
-def test_to_dense_equals_cell_by_cell_build(p, side, data):
-    """Every block shape, with signed zeros, which an arithmetic mirror would turn to +0.0."""
-    cells = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(allow_nan=False))
-    a = SymMatrix(p, np.array(data.draw(st.lists(cells, min_size=p * (p + 1) // 2, max_size=p * (p + 1) // 2))))
-    with mock.patch.object(treelets.symmat, "_BLOCK_SIDE", side):
-        assert a.to_dense().tobytes() == dense_cell_by_cell(a).tobytes()
-
-
-def test_to_dense_crosses_the_real_block_side():
-    p = 2 * treelets.symmat._BLOCK_SIDE + 3
-    rng = np.random.default_rng(0)
-    a = SymMatrix(p, rng.normal(size=p * (p + 1) // 2))
-    a.data[rng.random(len(a.data)) < 0.1] = -0.0
-    assert a.to_dense().tobytes() == dense_cell_by_cell(a).tobytes()
+@given(st.integers(1, 13), st.data())
+def test_to_dense_equals_cell_by_cell_build(p, data):
+    """from_dense keeps the lower triangle bit for bit, signed zeros included, which an
+    arithmetic mirror would turn to +0.0; each zero above it is given the other sign."""
+    cells = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-1e300, 1e300, allow_nan=False))
+    mirrored = from_lower(p, data.draw(st.lists(cells, min_size=p * (p + 1) // 2, max_size=p * (p + 1) // 2)))
+    i, j = np.indices((p, p))
+    given = np.where((j > i) & (mirrored == 0.0), -mirrored, mirrored)
+    assert same_bits(SymMatrix.from_dense(given).to_dense(), mirrored)
 
 
 @st.composite
@@ -283,16 +247,16 @@ def rotation_case(draw):
     """A symmetric matrix of mixed-scale entries, a plane i < j and its Jacobi rotation."""
     p = draw(st.integers(2, 12))
     entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
-    cells = draw(st.lists(entries, min_size=p * (p + 1) // 2, max_size=p * (p + 1) // 2))
-    a = SymMatrix(p, np.array(cells))
+    a = SymMatrix.from_dense(from_lower(p, draw(st.lists(entries, min_size=p * (p + 1) // 2, max_size=p * (p + 1) // 2))))
     i, j = sorted(draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=2, unique=True)))
-    return a, i, j, jacobi_coeffs(a.get(i, i), a.get(j, j), a.get(i, j))
+    return a, i, j, jacobi_coeffs(float(a.data[i, i]), float(a.data[j, j]), float(a.data[i, j]))
 
 
 @settings(max_examples=300, deadline=None)
 @given(rotation_case())
-def test_packed_rotation_equals_dense_oracle(case):
+def test_apply_rotation_equals_dense_oracle(case):
+    """Every cell, the untouched ones and both mirrors of the rotated rows, bit for bit."""
     a, i, j, coeffs = case
     expected = rotate_dense(a.to_dense(), i, j, coeffs)
     apply_rotation(a, i, j, coeffs)
-    assert same_bits(a.to_dense(), expected)
+    assert same_bits(a.data, expected)
