@@ -34,8 +34,8 @@ MAX_LAM = math.sqrt(np.finfo(float).max)
 # and a transient copy numpy's broadcast product takes), under 0.3 MB here
 _BLOCK_ELEMENTS = 1 << 13
 
-# when the active count falls to 1 / _COMPACT_SHRINK of the stored size m, and
-# m is above _COMPACT_MIN, the active block is moved to the front of the dense
+# when the active count falls to 1 / _COMPACT_SHRINK of the stored size, and
+# that is above _COMPACT_MIN, the active block is moved to the front of the dense
 # Gram, and the loop goes on at the smaller size.  Floors of 16 to 256 ran the
 # three bench Grams' decompose level (2 vCPUs); never compacting ran the
 # 1000-row RBF and 1080-row masked Grams 10-13 % slower and the 700-vertex
@@ -76,8 +76,8 @@ class TreeletDecomposition:
     lam: float
     # best remaining pair score when the loop stalled below stop_tol; None when it completed
     stop_score: float | None = None
-    # work counters of the pair search, not part of the result: stale rows
-    # made lazy, lazy rows rescanned at the top
+    # work counters of the pair search, not part of the result: markings of
+    # stale rows as lazy, lazy rows rescanned at the top
     rows_made_lazy: int = 0
     lazy_rescans: int = 0
     # times the active block was moved to the front of the dense Gram
@@ -169,26 +169,28 @@ def decompose(a0: SymMatrix, lam: float = 0.0, stop_tol: float = DEFAULT_STOP_TO
     built instead.  Each step rotates rows and columns i and j of g
     (symmat.rotate_rows), takes both new diagonals from the rotated rows,
     marks the retired index (its row is never read again, and its column is
-    masked where a row is read), and scores the surviving index's rotated
-    row; that row's best partner is its first maximum.  No pair score is stored: a row is scored where it is
-    read, by the chunked first scan, a lazy row's rescan and the survivor's
-    fresh row, and -inf is assigned at its own and at retired columns.
+    masked where a row is read), and rescores the surviving index's rotated
+    row.  No pair score is stored: a row is scored where it is read, by the
+    chunked first scan or by one scorer (a lazy row's rescan, the survivor's
+    row), with -inf at its own and at retired columns.
 
-    When the active count falls to half the stored size m, and m is above
-    _COMPACT_MIN, the active block is moved to the front of g's own buffer,
-    in order and in place, and the per-index arrays with it.
-    Later steps touch only m' entries per row, and the index order, so every
-    tie rule below, is unchanged.
+    When the active count falls to half the stored size len(g), and that is
+    above _COMPACT_MIN, the active block is moved to the front of g's own
+    buffer, in order and in place, and the per-index arrays with it.  Later
+    steps touch only the active entries of each row, and the index order, so
+    every tie rule below, is unchanged.
 
-    Each row caches its best partner and score.  A row whose partner was one
-    of the two rotated indices is stale: it keeps max(old best, new score
-    against the survivor) as an upper bound on its best and is marked lazy
-    (lazy greedy evaluation, Minoux 1978); later steps raise the bound by
-    the survivor's new score.  A step takes the first maximum of the cached
-    scores, and while that row is lazy it rescans that row alone and takes
-    the first maximum again.  The row taken is then exact and every other
-    row's best is at or below its cached value, so the pair, the tie rules
-    and the stop test are those of an exact rescan of every row.
+    Each row caches its best partner (its first maximum) and score, or, for
+    a lazy row, partner -1 and an upper bound on its best (lazy greedy
+    evaluation, Minoux 1978).  A row whose partner was one of the two
+    rotated indices is stale: its other scores did not move, so its old best
+    bounds them.  Where the survivor's new score beats a row's cached one,
+    the survivor is its partner, exact; a stale row not beaten goes lazy.  A
+    step takes the first maximum of the cached scores, and while that row is
+    lazy it rescans that row alone and takes the first maximum again.  The
+    row taken is then exact and every other row's best is at or below its
+    cached value, so the pair, the tie rules and the stop test are those of
+    an exact rescan of every row.
     """
     return _decompose(a0.to_dense(), lam, stop_tol)
 
@@ -221,23 +223,27 @@ def _decompose(g: np.ndarray, lam: float = 0.0, stop_tol: float = DEFAULT_STOP_T
     # position to its sample index, and compaction keeps both in index order
     records: list[RotationRecord] = []
     ids = np.arange(p)
-    m = p  # stored size
     retired = np.zeros(p, dtype=bool)
-    exact = np.ones(p, dtype=bool)  # active and not lazy: best_score is the row's best, not a bound
-    cells = g.reshape(-1)  # g's buffer; an m x m block at its front is in use
+    cells = g.reshape(-1)  # g's buffer; a len(g) x len(g) block at its front is in use
     made_lazy = rescans = compactions = 0
 
+    def rescore(i: int, vals: np.ndarray) -> np.ndarray:
+        """Row i's scores from its |a| vals, -inf at its own and retired columns; caches their first maximum."""
+        row = _scores(vals, diag[i] * diag, lam)
+        np.putmask(row, retired, -np.inf)  # assigned: an overflowed +inf plus -inf would be NaN
+        row[i] = -np.inf
+        best_j[i] = j = int(row.argmax())
+        best_score[i] = row[j]
+        return row
+
+    # best_j -1: no partner cached, for a lazy row (best_score bounds its
+    # best) and for a retired one (best_score -inf)
     best_j, best_score = _first_scan(g, diag, lam)
     stop_score = None
     for step in range(1, p):
         i_star = int(best_score.argmax())  # first max = smallest row
-        while not exact[i_star]:  # a lazy bound on top: rescan that row alone
-            row = _scores(np.abs(g[i_star]), diag[i_star] * diag, lam)
-            np.putmask(row, retired, -np.inf)
-            row[i_star] = -np.inf
-            j = int(row.argmax())
-            best_j[i_star], best_score[i_star] = j, row[j]
-            exact[i_star] = True
+        while best_j[i_star] < 0:  # a lazy bound on top: rescan that row alone
+            rescore(i_star, np.abs(g[i_star]))
             rescans += 1
             i_star = int(best_score.argmax())
         score = float(best_score[i_star])
@@ -272,51 +278,41 @@ def _decompose(g: np.ndarray, lam: float = 0.0, stop_tol: float = DEFAULT_STOP_T
             )
         )
         retired[alpha] = True
-        exact[alpha] = False
+        best_j[alpha] = -1
         best_score[alpha] = -np.inf  # alpha's row is never read again; its column is masked on read
 
         vals = row_i if beta == i_sel else row_j
-        fresh = _scores(np.abs(vals, out=vals), diag[beta] * diag, lam)
-        np.putmask(fresh, retired, -np.inf)  # assigned: an overflowed +inf plus -inf would be NaN
-        fresh[beta] = -np.inf
-        # a lazy row is never stale, so take raises its bound to its fresh
-        # score (its best_j means nothing until it is rescanned)
-        stale = exact & ((best_j == alpha) | (best_j == beta))
-        # take may also touch a retired row (its best_j is never read) or a
-        # stale one (bounded by max(old best, fresh) below either way)
+        fresh = rescore(beta, np.abs(vals, out=vals))  # beta's whole row is fresh: it needs no rescan
+        stale = (best_j == alpha) | (best_j == beta)
+        stale[beta] = False  # at the last step beta's row is all -inf: its cached partner 0 may be alpha
+        np.putmask(best_j, stale, -1)  # its other scores did not move: its old best bounds them
+        made_lazy += int(np.count_nonzero(stale))
+        # none of a row's other scores is above its cached one, or equal to it
+        # before its partner.  So beta is the first maximum of a row whose
+        # score fresh beats, or ties before its partner (never a lazy or
+        # retired row's -1), and that row is exact
         take = (fresh > best_score) | ((fresh == best_score) & (beta < best_j))
         np.putmask(best_score, take, fresh)
         np.putmask(best_j, take, beta)
-        stale[beta] = False
-        # the row's other scores did not move, and its old best bounds them;
-        # np.maximum keeps a NaN fresh score, which take cannot
-        np.maximum(best_score, fresh, out=best_score, where=stale)
-        np.putmask(exact, stale, False)
-        made_lazy += int(np.count_nonzero(stale))
-        # beta's whole row is fresh: its best partner needs no rescan
-        best_j[beta] = j = int(fresh.argmax())
-        best_score[beta] = fresh[j]
-        exact[beta] = True
 
         live = p - step
-        if m > _COMPACT_MIN and live * _COMPACT_SHRINK <= m:
+        if len(g) > _COMPACT_MIN and live * _COMPACT_SHRINK <= len(g):
             # move the active block to the front, in order: first maxima and
             # the beta < best_j rule see the same order as before
             keep = np.flatnonzero(~retired)
             final_diag[ids] = diag
             old = g
             g = cells[: live * live].reshape(live, live)
-            height = max(1, _BLOCK_ELEMENTS // m)
+            height = max(1, _BLOCK_ELEMENTS // len(old))
             # in row chunks: row t lands at or before its source row keep[t], and
             # before every row not yet moved
             for start in range(0, live, height):
                 moved = keep[start : start + height]
                 g[start : start + len(moved)] = old[moved].take(keep, axis=1)
-            ids, diag, exact = ids[keep], diag[keep], exact[keep]
-            best_score = best_score[keep]
-            best_j = np.searchsorted(keep, best_j[keep])  # order-preserving, also for a lazy row's stale partner
-            m = live
-            retired = np.zeros(m, dtype=bool)
+            ids, diag, best_score = ids[keep], diag[keep], best_score[keep]
+            best_j = best_j[keep]  # an exact row's partner is active, so it is in keep
+            best_j = np.where(best_j < 0, -1, np.searchsorted(keep, best_j))
+            retired = np.zeros(live, dtype=bool)
             compactions += 1
 
     final_diag[ids] = diag

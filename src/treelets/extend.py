@@ -16,7 +16,7 @@ import numpy as np
 from .core import DEFAULT_STOP_TOL, TreeletDecomposition, check_params
 from .core import _decompose as decompose
 from .hierarchy import ClusterLabels, Dendrogram, cut, merge_tree
-from .kernels import Graph, KernelSpec, gram, kernel_block, kernel_diag, unshared
+from .kernels import Graph, KernelSpec, gram, kernel_block, kernel_diag, nonfinite_error
 from .rng import SplitMix64
 
 # cells of one query block (queries x sample), whatever the width and the
@@ -134,7 +134,7 @@ def knn_extend(
     blocks.  Distance ties prefer the smaller sample position, vote ties
     the smaller cluster id, so the result is deterministic and independent
     of the thread count and the block height.  A non-finite kernel value
-    is an error that names the kernel and the first query that gives one.
+    is an error naming the kernel and the first sample or query id with one.
     """
     sample = np.asarray(sample, dtype=np.int64)
     queries = np.asarray(queries, dtype=np.int64)
@@ -145,6 +145,9 @@ def knn_extend(
         raise ValueError("knn_k cannot exceed the sample size")
 
     self_sample = kernel_diag(spec, data, sample)
+    if not np.isfinite(self_sample).all():
+        s = sample[np.argmin(np.isfinite(self_sample))]
+        raise nonfinite_error(spec, data, s, s, f"sample id {s}")
     n_labels = int(sample_labels.max()) + 1
     n = len(sample)
     height = max(1, _BLOCK_ELEMENTS // n)
@@ -161,9 +164,7 @@ def knn_extend(
         if not finite.all():
             a = np.argmin(finite)
             j = sample[np.argmin(np.isfinite(k[a]))]
-            if unshared(spec, data, block[a], j):
-                raise ValueError(f"no shared observed attributes between rows {block[a]} and {j}")
-            raise ValueError(f"kernel {spec} gives a non-finite value for query id {block[a]}")
+            raise nonfinite_error(spec, data, block[a], j, f"query id {block[a]}")
         if constant_diag and (self_block == c).all():
             # the k-th largest kernel value kappa gives the k-th smallest
             # distance; a cell whose value is below lo = kappa - margin is

@@ -310,18 +310,20 @@ def kernel_diag(spec: KernelSpec, data, ids) -> np.ndarray:
         return np.ones(len(ids))
     if isinstance(spec, GraphKernel):
         return np.full(len(ids), float(spec.diag))
-    if isinstance(spec, LinearKernel):
-        return np.array([np.dot(v, v) for v in data.values[ids]])
-    if isinstance(spec, PolynomialKernel):
-        dots = [float(np.dot(v, v)) for v in data.values[ids]]
-        with np.errstate(over="ignore"):  # callers reject the inf
+    with np.errstate(over="ignore"):  # callers reject the inf
+        if isinstance(spec, LinearKernel):
+            return np.array([np.dot(v, v) for v in data.values[ids]])
+        if isinstance(spec, PolynomialKernel):
+            dots = [float(np.dot(v, v)) for v in data.values[ids]]
             return np.array([np.float64(spec.alpha * dot + spec.c0) ** spec.degree for dot in dots])
     raise TypeError(f"unknown kernel spec {spec!r}")
 
 
-def unshared(spec: KernelSpec, data, i: int, j: int) -> bool:
-    """Whether K(x_i, x_j) is NaN because masked rows i and j share no observed attribute."""
-    return isinstance(spec, MissingRbfKernel) and not (data.present[i] & data.present[j]).any()
+def nonfinite_error(spec: KernelSpec, data, i: int, j: int, where: str) -> ValueError:
+    """The error for a non-finite K(x_i, x_j): masked rows i and j share no attribute, or else the value at where."""
+    if isinstance(spec, MissingRbfKernel) and not (data.present[i] & data.present[j]).any():
+        return ValueError(f"no shared observed attributes between rows {i} and {j}")
+    return ValueError(f"kernel {spec} gives a non-finite value for {where}")
 
 
 def gram(spec: KernelSpec, data, indices) -> SymMatrix:
@@ -368,9 +370,7 @@ def gram(spec: KernelSpec, data, indices) -> SymMatrix:
         if bad.any():
             a, c = np.argwhere(bad)[0]
             i, j = indices[s + a], indices[c]
-            if unshared(spec, data, i, j):
-                raise ValueError(f"no shared observed attributes between rows {j} and {i}")
-            raise ValueError(f"kernel {spec} gives a non-finite value for sample ids ({i}, {j})")
+            raise nonfinite_error(spec, data, j, i, f"sample ids ({i}, {j})")
         g[s:e, :e] = block
     _mirror_lower(g)
     return out

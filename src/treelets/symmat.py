@@ -69,6 +69,7 @@ def jacobi_coeffs(a_pp: float, a_qq: float, a_pq: float) -> RotationCoeffs:
     Conjugating with J (J_pp = J_qq = c, J_pq = -J_qp = s) as Jt A J
     annihilates the off-diagonal pair exactly.
     """
+    a_pp, a_qq, a_pq = float(a_pp), float(a_qq), float(a_pq)  # a numpy scalar warns where a float overflows
     if not (math.isfinite(a_pp) and math.isfinite(a_qq) and math.isfinite(a_pq)):
         raise ValueError("non-finite matrix entry")
     if a_pq == 0.0:

@@ -297,6 +297,20 @@ class TestExitCodes:
         assert "PolynomialKernel(alpha=1.0, c0=1.0, degree=200)" in err
         assert "non-finite value for sample ids (0, 0)" in err
 
+    def test_overflowing_query_self_similarity_is_one_error_line(self, tmp_path):
+        """Row 0's <x, x> overflows in np.dot; seed 2 leaves it out of the sample, so it is a query."""
+        data = tmp_path / "ov.csv"
+        data.write_text("1e200,0\n0,1\n0,2\n0,1.5\n")
+        src = Path(treelets.__file__).parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "treelets.cli", "cluster", "--input", str(data), "--kernel", "linear",
+             "--clusters", "1", "--sample-size", "3", "--knn-k", "1", "--seed", "2",
+             "-o", str(tmp_path / "ov.json")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: kernel LinearKernel() gives a non-finite value for query id 0\n"
+
     def test_non_finite_extension_is_one_error_line(self, tmp_path):
         data = tmp_path / "far.csv"
         rows = [f"{1 + 0.01 * i},0.0\n" for i in range(20)]

@@ -268,6 +268,31 @@ class TestDecompose:
         again = decompose(a)
         assert (again.rows_made_lazy, again.lazy_rescans) == (d.rows_made_lazy, d.lazy_rescans)
 
+    def test_survivor_that_beats_a_lazy_bound_makes_the_row_exact(self):
+        """Scores |a_ij| / sqrt(a_ii a_jj).  Step 1 takes (0, 1), 0.567; rows 2 and
+        3, whose partners were 1 and 0, go lazy with bounds 0.267 and 0.5, above
+        their scores 0.234 and 0.317 against the survivor 1.  Step 2 rescans row
+        3 (partner 1, 0.317) and takes (1, 3); the survivor 3 scores 0.287
+        against row 2, above its bound, so row 2 is exact again, and step 3 takes
+        (2, 3) from it with no second rescan."""
+        a = SymMatrix.from_dense([[2, 3, 1, -3], [3, 14, -3, 6], [1, -3, 9, -3], [-3, 6, -3, 18]])
+        d = decompose(a)
+        assert [(r.alpha, r.beta) for r in d.records] == [(0, 1), (1, 3), (2, 3)]
+        assert (d.rows_made_lazy, d.lazy_rescans) == (2, 1)
+        assert same_decomposition(d, decompose_rescan(a))
+
+    def test_survivor_that_ties_a_row_before_its_partner_becomes_its_partner(self):
+        """A 7-vertex graph.  Step 4 rotates (3, 4), and the survivor 4 scores
+        0.149 against row 2, equal to row 2's cached score against 5: 4 < 5 is
+        row 2's first maximum now, so step 5 takes (2, 4), not (2, 5)."""
+        from treelets import Graph, gram, graph_kernel_for
+
+        g = Graph(7, {(0, 2), (0, 3), (0, 5), (0, 6), (1, 5), (1, 6), (2, 6), (3, 4), (4, 6)})
+        a = gram(graph_kernel_for(g), g, range(7))
+        d = decompose(a)
+        assert [(r.alpha, r.beta) for r in d.records] == [(0, 2), (6, 2), (1, 5), (3, 4), (4, 2), (5, 2)]
+        assert same_decomposition(d, decompose_rescan(a))
+
     def test_compaction_above_the_default_floor(self, np_rng):
         """Three 50-vertex ego communities: each hub joins all its members, which
         also share random edges.  The loop runs past half of p = 150, so with

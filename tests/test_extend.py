@@ -200,6 +200,12 @@ class TestKnnExtend:
         with pytest.raises(ValueError, match=r"PolynomialKernel\(.*query id 2$"):
             knn_extend(spec, data, np.array([0, 1]), np.array([0, 1]), np.array([3, 2, 4]), knn_k=1)
 
+    def test_non_finite_sample_self_similarity_names_the_sample_id(self):
+        """Sample 0's <x, x> overflows: it is refused, not taken as infinitely far."""
+        data = Dataset([[1e200, 0.0], [0.0, 1.0], [0.0, 2.0], [0.0, 1.5]])
+        with pytest.raises(ValueError, match=r"^kernel LinearKernel\(\) gives a non-finite value for sample id 0$"):
+            knn_extend(LinearKernel(), data, np.array([0, 1, 2]), np.array([0, 1, 1]), np.array([3]), 1)
+
     def test_query_sharing_no_attribute_names_the_pair(self):
         present = np.array([[True, True], [True, False], [False, True], [True, True]])
         data = Dataset(np.ones((4, 2)), present)

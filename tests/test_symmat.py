@@ -87,6 +87,12 @@ class TestJacobiCoeffs:
         with pytest.raises(ValueError, match="non-finite matrix entry"):
             jacobi_coeffs(1.0, math.inf, 1.0)
 
+    def test_numpy_scalars_overflow_as_floats_do(self):
+        """|tau| past the float range: float arithmetic gives inf silently, a numpy scalar would warn."""
+        want = jacobi_coeffs(0.0, 1e300, 1e-10)
+        assert want == (1.0, 0.0)
+        assert jacobi_coeffs(np.float64(0.0), np.float64(1e300), np.float64(1e-10)) == want
+
 
 class TestApplyRotation:
     def test_2x2_eigendecomposition(self):
