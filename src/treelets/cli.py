@@ -120,7 +120,8 @@ def _sha256(path) -> str:
     return f"sha256:{digest}"
 
 
-def _write_manifest(output, command, config, inputs, timings, **sections) -> None:
+def _write_manifest(outputs, command, config, inputs, timings, **sections) -> None:
+    """Write one manifest text next to each of outputs; the inputs are hashed once."""
     manifest = {
         "command": list(command),
         "config": config,
@@ -129,8 +130,9 @@ def _write_manifest(output, command, config, inputs, timings, **sections) -> Non
         "timings": {k: round(v, 6) for k, v in timings.items()},
         **sections,
     }
-    path = Path(str(output) + ".manifest.json")
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+    for output in outputs:
+        Path(str(output) + ".manifest.json").write_text(text, encoding="utf-8")
 
 
 def _read_features(args):
@@ -177,7 +179,7 @@ def cmd_generate(args, argv) -> int:
         for (x, y), lab in zip(data.values, labels.assignments):
             fh.write(f"{float(x)!r},{float(y)!r},{int(lab)}\n")
     config = {"shape": args.shape, "factor": args.factor, "noise": args.noise, "n": args.n, "seed": args.seed}
-    _write_manifest(args.output, argv, config, [], timer.total())
+    _write_manifest([args.output], argv, config, [], timer.total())
     return 0
 
 
@@ -235,9 +237,8 @@ def cmd_cluster(args, argv) -> int:
         "lazy_rescans": decomp.lazy_rescans,
         "compactions": decomp.compactions,
     }
-    _write_manifest(args.output, argv, manifest_config, [args.input], timings, decomposition=how)
-    if args.tree:
-        _write_manifest(args.tree, argv, manifest_config, [args.input], timings, decomposition=how)
+    outputs = [args.output, args.tree] if args.tree else [args.output]
+    _write_manifest(outputs, argv, manifest_config, [args.input], timings, decomposition=how)
     return 0
 
 
@@ -262,7 +263,7 @@ def cmd_roc(args, argv) -> int:
     io.write_roc_csv(args.output, curve)
     print(f"AUC {metrics.auc(curve):.6f}")
     config = {"tree": str(args.tree), "reference": str(args.reference)}
-    _write_manifest(args.output, argv, config, [args.tree, args.reference], timer.total())
+    _write_manifest([args.output], argv, config, [args.tree, args.reference], timer.total())
     return 0
 
 
@@ -283,7 +284,7 @@ def cmd_kmeans(args, argv) -> int:
     labels = baseline.kmeans(data, args.k, seed=args.seed, max_iters=args.max_iters)
     io.write_labels_json(args.output, labels, args.seed, None)
     config = {"k": args.k, "seed": args.seed, "max_iters": args.max_iters}
-    _write_manifest(args.output, argv, config, [args.input], timer.total())
+    _write_manifest([args.output], argv, config, [args.input], timer.total())
     return 0
 
 
@@ -294,7 +295,7 @@ def cmd_normalize(args, argv) -> int:
     data = _read_features(args)
     out = baseline.zscore_normalize(data)
     io.write_csv_numeric(args.output, out)
-    _write_manifest(args.output, argv, {}, [args.input], timer.total())
+    _write_manifest([args.output], argv, {}, [args.input], timer.total())
     return 0
 
 

@@ -344,7 +344,7 @@ def compress(decomp: TreeletDecomposition, k: int, v, epsilon: float) -> np.ndar
     Coordinates outside the level-k scaling set whose magnitude falls below
     epsilon are zeroed; scaling coordinates always survive.
     """
-    if epsilon < 0:
+    if not epsilon >= 0:  # not <: a NaN fails
         raise ValueError("epsilon must be >= 0")
     w = apply_basis(decomp, k, v)
     keep = np.zeros(decomp.p, dtype=bool)

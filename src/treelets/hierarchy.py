@@ -153,7 +153,9 @@ def cut(tree: Dendrogram, n_clusters: int) -> ClusterLabels:
 
 
 def cut_at_score(tree: Dendrogram, threshold: float) -> ClusterLabels:
-    """Apply leading merges while their score stays at or above threshold."""
+    """Apply leading merges while their score stays at or above threshold; -inf applies all, inf none."""
+    if math.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     n_merges = 0
     for m in tree.merges:
         if m.score < threshold:

@@ -181,9 +181,6 @@ def graph_kernel_for(graph: Graph) -> GraphKernel:
 # 0.12-0.14 s and 1 << 17 0.13-0.14 s; but 1 << 16 was no faster in the
 # bench's missing-mpe job and raised its peak RSS by 3 %
 _BLOCK_ELEMENTS = 1 << 15
-# side of the square blocks gram mirrors one at a time: 128 KB per float64
-# block, so a block's source rows and target columns stay in cache
-_BLOCK_SIDE = 128
 
 
 def _pairwise_sum(term, lo: int, n: int, shape) -> np.ndarray:
@@ -329,13 +326,17 @@ def nonfinite_error(spec: KernelSpec, data, i: int, j: int, where: str) -> Value
 def gram(spec: KernelSpec, data, indices) -> SymMatrix:
     """Gram matrix K(S, S) over the given row/vertex ids.
 
-    Row blocks of the lower triangle are kernel_block calls of indices[s:e]
-    against indices[:e], written into rows s to e of one p x p array; the
-    lower triangle is then mirrored into the upper by assignment, so the
-    result is symmetric bit for bit.  A non-finite value (say, a polynomial
-    kernel overflowing, or masked rows with no shared attribute) is an error
-    that names the first offending pair of ids on or below the diagonal, in
-    row-major order, whatever the block height.
+    Row blocks are kernel_block calls of indices[s:e] against indices[:e],
+    each written into rows s to e of one p x p array and, transposed, into
+    columns s to e above them, so the result is symmetric bit for bit.  A
+    cell's mirror outside the block's diagonal square is assigned, so a -0.0
+    stays -0.0; inside it the block computes both cells, with the same bits,
+    since every kernel here computes K(x, y) and K(y, x) with the same
+    operations (inner-product blocks are one row, with no such cells).
+    A non-finite value (say, a polynomial kernel overflowing, or masked rows
+    with no shared attribute) is an error that names the first offending
+    pair of ids on or below the diagonal, in row-major order, whatever the
+    block height.
     """
     indices = np.asarray(list(indices))
     m = len(indices)
@@ -364,47 +365,30 @@ def gram(spec: KernelSpec, data, indices) -> SymMatrix:
     for s in range(0, m, height):
         e = min(m, s + height)
         block = kernel_block(spec, data, indices[s:e], indices[:e])
-        # cells above the diagonal are overwritten by the mirror, so only the others are checked
-        lower = np.arange(e) <= np.arange(s, e)[:, None]
-        bad = lower & ~np.isfinite(block)
-        if bad.any():
+        if not np.isfinite(block).all():
+            # a bad cell above the diagonal has a bad mirror below it in the same block
+            bad = (np.arange(e) <= np.arange(s, e)[:, None]) & ~np.isfinite(block)
             a, c = np.argwhere(bad)[0]
             i, j = indices[s + a], indices[c]
             raise nonfinite_error(spec, data, j, i, f"sample ids ({i}, {j})")
         g[s:e, :e] = block
-    _mirror_lower(g)
+        g[:s, s:e] = block[:, :s].T
     return out
-
-
-def _mirror_lower(g: np.ndarray) -> None:
-    """Assign each cell below the diagonal of g to its mirror above it, in _BLOCK_SIDE squares.
-
-    Only assigns, so a -0.0 stays -0.0.
-    """
-    side = _BLOCK_SIDE
-    upper = np.triu(np.ones((side, side), dtype=bool), 1)
-    for r in range(0, len(g), side):
-        rows = slice(r, r + side)
-        block = g[rows, rows]
-        np.copyto(block, block.T.copy(), where=upper[: len(block), : len(block)])
-        for c in range(r + side, len(g), side):
-            g[rows, c : c + side] = g[c : c + side, rows].T
 
 
 @dataclass(frozen=True)
 class SpsdReport:
     """Advisory Gershgorin-based screen; never blocks clustering."""
 
-    symmetric: bool
     min_eigenvalue_lower_bound: float
     diagonally_dominant: bool
 
 
-def check_spsd(k: SymMatrix, tol: float = 0.0) -> SpsdReport:
+def check_spsd(k: SymMatrix) -> SpsdReport:
     """Gershgorin screening of a candidate similarity matrix.
 
     diagonally_dominant is true when every diagonal entry covers its
-    off-diagonal absolute row sum (within tol); the eigenvalue bound is
+    off-diagonal absolute row sum; the eigenvalue bound is
     min_i (K_ii - sum_{j != i} |K_ij|), which is O(p^2) instead of the
     O(p^3) a spectral check would cost.  Row sums are taken in row chunks
     of at most _BLOCK_ELEMENTS cells, so no p x p temporary is made.
@@ -413,8 +397,4 @@ def check_spsd(k: SymMatrix, tol: float = 0.0) -> SpsdReport:
     height = max(1, _BLOCK_ELEMENTS // k.p)
     sums = np.concatenate([np.abs(k.data[r : r + height]).sum(axis=1) for r in range(0, k.p, height)])
     bound = float((diag - (sums - np.abs(diag))).min())
-    return SpsdReport(
-        symmetric=True,
-        min_eigenvalue_lower_bound=bound,
-        diagonally_dominant=bool(bound >= -tol),
-    )
+    return SpsdReport(min_eigenvalue_lower_bound=bound, diagonally_dominant=bound >= 0)

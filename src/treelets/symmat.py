@@ -1,8 +1,10 @@
 """Symmetric matrices and the 2x2 plane rotations on them.
 
 A SymMatrix is one dense p x p array whose mirror cells hold the same bits:
-it is built symmetric by assignment, and a rotation writes each rotated row
-to its row and its column alike.
+it is built symmetric by assignment (kernels.gram also computes the cells
+above the diagonal in each row block's diagonal square, with the same
+operations as their mirrors), and a rotation writes each rotated row to its
+row and its column alike.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ class SymMatrix:
     """Symmetric p x p matrix held as one C-contiguous float64 array, data.
 
     Cells (i, j) and (j, i) hold the same bits; every way of building one
-    (zeros, from_dense, kernels.gram) and every rotation here keeps that.
+    (zeros, from_dense, kernels.gram, which writes each row block and its
+    transpose as the block lands) and every rotation here keeps that.
     """
 
     __slots__ = ("p", "data")

@@ -714,6 +714,18 @@ class TestPipeline:
         assert "decompose" in manifest["timings"]
         assert manifest["version"]
 
+    def test_cluster_hashes_its_input_once_for_two_equal_manifests(self, blob_csv, tmp_path, monkeypatch):
+        calls = []
+        sha256 = treelets.cli._sha256
+        monkeypatch.setattr(treelets.cli, "_sha256", lambda path: calls.append(path) or sha256(path))
+        labels, tree = tmp_path / "labels.json", tmp_path / "tree.json"
+        assert run("cluster", "--input", blob_csv, "--kernel", "rbf:sigma=1", "--clusters", 3,
+                   "-o", labels, "--tree", tree) == 0
+        assert calls == [str(blob_csv)]
+        texts = [Path(f"{path}.manifest.json").read_bytes() for path in (labels, tree)]
+        assert texts[0] == texts[1]
+        assert json.loads(texts[0])["inputs"] == {str(blob_csv): sha256(blob_csv)}
+
 
 class TestDeterminism:
     def test_repeated_runs_byte_identical(self, tmp_path):

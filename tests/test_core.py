@@ -586,3 +586,9 @@ class TestCompress:
         d = decompose(random_spsd(np_rng, 4))
         with pytest.raises(ValueError):
             compress(d, 0, np.zeros(4), -1.0)
+
+    def test_nan_epsilon_rejected(self, np_rng):
+        """A NaN compares false with every magnitude, so it used to drop nothing."""
+        d = decompose(random_spsd(np_rng, 4))
+        with pytest.raises(ValueError, match="^epsilon must be >= 0$"):
+            compress(d, 0, np.zeros(4), math.nan)

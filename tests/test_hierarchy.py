@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -130,6 +132,14 @@ class TestCutAtScore:
     def test_threshold_zero_applies_all(self):
         tree = merge_tree(decompose(BLOCK4))
         assert cut_at_score(tree, 0.0).n_clusters == 2
+
+    def test_nan_threshold_rejected_and_infinities_mean_every_merge_and_none(self):
+        """A NaN compares false with every score, so it used to apply every merge."""
+        tree = merge_tree(decompose(SymMatrix.from_dense([[2, 1, 0], [1, 2, 0.5], [0, 0.5, 2]])))
+        with pytest.raises(ValueError, match="^threshold must not be NaN$"):
+            cut_at_score(tree, math.nan)
+        assert list(cut_at_score(tree, -math.inf).assignments) == [0, 0, 0]
+        assert list(cut_at_score(tree, math.inf).assignments) == [0, 1, 2]
 
 
 @settings(max_examples=200, deadline=None)

@@ -382,8 +382,8 @@ def test_gram_bytes_do_not_depend_on_row_block_budget(budget, monkeypatch):
     assert [gram(spec, data, ids).data.tobytes() for spec, data in cases] == expected
 
 
-@pytest.mark.parametrize("p", [127, 128, 129, 2 * treelets.kernels._BLOCK_SIDE + 3])
-def test_gram_is_symmetric_and_matches_the_scalar_oracle_across_the_block_side(p):
+@pytest.mark.parametrize("p", [127, 128, 129, 259])
+def test_gram_is_symmetric_and_matches_the_scalar_oracle(p):
     """Every cell, the mirrored upper triangle included: bit for bit on a graph, within
     rounding on the numeric kernels; and each cell has its mirror's bits."""
     rng = np.random.default_rng(p)
@@ -402,21 +402,38 @@ def test_gram_is_symmetric_and_matches_the_scalar_oracle_across_the_block_side(p
             np.testing.assert_allclose(got, gram_by_scalar_loop(spec, data, ids), rtol=1e-13)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 13), st.integers(1, 5), st.data())
-def test_gram_mirror_equals_cell_by_cell_build(p, side, data):
-    """Every block shape, with signed zeros, which an arithmetic mirror would turn to +0.0:
-    cell (i, j) above the diagonal, NaN before, gets the bits of cell (j, i), and no cell
-    on or below it moves."""
-    cells = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(allow_nan=False))
-    g = np.full((p, p), np.nan)
-    g[np.tril_indices(p)] = data.draw(st.lists(cells, min_size=p * (p + 1) // 2, max_size=p * (p + 1) // 2))
-    i, j = np.indices((p, p))
-    expected = g[np.maximum(i, j), np.minimum(i, j)]
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 10), st.sampled_from([1, 2, 3, 7, 2**40]), st.integers(0, 2**32 - 1))
+@example(4, 0, 2**40, 0)
+@example(40, 10, 7, 1)
+def test_gram_bytes_equal_the_one_block_build_and_their_mirror(p, extra, budget, seed):
+    """Each row block writes its own cells and, transposed, the columns above it: at every
+    block height the bytes are the one-block build's, and each cell has its mirror's bits.
+    The signed-zero polynomial kernel gives -0.0 or +0.0 with the sign of an inner product,
+    which an arithmetic mirror would turn to +0.0."""
+    rng = np.random.default_rng(seed)
+    n = p + extra
+    values = rng.normal(size=(n, 4))
+    present = rng.random(values.shape) < 0.7
+    present[:, 0] = True
+    graph = Graph(n, [(u, v) for u, v in rng.integers(0, n, size=(2 * n, 2)) if u != v])
+    cases = [
+        (RbfKernel(sigma=1.5), Dataset(values)),
+        (LinearKernel(), Dataset(values)),
+        (PolynomialKernel(0.5, 1.0, 3), Dataset(values)),
+        (PolynomialKernel(alpha=-0.0, c0=-0.0, degree=1), Dataset(values)),
+        (MissingRbfKernel(gamma=0.5), Dataset(values, present)),
+        (GraphKernel(diag=float(max(1, graph.max_degree))), graph),
+    ]
+    ids = rng.permutation(n)[:p]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(treelets.kernels, "_BLOCK_SIDE", side)
-        treelets.kernels._mirror_lower(g)
-    assert g.tobytes() == expected.tobytes()
+        mp.setattr(treelets.kernels, "_BLOCK_ELEMENTS", 2**40)
+        expected = [gram(spec, data, ids).data.tobytes() for spec, data in cases]
+        mp.setattr(treelets.kernels, "_BLOCK_ELEMENTS", budget)
+        for (spec, data), one_block in zip(cases, expected):
+            got = gram(spec, data, ids).data
+            assert got.tobytes() == one_block
+            assert got.tobytes() == got.T.copy().tobytes()
 
 
 @pytest.mark.parametrize("budget", [1, 2**15])
@@ -434,7 +451,6 @@ class TestCheckSpsd:
         from treelets import SymMatrix
 
         report = check_spsd(SymMatrix.from_dense(np.eye(3)))
-        assert report.symmetric
         assert report.min_eigenvalue_lower_bound == 1.0
         assert report.diagonally_dominant
 
