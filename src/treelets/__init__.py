@@ -10,11 +10,15 @@ __version__ = "0.1.0"
 
 from .baseline import kmeans, zscore_normalize
 from .core import (
+    RotationCoeffs,
     RotationRecord,
+    SymMatrix,
     TreeletDecomposition,
     apply_basis,
+    apply_rotation,
     compress,
     decompose,
+    jacobi_coeffs,
 )
 from .datagen import Aniso, Blobs, Circles, Moons, Uniform, Varied, generate
 from .extend import KtConfig, KtResult, fit_predict, knn_extend, sample_indices
@@ -34,7 +38,6 @@ from .kernels import (
 )
 from .metrics import MatchingMatrix, RocCurve, auc, matching_matrix, roc_from_hierarchy
 from .rng import SplitMix64
-from .symmat import RotationCoeffs, SymMatrix, apply_rotation, jacobi_coeffs
 
 __all__ = [
     "__version__",

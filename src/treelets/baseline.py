@@ -33,7 +33,6 @@ def kmeans(
     k: int,
     seed: int = 0,
     max_iters: int = 300,
-    objective_trace: list | None = None,
 ) -> ClusterLabels:
     """Lloyd iterations from ++-style seeding on the package PRNG.
 
@@ -69,8 +68,6 @@ def kmeans(
             new_labels[far] = empty
             assigned_d2[far] = -1.0
 
-        if objective_trace is not None:
-            objective_trace.append(float(d2[np.arange(n), new_labels].sum()))
         if labels is not None and np.array_equal(labels, new_labels):
             break
         labels = new_labels

@@ -4,17 +4,17 @@ Each step scores every active pair by normalized similarity, rotates the
 winning pair so its off-diagonal entry becomes exactly zero, retires the
 rotated index with the smaller diagonal, and records the step.  The record
 sequence simultaneously encodes an orthogonal basis per level and a merge
-tree over the observations.
+tree over the observations.  The symmetric matrix type and the 2x2 Jacobi
+rotation on it live here too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-
-from .symmat import RotationCoeffs, SymMatrix, rotate_rows
 
 # below this diagonal product the correlation term is treated as zero so the
 # regularization term alone can still drive pair selection
@@ -42,6 +42,121 @@ _BLOCK_ELEMENTS = 1 << 13
 # graph 6-9 % slower.  A shrink of 1.5 ran level with 2.
 _COMPACT_SHRINK = 2
 _COMPACT_MIN = 64
+
+
+class RotationCoeffs(NamedTuple):
+    """Cosine/sine of a plane rotation; c is kept positive, s signs it."""
+
+    c: float
+    s: float
+
+
+class SymMatrix:
+    """Symmetric p x p matrix held as one C-contiguous float64 array, data.
+
+    Cells (i, j) and (j, i) hold the same bits, by construction and under
+    every rotation: zeros and from_dense build it symmetric by assignment;
+    kernels.gram writes each row block and its transpose as the block lands,
+    and computes the cells above the diagonal in a block's diagonal square
+    with the same operations as their mirrors; and _rotate_pair writes each
+    rotated row to its row and its column alike.
+    """
+
+    __slots__ = ("p", "data")
+
+    def __init__(self, p: int):
+        if p < 1:
+            raise ValueError("dimension must be >= 1")
+        self.p = p
+        self.data = np.zeros((p, p))
+
+    @classmethod
+    def from_dense(cls, arr) -> "SymMatrix":
+        """Copy a dense symmetric array, its lower triangle mirrored; rejects asymmetric or non-finite input."""
+        a = np.asarray(arr, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("expected a square matrix")
+        if not np.isfinite(a).all():
+            raise ValueError("matrix has a non-finite entry")
+        with np.errstate(over="ignore"):  # a skew that overflows is inf, and refused
+            skew = np.abs(a - a.T).max() if a.size else 0.0
+        if skew > 1e-12 * max(1.0, float(np.abs(a).max())):
+            raise ValueError("matrix is not symmetric")
+        out = cls(a.shape[0])
+        # picked, not summed, so a -0.0 stays -0.0
+        out.data = np.where(np.tri(out.p, dtype=bool), a, a.T)
+        return out
+
+    def to_dense(self) -> np.ndarray:
+        """A copy of data."""
+        return self.data.copy()
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal, as a new array."""
+        return self.data.diagonal().copy()
+
+
+def jacobi_coeffs(a_pp: float, a_qq: float, a_pq: float) -> RotationCoeffs:
+    """Rotation coefficients that zero the (p, q) entry of a symmetric 2x2 block.
+
+    Uses the round-off-stable small-tangent root: with the diagonal-gap
+    ratio tau = (a_qq - a_pp) / (2 a_pq), take t = sgn(tau) / (|tau| +
+    sqrt(tau^2 + 1)) (sgn(0) = +1), then c = 1 / sqrt(t^2 + 1), s = c t.
+    Conjugating with J (J_pp = J_qq = c, J_pq = -J_qp = s) as Jt A J
+    annihilates the off-diagonal pair exactly.
+    """
+    a_pp, a_qq, a_pq = float(a_pp), float(a_qq), float(a_pq)  # a numpy scalar warns where a float overflows
+    if not (math.isfinite(a_pp) and math.isfinite(a_qq) and math.isfinite(a_pq)):
+        raise ValueError("non-finite matrix entry")
+    if a_pq == 0.0:
+        return RotationCoeffs(1.0, 0.0)
+    tau = (a_qq - a_pp) / (2.0 * a_pq)
+    sign = 1.0 if tau >= 0.0 else -1.0
+    # math.sqrt rounds correctly, as np.sqrt does, without a numpy scalar per call
+    t = sign / (abs(tau) + math.sqrt(tau * tau + 1.0))
+    c = 1.0 / math.sqrt(t * t + 1.0)
+    return RotationCoeffs(float(c), float(c * t))
+
+
+def _rotate_pair(
+    g: np.ndarray, i: int, j: int, coeffs: RotationCoeffs | None = None
+) -> tuple[RotationCoeffs, np.ndarray, np.ndarray]:
+    """Jt G J on rows and columns i and j of a symmetric array g, in place; returns the coefficients and both new rows.
+
+    coeffs None takes jacobi_coeffs of the 2x2 block as read from the rows.
+    Each row is rotated whole, then the block is overwritten by its closed
+    forms, with the (i, j) cell a literal zero so later passes see no
+    residual.  Each new row is written to its row and its column; the rows
+    returned are new arrays, not views of g.
+    """
+    row_i, row_j = g[i], g[j]
+    a_ii, a_jj, a_ij = float(row_i[i]), float(row_j[j]), float(row_i[j])
+    if coeffs is None:
+        coeffs = jacobi_coeffs(a_ii, a_jj, a_ij)
+    c, s = coeffs
+
+    new_i = c * row_i - s * row_j
+    new_j = s * row_i + c * row_j
+    new_i[i] = c * c * a_ii - 2.0 * s * c * a_ij + s * s * a_jj
+    new_j[j] = s * s * a_ii + 2.0 * s * c * a_ij + c * c * a_jj
+    new_i[j] = new_j[i] = 0.0
+    g[i] = g[:, i] = new_i
+    g[j] = g[:, j] = new_j
+    return coeffs, new_i, new_j
+
+
+def apply_rotation(a: SymMatrix, p_idx: int, q_idx: int, coeffs: RotationCoeffs) -> SymMatrix:
+    """In-place Jt A J on rows and columns p_idx and q_idx with the given coefficients; returns a.
+
+    Everything outside the two rows and columns is untouched.
+    """
+    for t in (p_idx, q_idx):
+        if not 0 <= t < a.p:
+            raise IndexError(f"index {t} out of range for dimension {a.p}")
+    if p_idx == q_idx:
+        raise IndexError("rotation needs two distinct indices")
+    _rotate_pair(a.data, p_idx, q_idx, coeffs)
+    return a
 
 
 @dataclass(frozen=True)
@@ -167,7 +282,7 @@ def decompose(a0: SymMatrix, lam: float = 0.0, stop_tol: float = DEFAULT_STOP_TO
     platform-independent.  The loop holds one p x p array g (8p^2 bytes),
     here a0.to_dense(); fit_predict runs it (_decompose) on the Gram it
     built instead.  Each step rotates rows and columns i and j of g
-    (symmat.rotate_rows), takes both new diagonals from the rotated rows,
+    (_rotate_pair), takes both new diagonals from the rotated rows,
     marks the retired index (its row is never read again, and its column is
     masked where a row is read), and rescores the surviving index's rotated
     row.  No pair score is stored: a row is scored where it is read, by the
@@ -254,9 +369,7 @@ def _decompose(g: np.ndarray, lam: float = 0.0, stop_tol: float = DEFAULT_STOP_T
             stop_score = score
             break
 
-        coeffs, row_i, row_j = rotate_rows(g[i_sel], g[j_sel], i_sel, j_sel)
-        g[i_sel] = g[:, i_sel] = row_i
-        g[j_sel] = g[:, j_sel] = row_j
+        coeffs, row_i, row_j = _rotate_pair(g, i_sel, j_sel)
         diag[i_sel] = row_i[i_sel]
         diag[j_sel] = row_j[j_sel]
 

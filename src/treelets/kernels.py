@@ -14,7 +14,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .symmat import SymMatrix
+from .core import SymMatrix
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,9 @@ class PolynomialKernel:
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("polynomial degree must be >= 1")
+        # a NaN or infinite one makes every diagonal value non-finite, whatever the data
+        if not (math.isfinite(self.alpha) and math.isfinite(self.c0)):
+            raise ValueError("polynomial alpha and c0 must be finite")
 
 
 @dataclass(frozen=True)
@@ -85,8 +88,8 @@ class GraphKernel:
     diag: float
 
     def __post_init__(self):
-        if not self.diag > 0:
-            raise ValueError("graph kernel diag must be > 0")
+        if not 0 < self.diag < math.inf:
+            raise ValueError("graph kernel diag must be finite and > 0")
 
 
 KernelSpec = Union[RbfKernel, LinearKernel, PolynomialKernel, MissingRbfKernel, GraphKernel]
@@ -395,6 +398,7 @@ def check_spsd(k: SymMatrix) -> SpsdReport:
     """
     diag = k.diagonal()
     height = max(1, _BLOCK_ELEMENTS // k.p)
-    sums = np.concatenate([np.abs(k.data[r : r + height]).sum(axis=1) for r in range(0, k.p, height)])
+    with np.errstate(over="ignore"):  # a row sum that overflows is inf: the bound is -inf, not dominant
+        sums = np.concatenate([np.abs(k.data[r : r + height]).sum(axis=1) for r in range(0, k.p, height)])
     bound = float((diag - (sums - np.abs(diag))).min())
     return SpsdReport(min_eigenvalue_lower_bound=bound, diagonally_dominant=bound >= 0)

@@ -34,11 +34,16 @@ class TestKmeans:
         assert np.array_equal(a.assignments, b.assignments)
 
     def test_objective_non_increasing(self, np_rng):
+        """Lloyd's objective (squared distances to each cluster's mean) of the
+        assignments after t iterations never rises with t."""
         for seed in range(5):
             data = Dataset(np_rng.normal(size=(50, 2)))
-            trace: list = []
-            kmeans(data, 4, seed=seed, objective_trace=trace)
-            assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
+            objective = []
+            for t in range(1, 21):
+                labels = kmeans(data, 4, seed=seed, max_iters=t).assignments
+                clusters = [data.values[labels == c] for c in np.unique(labels)]
+                objective.append(sum(float(((x - x.mean(axis=0)) ** 2).sum()) for x in clusters))
+            assert all(b <= a + 1e-9 for a, b in zip(objective, objective[1:]))
 
     def test_missing_data_refused(self):
         data = Dataset([[1.0, 2.0], [3.0, np.nan]], present=[[True, True], [True, False]])

@@ -334,10 +334,13 @@ class TestExitCodes:
         ("rbf:sigma=1e-200", "rbf sigma 1e-200 is out of range: 2 sigma^2 is 0.0"),
         ("rbf:sigma=1e200", "rbf sigma 1e+200 is out of range: 2 sigma^2 is inf"),
         ("missing-rbf:gamma=inf", "missing-rbf gamma must be finite and > 0"),
+        ("poly:alpha=nan,r=2", "polynomial alpha and c0 must be finite"),
+        ("poly:c0=inf,r=2", "polynomial alpha and c0 must be finite"),
     ])
     def test_kernel_parameter_that_breaks_the_kernel_is_usage_error(self, tmp_path, capsys, kernel, message):
-        """A 2 sigma^2 of 0 or an infinite gamma gives NaN on the diagonal, which the Gram
-        check would blame on the data; sigma^2 past the float range raised OverflowError."""
+        """A 2 sigma^2 of 0, an infinite gamma or a non-finite polynomial alpha or c0 gives
+        a non-finite diagonal, which the Gram check would blame on the data; sigma^2 past
+        the float range raised OverflowError."""
         data = tmp_path / "three.csv"
         data.write_text("1.0,2.0\n1.5,2.5\n3.0,0.5\n")
         assert run("cluster", "--input", data, "--kernel", kernel, "--clusters", 3, "-o", tmp_path / "l.json") == 2
@@ -401,6 +404,16 @@ class TestExitCodes:
         graph.write_text(text)
         assert run("cluster", "--input", graph, "--kernel", kernel, "--clusters", 2, "-o", tmp_path / "l.json") == 1
         assert capsys.readouterr().err == f"error: {graph}: no edges\n"
+
+    def test_infinite_graph_diag_is_usage_error(self, tmp_path, capsys):
+        """Every diagonal cell would be inf: refused with the kernel, before the graph is read."""
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 1\n1 2\n")
+        code = run("cluster", "--input", graph, "--kernel", "graph:diag=inf", "--clusters", 2, "-o", tmp_path / "l.json")
+        assert code == 2
+        err, usage = capsys.readouterr().err, cluster_usage()
+        message = "bad kernel parameter: graph kernel diag must be finite and > 0"
+        assert err == f"{usage}treelets cluster: error: argument --kernel: {message}\n"
 
     def test_unreachable_cut_is_data_error(self, tmp_path):
         graph = tmp_path / "g.txt"

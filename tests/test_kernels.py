@@ -96,6 +96,21 @@ def test_graph_csr_rows_are_sorted_unique_and_symmetric(case):
     assert g.n_edges == sum(map(len, expected)) // 2
 
 
+class TestKernelParameters:
+    @pytest.mark.parametrize("diag", [0.0, -1.0, math.inf, math.nan])
+    def test_graph_diag_must_be_finite_and_positive(self, diag):
+        with pytest.raises(ValueError, match="^graph kernel diag must be finite and > 0$"):
+            GraphKernel(diag=diag)
+
+    @pytest.mark.parametrize(
+        "alpha, c0", [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.inf), (1.0, -math.inf), (1.0, math.nan)]
+    )
+    def test_polynomial_alpha_and_c0_must_be_finite(self, alpha, c0):
+        """Either one non-finite makes every diagonal value (alpha <x, x> + c0)^r non-finite."""
+        with pytest.raises(ValueError, match="^polynomial alpha and c0 must be finite$"):
+            PolynomialKernel(alpha=alpha, c0=c0, degree=2)
+
+
 class TestEvalKernel:
     def test_rbf_zero_distance(self):
         x = np.array([0.3, -1.2])
@@ -460,6 +475,14 @@ class TestCheckSpsd:
         report = check_spsd(SymMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]]))
         assert not report.diagonally_dominant
         assert report.min_eigenvalue_lower_bound == -1.0
+
+    def test_row_sums_that_overflow_warn_nothing(self):
+        """A finite matrix whose absolute row sums pass float max has bound -inf and is not dominant."""
+        from treelets import SymMatrix
+
+        report = check_spsd(SymMatrix.from_dense([[1e308, 1e308], [1e308, 1e308]]))
+        assert report.min_eigenvalue_lower_bound == -math.inf
+        assert not report.diagonally_dominant
 
     def test_bound_equals_row_by_row_loop(self, np_rng):
         """The bound against a loop that subtracts each diagonal entry's scalar abs, bit for bit."""

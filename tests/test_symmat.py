@@ -37,6 +37,11 @@ class TestSymMatrix:
         with pytest.raises(ValueError, match="not symmetric"):
             SymMatrix.from_dense([[1.0, 2.0], [3.0, 4.0]])
 
+    def test_rejects_asymmetric_whose_skew_overflows(self):
+        """1e308 - (-1e308) is inf, refused as a skew, not warned about."""
+        with pytest.raises(ValueError, match="not symmetric"):
+            SymMatrix.from_dense([[0.0, 1e308], [-1e308, 0.0]])
+
     def test_rejects_non_finite(self):
         # a NaN or inf skew compares false against any tolerance
         for bad in ([[1.0, math.inf], [5.0, 1.0]], [[1.0, math.nan], [0.0, 1.0]]):
