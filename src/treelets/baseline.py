@@ -46,6 +46,8 @@ def kmeans(
     n = data.n
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}]")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, not {max_iters}")
 
     x = data.values
     # then a squared distance, at most p (2 max|x|)^2, a sum of n of them and a centroid sum stay finite

@@ -238,7 +238,8 @@ def cmd_cluster(args, argv) -> int:
         "compactions": decomp.compactions,
     }
     outputs = [args.output, args.tree] if args.tree else [args.output]
-    _write_manifest(outputs, argv, manifest_config, [args.input], timings, decomposition=how)
+    _write_manifest(outputs, argv, manifest_config, [args.input], timings, decomposition=how,
+                    extension=result.extension)
     return 0
 
 

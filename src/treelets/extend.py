@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,8 @@ import numpy as np
 from .core import DEFAULT_STOP_TOL, TreeletDecomposition, check_params
 from .core import _decompose as decompose
 from .hierarchy import ClusterLabels, Dendrogram, cut, merge_tree
-from .kernels import Graph, KernelSpec, gram, kernel_block, kernel_diag, nonfinite_error
+from .kernels import Dataset, Graph, KernelSpec, RbfKernel, gram, kernel_block, kernel_diag, nonfinite_error
+from .kernels import _squared_distances
 from .rng import SplitMix64
 
 # cells of one query block (queries x sample), whatever the width and the
@@ -27,6 +29,23 @@ _BLOCK_ELEMENTS = 1 << 17
 # where K(x, x) is one constant c, query cells whose kernel value is more
 # than |c| * _SCREEN_MARGIN below a row's k-th largest are screened out
 _SCREEN_MARGIN = 2.0**-26
+# RBF query cells past a row's margin edge are screened out before exp: in
+# units of 2 sigma^2, the edge is _RBF_MARGIN * (1 + x) past the row's k-th
+# smallest squared distance x, so with the allowance below the guard proves
+# a row wherever x is under about 30 (k exact duplicates included)
+_RBF_MARGIN = 2.0**-16
+# an RBF row's k-th smallest squared distance is first bounded by the k-th
+# smallest of every _BOUND_STRIDE-th column.  On the 11000 x 1000 extension
+# (2 vCPUs, 21 interleaved in-process calls each) 4 was level with 8, and 16
+# and a partition of every column were slower in 19 of 21 calls
+_BOUND_STRIDE = 8
+# np.exp is within 2 ulps of math.exp over [-745, 0] (tests/test_extend.py),
+# and math.exp within 1 ulp of exp: a relative error under 2**-50 on normal
+# values, which this allowance covers 1000 times over
+_EXP_ALLOWANCE = 2.0**-40
+# a dict of work counters that knn_extend adds to, where its caller sets one:
+# fit_predict reads the extension's work while knn_extend returns labels alone
+_extension_work: ContextVar = ContextVar("_extension_work", default=None)
 
 
 @dataclass(frozen=True)
@@ -58,6 +77,9 @@ class KtResult:
     decomposition: TreeletDecomposition = field(repr=False)
     # seconds per stage: sample, gram, decompose, cut, extend, total
     timings: dict = field(compare=False, repr=False)
+    # the extension's work: queries labeled, kernel values computed for them,
+    # and rows that took all their cells (no screen proved a cell farther)
+    extension: dict = field(compare=False, repr=False)
 
 
 class Timer:
@@ -118,6 +140,62 @@ def _first_k(cells: np.ndarray, width: int, d: np.ndarray, kth: np.ndarray, k: i
     return (cells[picked] % width).reshape(n_rows, k)
 
 
+def _row_kth(cells: np.ndarray, values: np.ndarray, shape: tuple, k: int) -> np.ndarray:
+    """Each row's k-th smallest of values, those of cells: ascending flat ids into shape, at least k a row."""
+    n_rows, width = shape
+    # each row's values, left-aligned in an inf-padded array
+    starts = np.searchsorted(cells, np.arange(n_rows + 1) * width)
+    counts = np.diff(starts)
+    rows = np.repeat(np.arange(n_rows), counts)
+    pad = np.full((n_rows, counts.max()), np.inf)
+    pad[rows, np.arange(len(cells)) - starts[rows]] = values
+    return np.partition(pad, k - 1, axis=1)[:, k - 1]
+
+
+def _rbf_candidates(sq: np.ndarray, scale: float, k: int):
+    """Candidate cells of an RBF query block, from its squared distances sq.
+
+    Returns, for _first_k, the ascending flat ids of the cells whose kernel
+    value exp(sq / scale) was computed (scale = -2 sigma^2), their distances
+    and each row's k-th smallest distance; and the number of rows that took
+    all their cells.  A row's candidates are the cells with sq at most edge,
+    (kth_sq + 2 sigma^2) (1 + _RBF_MARGIN) - 2 sigma^2 for its k-th smallest
+    squared distance kth_sq.  A value never rises with sq, so, allowing for
+    exp's rounding, every dropped cell has a value at most hi, the computed
+    exp at the edge plus the allowance, and at least k candidates a value at
+    least lo, the computed exp at kth_sq less it.  If _distance(hi) >
+    _distance(lo), every dropped cell is strictly farther than the row's
+    k-th nearest.  Where a row is not proven (say, its values are so small
+    that every distance rounds to sqrt(2)), every row of the block takes
+    all its cells, at the cost of the general branch.
+    """
+    n_rows, width = sq.shape
+    floor = -scale * _RBF_MARGIN
+    # the k-th smallest of every stride-th column bounds a row's k-th
+    # smallest; the cells up to the bound's margin edge, near, hold the row's
+    # k smallest and every cell up to its own edge
+    stride = max(1, min(_BOUND_STRIDE, width // k))
+    bound = np.partition(sq[:, ::stride], k - 1, axis=1)[:, k - 1]
+    # a quotient past the float range is -inf, whose exp is the intended 0;
+    # an infinite margin times 0 is NaN: fmax keeps the bound, the guard fails
+    with np.errstate(over="ignore", invalid="ignore"):
+        near = np.flatnonzero(sq <= np.fmax(bound * (1.0 + _RBF_MARGIN) + floor, bound)[:, None])
+        near_sq = sq.ravel()[near]
+        kth_sq = _row_kth(near, near_sq, sq.shape, k)
+        edge = kth_sq * (1.0 + _RBF_MARGIN) + floor
+        hi, lo = np.exp(np.divide((edge, kth_sq), scale)) * [[1.0 + _EXP_ALLOWANCE], [1.0 - _EXP_ALLOWANCE]]
+        proven = _distance(hi, 1.0) > _distance(lo, 1.0)
+        if not proven.all():  # every cell of the block is a candidate, as in knn_extend's general branch
+            d = _distance(np.exp(sq / scale), 1.0)
+            kth = np.partition(d, k - 1, axis=1)[:, k - 1]
+            cells = np.flatnonzero(d <= kth[:, None])
+            return cells, d.ravel()[cells], kth, n_rows
+        keep = near_sq <= edge[near // width]
+        cells = near[keep]
+        d = _distance(np.exp(near_sq[keep] / scale), 1.0)
+    return cells, d, _row_kth(cells, d, sq.shape, k), 0
+
+
 def knn_extend(
     spec: KernelSpec,
     data,
@@ -133,8 +211,11 @@ def knn_extend(
     work within a fixed element budget; `threads` workers take whole
     blocks.  Distance ties prefer the smaller sample position, vote ties
     the smaller cluster id, so the result is deterministic and independent
-    of the thread count and the block height.  A non-finite kernel value
-    is an error naming the kernel and the first sample or query id with one.
+    of the thread count and the block height.  Each row computes few
+    distances: an RBF row selects its candidates on squared distances
+    (_rbf_candidates), a row whose K(x, x) is one constant on kernel values.
+    A non-finite kernel value is an error naming the kernel and the first
+    sample or query id with one.
     """
     sample = np.asarray(sample, dtype=np.int64)
     queries = np.asarray(queries, dtype=np.int64)
@@ -155,37 +236,52 @@ def knn_extend(
     # that no distance is NaN
     c = self_sample[0]
     constant_diag = bool((self_sample == c).all()) and abs(c) <= np.finfo(float).max / 2
+    # RBF blocks are screened on squared distances, which finite rows never
+    # make NaN; a block with a non-finite row (a value not present) takes
+    # the kernel-value path, which names a non-finite value
+    on_sq = isinstance(spec, RbfKernel) and isinstance(data, Dataset) and np.isfinite(data.values[sample]).all()
+    if on_sq:
+        sample_values, scale = data.values[sample], -2.0 * spec.sigma**2
 
-    def label_block(start: int) -> np.ndarray:
+    def label_block(start: int):
+        """The block's labels, its kernel values computed and its rows that took all their cells."""
         block = queries[start : start + height]
-        k = kernel_block(spec, data, block, sample)
-        self_block = kernel_diag(spec, data, block)
-        finite = np.isfinite(k).all(axis=1) & np.isfinite(self_block)
-        if not finite.all():
-            a = np.argmin(finite)
-            j = sample[np.argmin(np.isfinite(k[a]))]
-            raise nonfinite_error(spec, data, block[a], j, f"query id {block[a]}")
-        if constant_diag and (self_block == c).all():
-            # the k-th largest kernel value kappa gives the k-th smallest
-            # distance; a cell whose value is below lo = kappa - margin is
-            # farther still if f(lo) > f(kappa), else the row keeps every cell
-            kappa = np.partition(k, n - knn_k, axis=1)[:, n - knn_k]
-            kth = _distance(kappa, c)
-            lo = kappa - _SCREEN_MARGIN * abs(c)
-            lo = np.where(_distance(lo, c) > kth, lo, -np.inf)
-            cells = np.flatnonzero(k >= lo[:, None])
-            d = _distance(k.ravel()[cells], c)
+        if on_sq and np.isfinite(values := data.values[block]).all():
+            sq = _squared_distances(values, sample_values)
+            cells, d, kth, full_rows = _rbf_candidates(sq, scale, knn_k)
+            computed = sq.size if full_rows else len(cells)
         else:
-            d = self_block[:, None] + self_sample
-            d -= np.multiply(k, 2.0, out=k)
-            np.sqrt(np.maximum(0.0, d, out=d), out=d)
-            kth = np.partition(d, knn_k - 1, axis=1)[:, knn_k - 1]
-            cells = np.flatnonzero(d <= kth[:, None])
-            d = d.ravel()[cells]
+            k = kernel_block(spec, data, block, sample)
+            computed = k.size
+            self_block = kernel_diag(spec, data, block)
+            finite = np.isfinite(k).all(axis=1) & np.isfinite(self_block)
+            if not finite.all():
+                a = np.argmin(finite)
+                j = sample[np.argmin(np.isfinite(k[a]))]
+                raise nonfinite_error(spec, data, block[a], j, f"query id {block[a]}")
+            if constant_diag and (self_block == c).all():
+                # the k-th largest kernel value kappa gives the k-th smallest
+                # distance; a cell whose value is below lo = kappa - margin is
+                # farther still if f(lo) > f(kappa), else the row keeps every cell
+                kappa = np.partition(k, n - knn_k, axis=1)[:, n - knn_k]
+                kth = _distance(kappa, c)
+                lo = kappa - _SCREEN_MARGIN * abs(c)
+                lo = np.where(_distance(lo, c) > kth, lo, -np.inf)
+                full_rows = int(np.count_nonzero(lo == -np.inf))
+                cells = np.flatnonzero(k >= lo[:, None])
+                d = _distance(k.ravel()[cells], c)
+            else:
+                d = self_block[:, None] + self_sample
+                d -= np.multiply(k, 2.0, out=k)
+                np.sqrt(np.maximum(0.0, d, out=d), out=d)
+                kth = np.partition(d, knn_k - 1, axis=1)[:, knn_k - 1]
+                full_rows = len(block)
+                cells = np.flatnonzero(d <= kth[:, None])
+                d = d.ravel()[cells]
         nearest = sample_labels[_first_k(cells, n, d, kth, knn_k)]
         flat = (np.arange(len(block))[:, None] * n_labels + nearest).ravel()
         votes = np.bincount(flat, minlength=len(block) * n_labels)
-        return votes.reshape(len(block), n_labels).argmax(axis=1)
+        return votes.reshape(len(block), n_labels).argmax(axis=1), computed, full_rows
 
     starts = range(0, len(queries), height)
     if threads <= 1:  # in the calling thread: a pool thread may allocate from its own malloc arena
@@ -193,7 +289,12 @@ def knn_extend(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             blocks = list(pool.map(label_block, starts))
-    return np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+    work = _extension_work.get()
+    if work is not None:
+        work["queries"] += len(queries)
+        work["kernel_values"] += sum(b[1] for b in blocks)
+        work["full_rows"] += sum(b[2] for b in blocks)
+    return np.concatenate([b[0] for b in blocks]) if blocks else np.empty(0, dtype=np.int64)
 
 
 def fit_predict(data, config: KtConfig, threads: int = 1) -> KtResult:
@@ -225,17 +326,22 @@ def fit_predict(data, config: KtConfig, threads: int = 1) -> KtResult:
 
     full = np.empty(n, dtype=np.int64)
     full[np.asarray(sample)] = sample_labels.assignments
+    work = dict.fromkeys(("queries", "kernel_values", "full_rows"), 0)
     if config.sample_size < n:
         queries = np.setdiff1d(np.arange(n), sample)
-        full[queries] = knn_extend(
-            config.kernel,
-            data,
-            np.asarray(sample),
-            sample_labels.assignments,
-            queries,
-            config.knn_k,
-            threads=threads,
-        )
+        token = _extension_work.set(work)
+        try:
+            full[queries] = knn_extend(
+                config.kernel,
+                data,
+                np.asarray(sample),
+                sample_labels.assignments,
+                queries,
+                config.knn_k,
+                threads=threads,
+            )
+        finally:
+            _extension_work.reset(token)
     timer.lap("extend")
 
     return KtResult(
@@ -245,4 +351,5 @@ def fit_predict(data, config: KtConfig, threads: int = 1) -> KtResult:
         sample_labels=sample_labels,
         decomposition=decomp,
         timings=timer.total(),
+        extension=work,
     )

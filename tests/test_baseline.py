@@ -45,6 +45,12 @@ class TestKmeans:
                 objective.append(sum(float(((x - x.mean(axis=0)) ** 2).sum()) for x in clusters))
             assert all(b <= a + 1e-9 for a, b in zip(objective, objective[1:]))
 
+    def test_max_iters_below_one_refused(self):
+        data = Dataset([[0.0, 0.0], [1.0, 1.0]])
+        for max_iters in (0, -1):
+            with pytest.raises(ValueError, match=f"^max_iters must be >= 1, not {max_iters}$"):
+                kmeans(data, 2, max_iters=max_iters)
+
     def test_missing_data_refused(self):
         data = Dataset([[1.0, 2.0], [3.0, np.nan]], present=[[True, True], [True, False]])
         with pytest.raises(ValueError, match="complete data"):

@@ -663,6 +663,17 @@ class TestPipeline:
         assert counters == {"rows_made_lazy": d.rows_made_lazy, "lazy_rescans": d.lazy_rescans}
         assert counters["lazy_rescans"] > 0
 
+    def test_manifest_counts_the_extension_work(self, blob_csv, tmp_path):
+        """20 queries against a 10-row sample: the RBF screen computes the
+        values of each query's 3 nearest alone, and proves every row; a full
+        sample extends nothing."""
+        for size, work in ((10, {"queries": 20, "kernel_values": 60, "full_rows": 0}),
+                           ("full", {"queries": 0, "kernel_values": 0, "full_rows": 0})):
+            labels = tmp_path / f"labels-{size}.json"
+            assert run("cluster", "--input", blob_csv, "--kernel", "rbf:sigma=3", "--clusters", 3,
+                       "--sample-size", size, "--knn-k", 3, "-o", labels) == 0
+            assert json.loads(Path(str(labels) + ".manifest.json").read_text())["extension"] == work
+
     def test_normalize_preserves_missing_cells(self, tmp_path):
         src = tmp_path / "m.csv"
         src.write_text("1.0,5.0\nNA,7.0\n3.0,9.0\n")

@@ -399,8 +399,11 @@ def test_screen_votes_like_stable_argsort(case):
 
 @pytest.mark.parametrize("kind", ["rbf", "missing-rbf", "graph", "linear"])
 def test_constant_diagonal_selects_on_kernel_values(kind, monkeypatch):
-    """Where K(x, x) is constant the partition runs on kernel values, for the
-    k-th largest; otherwise on distances, for the k-th smallest."""
+    """An RBF block partitions squared distances (every 8th column's, for a
+    bound, then those of the cells within it), then its candidates'
+    distances, each for the k-th smallest; elsewhere, where K(x, x) is
+    constant, the partition runs on kernel values, for the k-th largest;
+    otherwise on distances, for the k-th smallest."""
     spec, data = extension_case(kind)
     sample = np.arange(0, 40, 3)
     queries = np.setdiff1d(np.arange(40), sample)
@@ -414,7 +417,7 @@ def test_constant_diagonal_selects_on_kernel_values(kind, monkeypatch):
 
     monkeypatch.setattr(np, "partition", spy)
     knn_extend(spec, data, sample, labels, queries, 3)
-    assert kths == [2 if kind == "linear" else len(sample) - 3]
+    assert kths == {"rbf": [2, 2, 2], "linear": [2]}.get(kind, [len(sample) - 3])
 
 
 @pytest.mark.parametrize("margin", [2.0**-26, 0.0])
@@ -462,6 +465,136 @@ def test_screen_stress_cases_vote_like_stable_argsort(kind):
     labels = np.random.default_rng(11).integers(0, 3, size=len(sample))
     got = knn_extend(spec, data, sample, labels, queries, 5)
     assert np.array_equal(got, argsort_vote(spec, data, sample, labels, queries, 5))
+
+
+def extend_with_work(*args, **kwargs):
+    """knn_extend's labels and its work counters (queries, kernel values computed, rows that took all cells)."""
+    work = dict.fromkeys(("queries", "kernel_values", "full_rows"), 0)
+    token = treelets.extend._extension_work.set(work)
+    try:
+        return knn_extend(*args, **kwargs), work
+    finally:
+        treelets.extend._extension_work.reset(token)
+
+
+@st.composite
+def rbf_extension(draw):
+    """RBF cases for the screen on squared distances: duplicated rows (squared
+    distance 0), ties at the k-th distance on a half-integer grid, squared
+    distances of a few 1e-16 (values 1 or a few ulps below), a sigma under
+    which every value off the duplicates underflows to 0, and continuous
+    points, whose rows the guard mostly proves."""
+    knn_k = draw(st.sampled_from([1, 3, 5]))
+    n = draw(st.integers(knn_k + 1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["grid", "near-one", "underflow", "continuous"]))
+    width = draw(st.integers(1, 3))
+    if kind == "continuous":
+        values = rng.normal(size=(n, width))
+    else:
+        values = rng.integers(-2, 3, size=(n, width)) / 2
+        if kind == "near-one":
+            values *= 1e-8
+    dup = rng.integers(0, n, size=n // 3)
+    values[rng.integers(0, n, size=len(dup))] = values[dup]
+    sigma = {"underflow": 1e-3}.get(kind) or draw(st.sampled_from([0.1, 0.3, 1.0, 3.0]))
+    order = rng.permutation(n)
+    n_sample = draw(st.integers(knn_k, n - 1))
+    sample, queries = order[:n_sample], order[n_sample:]
+    labels = rng.integers(0, draw(st.integers(1, 4)), size=n_sample)
+    return kind, RbfKernel(sigma=sigma), Dataset(values), sample, labels, queries, knn_k
+
+
+@settings(max_examples=150, deadline=None)
+@given(rbf_extension())
+def test_rbf_screen_on_squared_distances_votes_like_stable_argsort(case):
+    """The default margin, a margin of 0 (no row is proven: each takes all its
+    cells) and an infinite one (every cell is a candidate) all give the stable
+    argsort's vote, at every thread count and block height.  Where every value
+    off the duplicates underflows, the default margin proves just the rows
+    with k duplicates in the sample (a k-th squared distance of 0), and a
+    block with any other row takes all its cells."""
+    kind, spec, data, sample, labels, queries, knn_k = case
+    expected = argsort_vote(spec, data, sample, labels, queries, knn_k)
+    everything = {"queries": len(queries), "kernel_values": len(queries) * len(sample), "full_rows": len(queries)}
+    sq = ((data.values[queries][:, None] - data.values[sample][None]) ** 2).sum(axis=2)
+    apart = np.sort(sq, axis=1)[:, knn_k - 1] > 0
+    for margin in (treelets.extend._RBF_MARGIN, 0.0, math.inf):
+        for budget in (treelets.extend._BLOCK_ELEMENTS, 3 * len(sample)):
+            with patch.object(treelets.extend, "_RBF_MARGIN", margin), patch.object(
+                treelets.extend, "_BLOCK_ELEMENTS", budget
+            ):
+                for threads in (1, 2, 4):
+                    got, work = extend_with_work(spec, data, sample, labels, queries, knn_k, threads=threads)
+                    assert np.array_equal(got, expected), (margin, budget, threads)
+                    if margin == 0.0:
+                        assert work == everything, (budget, threads)
+                    elif kind == "underflow":
+                        height = max(1, budget // len(sample))
+                        blocks = [apart[s : s + height] for s in range(0, len(queries), height)]
+                        full = sum(len(b) for b in blocks if b.any()) if margin < math.inf else len(queries)
+                        assert work["full_rows"] == full, (margin, budget)
+
+
+@pytest.mark.parametrize("margin, work", [(2.0**-45, (3, 1)), (None, (1, 0))], ids=["inside", "default"])
+def test_rbf_screen_proves_nothing_with_a_margin_inside_the_allowance(margin, work):
+    """The k-th squared distance over 2 sigma^2 is 1/2.  A margin of 2**-45
+    puts the value at the edge about 2**-45 (2**7 ulps) below the value at
+    the k-th: distinct, but closer than the allowance for exp's rounding, so
+    the row is not proven and takes all its cells.  The default margin
+    proves it."""
+    data = Dataset([[0.0], [1.0], [3.0], [-3.0]])
+    with patch.object(treelets.extend, "_RBF_MARGIN", margin or treelets.extend._RBF_MARGIN):
+        got, counters = extend_with_work(RbfKernel(sigma=1.0), data, np.array([1, 2, 3]), np.array([0, 1, 1]),
+                                         np.array([0]), 1)
+    assert got[0] == 0
+    assert (counters["kernel_values"], counters["full_rows"]) == work
+
+
+def test_rbf_screen_keeps_a_tie_just_past_the_stride_bound():
+    """Of every 8th sample column, 0 and 8, column 8 is the nearest (squared
+    distance 1) and gives the bound; column 3 is 2 ulps farther: past the
+    bound but within its margin.  With sigma 2**10 their kernel values and
+    distances are equal, so column 3 wins the tie."""
+    sample_values = [50.0, 60.0, 70.0, 1.0 + 2.0**-52, 80.0, 90.0, 100.0, 110.0, 1.0]
+    data = Dataset(np.array([[0.0]] + [[v] for v in sample_values]))
+    sample, labels, queries = np.arange(1, 10), np.array([1, 1, 1, 0, 1, 1, 1, 1, 1]), np.array([0])
+    spec = RbfKernel(sigma=2.0**10)
+    got, work = extend_with_work(spec, data, sample, labels, queries, 1)
+    assert got[0] == argsort_vote(spec, data, sample, labels, queries, 1)[0] == 0
+    assert (work["kernel_values"], work["full_rows"]) == (2, 0)
+
+
+def test_np_exp_is_within_two_ulps_of_math_exp():
+    """The bound the RBF screen's _EXP_ALLOWANCE rests on: np.exp within 2 ulps
+    of math.exp (itself within 1 ulp of exp) over [-745, 0], subnormal
+    results included, so within 3 * 2**-52 relative where the result is
+    normal; the allowance covers twice that with room for its own rounding."""
+    rng = np.random.default_rng(25)
+    x = np.concatenate([
+        rng.uniform(-745.0, 0.0, 100_000),
+        rng.uniform(-745.0, -708.0, 20_000),  # subnormal results
+        -np.logspace(-300, np.log10(745.0), 20_000),  # from -1e-300, where exp rounds to 1
+        [0.0, -0.0, -745.0, -708.4, -np.finfo(float).tiny],
+    ])
+    ref = np.array([math.exp(v) for v in x.tolist()])
+    assert (np.abs(np.exp(x) - ref) <= 2 * np.spacing(ref)).all()
+    assert treelets.extend._EXP_ALLOWANCE >= 2 * 3 * 2.0**-52 + 2.0**-52
+
+
+def test_rbf_value_not_present_that_is_nan_is_named_as_before():
+    """The squared-distance screen runs only on finite rows; a NaN in a cell
+    that is not present falls through to the kernel-value path, whose error
+    names the query, or, for a sample row, the first query it spoils."""
+    values = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0], [1.0, 1.0], [3.0, 0.0]])
+    present = np.ones(values.shape, dtype=bool)
+    sample, labels, queries = np.array([0, 1, 2]), np.array([0, 1, 1]), np.array([3, 4, 5])
+    spec = RbfKernel(sigma=1.0)
+    for row, named in ((4, 4), (1, 3)):
+        bad, mask = values.copy(), present.copy()
+        bad[row, 1], mask[row, 1] = np.nan, False
+        with pytest.raises(ValueError, match=rf"^kernel RbfKernel\(sigma=1.0\) gives a non-finite value for query id {named}$"):
+            knn_extend(spec, Dataset(bad, mask), sample, labels, queries, 1)
 
 
 class TestKtConfig:

@@ -132,11 +132,46 @@ MUTANTS = [
         ("tests/test_extend.py",),
     ),
     Mutant(
+        "the RBF screen's guard proves every row",
+        "src/treelets/extend.py",
+        "proven = _distance(hi, 1.0) > _distance(lo, 1.0)",
+        "proven = np.full(n_rows, True)",
+        ("tests/test_extend.py",),
+    ),
+    Mutant(
+        "the RBF screen's guard bounds the values without the allowance for exp's rounding",
+        "src/treelets/extend.py",
+        "* [[1.0 + _EXP_ALLOWANCE], [1.0 - _EXP_ALLOWANCE]]",
+        "* [[1.0], [1.0]]",
+        ("tests/test_extend.py",),
+    ),
+    Mutant(
+        "the RBF screen's near cells stop at the bound, short of its margin",
+        "src/treelets/extend.py",
+        "np.fmax(bound * (1.0 + _RBF_MARGIN) + floor, bound)",
+        "bound",
+        ("tests/test_extend.py",),
+    ),
+    Mutant(
+        "the RBF screen takes a query block without checking that its rows are finite",
+        "src/treelets/extend.py",
+        "if on_sq and np.isfinite(values := data.values[block]).all():",
+        "if on_sq and (values := data.values[block]) is not None:",
+        ("tests/test_extend.py",),
+    ),
+    Mutant(
         "gram mirrors a row block by arithmetic, turning -0.0 into +0.0",
         "src/treelets/kernels.py",
         "g[:s, s:e] = block[:, :s].T",
         "g[:s, s:e] = block[:, :s].T + 0.0",
         ("tests/test_kernels.py",),
+    ),
+    Mutant(
+        "kmeans takes max_iters 0, and returns no labels",
+        "src/treelets/baseline.py",
+        "if max_iters < 1:",
+        "if max_iters < 0:",
+        ("tests/test_baseline.py",),
     ),
     Mutant(
         "a blank CSV line is read as one empty cell",
