@@ -26,9 +26,6 @@ from .rng import SplitMix64
 # (2 vCPUs, one fresh process per round) 1 << 17 beat 1 << 16 in 9 and 10
 # of two sets of 10 rounds (median 0.27 vs 0.30 s), 1 << 15 in 4 of 10
 _BLOCK_ELEMENTS = 1 << 17
-# where K(x, x) is one constant c, query cells whose kernel value is more
-# than |c| * _SCREEN_MARGIN below a row's k-th largest are screened out
-_SCREEN_MARGIN = 2.0**-26
 # RBF query cells past a row's margin edge are screened out before exp: in
 # units of 2 sigma^2, the edge is _RBF_MARGIN * (1 + x) past the row's k-th
 # smallest squared distance x, so with the allowance below the guard proves
@@ -39,6 +36,12 @@ _RBF_MARGIN = 2.0**-16
 # (2 vCPUs, 21 interleaved in-process calls each) 4 was level with 8, and 16
 # and a partition of every column were slower in 19 of 21 calls
 _BOUND_STRIDE = 8
+# an RBF query block's pilot: the _PILOT_PER_K * knn_k samples nearest its
+# middle in column-0 order.  On the 11000 x 1000 extension (2 vCPUs, 9
+# interleaved in-process calls each) 8 took 42 % of the squared distances
+# (86 ms), 12 took 32 % (74 ms), 16 took 27 % (71 ms), 24 and 32 27-31 %
+# (73-74 ms), since their pilots' own cells count
+_PILOT_PER_K = 16
 # np.exp is within 2 ulps of math.exp over [-745, 0] (tests/test_extend.py),
 # and math.exp within 1 ulp of exp: a relative error under 2**-50 on normal
 # values, which this allowance covers 1000 times over
@@ -78,7 +81,8 @@ class KtResult:
     # seconds per stage: sample, gram, decompose, cut, extend, total
     timings: dict = field(compare=False, repr=False)
     # the extension's work: queries labeled, kernel values computed for them,
-    # and rows that took all their cells (no screen proved a cell farther)
+    # rows that took all their cells (no guard proved a cell farther), and
+    # squared distances computed by the RBF selection
     extension: dict = field(compare=False, repr=False)
 
 
@@ -106,14 +110,14 @@ def sample_indices(n: int, n_sample: int, seed: int) -> list[int]:
     return SplitMix64(seed).sample_without_replacement(n, n_sample)
 
 
-def _distance(k: np.ndarray, c: float) -> np.ndarray:
-    """sqrt(max(0, (c + c) - 2k)): the kernel distance where K(x, x) = c for every x.
+def _distance(k: np.ndarray) -> np.ndarray:
+    """sqrt(max(0, 2 - 2k)): the kernel distance at an RBF value k, whose K(x, x) is 1.
 
-    These are the operations of knn_extend's general branch, in its order,
-    so the bits are the same; each is correctly rounded and monotone, so
-    the distance never increases as k rises.
+    These are the operations of knn_extend's general branch, in its order
+    (1 + 1 is 2 exactly), so the bits are the same; each is correctly
+    rounded and monotone, so the distance never increases as k rises.
     """
-    d = (c + c) - 2.0 * k
+    d = 2.0 - 2.0 * k
     return np.sqrt(np.maximum(0.0, d, out=d), out=d)
 
 
@@ -152,6 +156,38 @@ def _row_kth(cells: np.ndarray, values: np.ndarray, shape: tuple, k: int) -> np.
     return np.partition(pad, k - 1, axis=1)[:, k - 1]
 
 
+def _rbf_window(values: np.ndarray, sample_values: np.ndarray, by_col0: np.ndarray, scale: float, k: int):
+    """The sample positions, ascending, that can hold a nearest neighbour of an RBF query block; and the pilot's cells.
+
+    values are the block's rows, ascending in column 0; by_col0 the sample
+    positions in column-0 order.  The pilot, the _PILOT_PER_K * k samples
+    nearest the block's middle in that order, bounds each row's k-th
+    smallest squared distance; reach is the largest margin edge (as
+    _rbf_candidates computes it) at those bounds.  A sample whose column-0
+    term at the block's nearer end, fl((s0 - qa)^2) or fl((s0 - qb)^2), is
+    past reach is dropped: a squared distance is a rounded sum of
+    non-negative terms, at least each of them, so every row's cell there is
+    past the row's edge.  Each row keeps its pilot cells up to its bound, so
+    the window holds its k smallest and all its candidates.  None where
+    every column is kept, or the pilot would be the whole sample.
+    """
+    n = len(by_col0)
+    pilot = _PILOT_PER_K * k
+    if pilot >= n:
+        return None, 0
+    s0 = sample_values[by_col0, 0]
+    qa, qb = values[0, 0], values[-1, 0]
+    start = min(max(np.searchsorted(s0, values[len(values) // 2, 0]) - pilot // 2, 0), n - pilot)
+    sq = _squared_distances(values, sample_values[by_col0[start : start + pilot]])
+    bound = np.partition(sq, k - 1, axis=1)[:, k - 1]
+    # an infinite margin times 0 is NaN, past which nothing is dropped
+    with np.errstate(over="ignore", invalid="ignore"):
+        reach = np.max(bound * (1.0 + _RBF_MARGIN) + -scale * _RBF_MARGIN)
+        term = np.square(s0 - np.where(s0 < qa, qa, np.minimum(s0, qb)))
+    keep = ~(term > reach)
+    return (None if keep.all() else np.sort(by_col0[keep])), sq.size
+
+
 def _rbf_candidates(sq: np.ndarray, scale: float, k: int):
     """Candidate cells of an RBF query block, from its squared distances sq.
 
@@ -184,15 +220,15 @@ def _rbf_candidates(sq: np.ndarray, scale: float, k: int):
         kth_sq = _row_kth(near, near_sq, sq.shape, k)
         edge = kth_sq * (1.0 + _RBF_MARGIN) + floor
         hi, lo = np.exp(np.divide((edge, kth_sq), scale)) * [[1.0 + _EXP_ALLOWANCE], [1.0 - _EXP_ALLOWANCE]]
-        proven = _distance(hi, 1.0) > _distance(lo, 1.0)
+        proven = _distance(hi) > _distance(lo)
         if not proven.all():  # every cell of the block is a candidate, as in knn_extend's general branch
-            d = _distance(np.exp(sq / scale), 1.0)
+            d = _distance(np.exp(sq / scale))
             kth = np.partition(d, k - 1, axis=1)[:, k - 1]
             cells = np.flatnonzero(d <= kth[:, None])
             return cells, d.ravel()[cells], kth, n_rows
         keep = near_sq <= edge[near // width]
         cells = near[keep]
-        d = _distance(np.exp(near_sq[keep] / scale), 1.0)
+        d = _distance(np.exp(near_sq[keep] / scale))
     return cells, d, _row_kth(cells, d, sq.shape, k), 0
 
 
@@ -211,11 +247,12 @@ def knn_extend(
     work within a fixed element budget; `threads` workers take whole
     blocks.  Distance ties prefer the smaller sample position, vote ties
     the smaller cluster id, so the result is deterministic and independent
-    of the thread count and the block height.  Each row computes few
-    distances: an RBF row selects its candidates on squared distances
-    (_rbf_candidates), a row whose K(x, x) is one constant on kernel values.
-    A non-finite kernel value is an error naming the kernel and the first
-    sample or query id with one.
+    of the thread count and the block height.  An RBF block on finite rows
+    computes few distances: its queries are taken in column-0 order, each
+    block's squared distances only to the samples its window keeps
+    (_rbf_window), and it selects its candidates on those
+    (_rbf_candidates).  A non-finite kernel value is an error naming the
+    kernel and the first sample or query id with one.
     """
     sample = np.asarray(sample, dtype=np.int64)
     queries = np.asarray(queries, dtype=np.int64)
@@ -232,23 +269,42 @@ def knn_extend(
     n_labels = int(sample_labels.max()) + 1
     n = len(sample)
     height = max(1, _BLOCK_ELEMENTS // n)
-    # the screen needs one self-similarity c everywhere, and c + c finite so
-    # that no distance is NaN
-    c = self_sample[0]
-    constant_diag = bool((self_sample == c).all()) and abs(c) <= np.finfo(float).max / 2
-    # RBF blocks are screened on squared distances, which finite rows never
-    # make NaN; a block with a non-finite row (a value not present) takes
-    # the kernel-value path, which names a non-finite value
-    on_sq = isinstance(spec, RbfKernel) and isinstance(data, Dataset) and np.isfinite(data.values[sample]).all()
+    # RBF selects on squared distances, which finite rows never make NaN;
+    # with a non-finite row (a value not present) every block takes the
+    # general branch, which names the first non-finite value
+    on_sq = (
+        isinstance(spec, RbfKernel)
+        and isinstance(data, Dataset)
+        and np.isfinite(data.values[sample]).all()
+        and np.isfinite(data.values[queries]).all()
+    )
+    order = np.arange(len(queries))  # the query positions, in the order blocks take them
     if on_sq:
         sample_values, scale = data.values[sample], -2.0 * spec.sigma**2
+        by_col0 = np.argsort(sample_values[:, 0], kind="stable")
+        # blocks of queries close in column 0, whose windows are narrow
+        order = np.argsort(data.values[queries, 0], kind="stable")
+    labels = np.empty(len(queries), dtype=np.int64)
 
     def label_block(start: int):
-        """The block's labels, its kernel values computed and its rows that took all their cells."""
-        block = queries[start : start + height]
-        if on_sq and np.isfinite(values := data.values[block]).all():
-            sq = _squared_distances(values, sample_values)
+        """Labels a block; returns its kernel values, rows that took all their cells and squared distances."""
+        rows = order[start : start + height]
+        block = queries[rows]
+        cols = None  # the sample positions the block's cells are in, where not all
+        sq_cells = 0
+        if on_sq:
+            values = data.values[block]
+            cols, sq_cells = _rbf_window(values, sample_values, by_col0, scale, knn_k)
+            sq = _squared_distances(values, sample_values if cols is None else sample_values[cols])
             cells, d, kth, full_rows = _rbf_candidates(sq, scale, knn_k)
+            if full_rows and cols is not None:
+                # an unproven row ties cells that may lie outside the window
+                # (values that underflow all give distance sqrt(2)), so the
+                # block takes every column
+                sq_cells += sq.size
+                cols, sq = None, _squared_distances(values, sample_values)
+                cells, d, kth, full_rows = _rbf_candidates(sq, scale, knn_k)
+            sq_cells += sq.size
             computed = sq.size if full_rows else len(cells)
         else:
             k = kernel_block(spec, data, block, sample)
@@ -259,29 +315,19 @@ def knn_extend(
                 a = np.argmin(finite)
                 j = sample[np.argmin(np.isfinite(k[a]))]
                 raise nonfinite_error(spec, data, block[a], j, f"query id {block[a]}")
-            if constant_diag and (self_block == c).all():
-                # the k-th largest kernel value kappa gives the k-th smallest
-                # distance; a cell whose value is below lo = kappa - margin is
-                # farther still if f(lo) > f(kappa), else the row keeps every cell
-                kappa = np.partition(k, n - knn_k, axis=1)[:, n - knn_k]
-                kth = _distance(kappa, c)
-                lo = kappa - _SCREEN_MARGIN * abs(c)
-                lo = np.where(_distance(lo, c) > kth, lo, -np.inf)
-                full_rows = int(np.count_nonzero(lo == -np.inf))
-                cells = np.flatnonzero(k >= lo[:, None])
-                d = _distance(k.ravel()[cells], c)
-            else:
-                d = self_block[:, None] + self_sample
-                d -= np.multiply(k, 2.0, out=k)
-                np.sqrt(np.maximum(0.0, d, out=d), out=d)
-                kth = np.partition(d, knn_k - 1, axis=1)[:, knn_k - 1]
-                full_rows = len(block)
-                cells = np.flatnonzero(d <= kth[:, None])
-                d = d.ravel()[cells]
-        nearest = sample_labels[_first_k(cells, n, d, kth, knn_k)]
+            d = self_block[:, None] + self_sample
+            d -= np.multiply(k, 2.0, out=k)
+            np.sqrt(np.maximum(0.0, d, out=d), out=d)
+            kth = np.partition(d, knn_k - 1, axis=1)[:, knn_k - 1]
+            full_rows = len(block)
+            cells = np.flatnonzero(d <= kth[:, None])
+            d = d.ravel()[cells]
+        picked = _first_k(cells, n if cols is None else len(cols), d, kth, knn_k)
+        nearest = sample_labels[picked if cols is None else cols[picked]]
         flat = (np.arange(len(block))[:, None] * n_labels + nearest).ravel()
         votes = np.bincount(flat, minlength=len(block) * n_labels)
-        return votes.reshape(len(block), n_labels).argmax(axis=1), computed, full_rows
+        labels[rows] = votes.reshape(len(block), n_labels).argmax(axis=1)
+        return computed, full_rows, sq_cells
 
     starts = range(0, len(queries), height)
     if threads <= 1:  # in the calling thread: a pool thread may allocate from its own malloc arena
@@ -292,9 +338,9 @@ def knn_extend(
     work = _extension_work.get()
     if work is not None:
         work["queries"] += len(queries)
-        work["kernel_values"] += sum(b[1] for b in blocks)
-        work["full_rows"] += sum(b[2] for b in blocks)
-    return np.concatenate([b[0] for b in blocks]) if blocks else np.empty(0, dtype=np.int64)
+        for key, counts in zip(("kernel_values", "full_rows", "squared_distances"), zip(*blocks)):
+            work[key] += sum(counts)
+    return labels
 
 
 def fit_predict(data, config: KtConfig, threads: int = 1) -> KtResult:
@@ -326,7 +372,7 @@ def fit_predict(data, config: KtConfig, threads: int = 1) -> KtResult:
 
     full = np.empty(n, dtype=np.int64)
     full[np.asarray(sample)] = sample_labels.assignments
-    work = dict.fromkeys(("queries", "kernel_values", "full_rows"), 0)
+    work = dict.fromkeys(("queries", "kernel_values", "full_rows", "squared_distances"), 0)
     if config.sample_size < n:
         queries = np.setdiff1d(np.arange(n), sample)
         token = _extension_work.set(work)

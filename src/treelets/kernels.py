@@ -199,7 +199,7 @@ def _pairwise_sum(term, lo: int, n: int, shape) -> np.ndarray:
         total += _pairwise_sum(term, lo + half, n - half, shape)
         return total
     r = [term(lo + j, np.empty(shape)) for j in range(min(n, 8))]
-    scratch = np.empty(shape)
+    scratch = np.empty(shape) if n > 8 else None  # the loops below add terms past the eighth
     head = max(8, n - n % 8)
     for j in range(8, head):
         r[j % 8] += term(lo + j, scratch)

@@ -665,10 +665,11 @@ class TestPipeline:
 
     def test_manifest_counts_the_extension_work(self, blob_csv, tmp_path):
         """20 queries against a 10-row sample: the RBF screen computes the
-        values of each query's 3 nearest alone, and proves every row; a full
-        sample extends nothing."""
-        for size, work in ((10, {"queries": 20, "kernel_values": 60, "full_rows": 0}),
-                           ("full", {"queries": 0, "kernel_values": 0, "full_rows": 0})):
+        values of each query's 3 nearest alone, and proves every row; the
+        sample is smaller than a pilot, so every squared distance is computed.
+        A full sample extends nothing."""
+        for size, work in ((10, {"queries": 20, "kernel_values": 60, "full_rows": 0, "squared_distances": 200}),
+                           ("full", {"queries": 0, "kernel_values": 0, "full_rows": 0, "squared_distances": 0})):
             labels = tmp_path / f"labels-{size}.json"
             assert run("cluster", "--input", blob_csv, "--kernel", "rbf:sigma=3", "--clusters", 3,
                        "--sample-size", size, "--knn-k", 3, "-o", labels) == 0

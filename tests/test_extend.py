@@ -337,7 +337,7 @@ def test_first_k_takes_the_stable_argsort_set(n_rows, width, seed, k):
 
 @st.composite
 def screened_extension(draw):
-    """Cases for the constant-diagonal screen: tied kernel values, values a few
+    """Cases where K(x, x) is one constant: tied kernel values, values a few
     ulps below 1, distinct values near 0 for which c - 2k rounds to one
     distance, values that all underflow to 0, missing cells, and graphs whose
     query vertices have no sampled neighbour."""
@@ -382,28 +382,23 @@ def screened_extension(draw):
 @settings(max_examples=150, deadline=None)
 @given(screened_extension())
 def test_screen_votes_like_stable_argsort(case):
-    """The default margin, a margin of 0 (every row falls back to all its cells)
-    and an infinite one (every cell is a candidate) all give the stable
-    argsort's vote, at every thread count and block height."""
+    """Every kind gives the stable argsort's vote, at every thread count and
+    block height."""
     spec, data, sample, labels, queries, knn_k = case
     expected = argsort_vote(spec, data, sample, labels, queries, knn_k)
-    for margin in (treelets.extend._SCREEN_MARGIN, 0.0, math.inf):
-        for budget in (treelets.extend._BLOCK_ELEMENTS, 3 * len(sample)):
-            with patch.object(treelets.extend, "_SCREEN_MARGIN", margin), patch.object(
-                treelets.extend, "_BLOCK_ELEMENTS", budget
-            ):
-                for threads in (1, 2, 4):
-                    got = knn_extend(spec, data, sample, labels, queries, knn_k, threads=threads)
-                    assert np.array_equal(got, expected), (margin, budget, threads)
+    for budget in (treelets.extend._BLOCK_ELEMENTS, 3 * len(sample)):
+        with patch.object(treelets.extend, "_BLOCK_ELEMENTS", budget):
+            for threads in (1, 2, 4):
+                got = knn_extend(spec, data, sample, labels, queries, knn_k, threads=threads)
+                assert np.array_equal(got, expected), (budget, threads)
 
 
 @pytest.mark.parametrize("kind", ["rbf", "missing-rbf", "graph", "linear"])
-def test_constant_diagonal_selects_on_kernel_values(kind, monkeypatch):
+def test_only_rbf_selects_on_squared_distances(kind, monkeypatch):
     """An RBF block partitions squared distances (every 8th column's, for a
     bound, then those of the cells within it), then its candidates'
-    distances, each for the k-th smallest; elsewhere, where K(x, x) is
-    constant, the partition runs on kernel values, for the k-th largest;
-    otherwise on distances, for the k-th smallest."""
+    distances, each for the k-th smallest; every other kernel partitions
+    the distances of all its cells, for the k-th smallest."""
     spec, data = extension_case(kind)
     sample = np.arange(0, 40, 3)
     queries = np.setdiff1d(np.arange(40), sample)
@@ -417,17 +412,15 @@ def test_constant_diagonal_selects_on_kernel_values(kind, monkeypatch):
 
     monkeypatch.setattr(np, "partition", spy)
     knn_extend(spec, data, sample, labels, queries, 3)
-    assert kths == {"rbf": [2, 2, 2], "linear": [2]}.get(kind, [len(sample) - 3])
+    assert kths == {"rbf": [2, 2, 2]}.get(kind, [2])
 
 
-@pytest.mark.parametrize("margin", [2.0**-26, 0.0])
-def test_screen_keeps_a_tie_below_the_kth_largest_kernel_value(margin):
+def test_screen_keeps_a_tie_below_the_kth_largest_kernel_value():
     """Kernel values 4e-61 and 1.9e-22 both give distance sqrt(2), so the
     earlier sample position wins the tie though its kernel value is the
-    smaller; a margin of 0 proves nothing and must fall back to every cell."""
+    smaller: the guard proves nothing and the row takes every cell."""
     data = Dataset([[0.0], [1.0], [0.6]])
-    with patch.object(treelets.extend, "_SCREEN_MARGIN", margin):
-        got = knn_extend(RbfKernel(sigma=0.06), data, np.array([1, 2]), np.array([0, 1]), np.array([0]), 1)
+    got = knn_extend(RbfKernel(sigma=0.06), data, np.array([1, 2]), np.array([0, 1]), np.array([0]), 1)
     assert got[0] == 0
 
 
@@ -468,8 +461,9 @@ def test_screen_stress_cases_vote_like_stable_argsort(kind):
 
 
 def extend_with_work(*args, **kwargs):
-    """knn_extend's labels and its work counters (queries, kernel values computed, rows that took all cells)."""
-    work = dict.fromkeys(("queries", "kernel_values", "full_rows"), 0)
+    """knn_extend's labels and its work counters (queries, kernel values computed, rows that took all cells,
+    squared distances computed)."""
+    work = dict.fromkeys(("queries", "kernel_values", "full_rows", "squared_distances"), 0)
     token = treelets.extend._extension_work.set(work)
     try:
         return knn_extend(*args, **kwargs), work
@@ -518,7 +512,8 @@ def test_rbf_screen_on_squared_distances_votes_like_stable_argsort(case):
     expected = argsort_vote(spec, data, sample, labels, queries, knn_k)
     everything = {"queries": len(queries), "kernel_values": len(queries) * len(sample), "full_rows": len(queries)}
     sq = ((data.values[queries][:, None] - data.values[sample][None]) ** 2).sum(axis=2)
-    apart = np.sort(sq, axis=1)[:, knn_k - 1] > 0
+    # in the order knn_extend cuts its blocks: ascending in column 0
+    apart = (np.sort(sq, axis=1)[:, knn_k - 1] > 0)[np.argsort(data.values[queries, 0], kind="stable")]
     for margin in (treelets.extend._RBF_MARGIN, 0.0, math.inf):
         for budget in (treelets.extend._BLOCK_ELEMENTS, 3 * len(sample)):
             with patch.object(treelets.extend, "_RBF_MARGIN", margin), patch.object(
@@ -528,7 +523,7 @@ def test_rbf_screen_on_squared_distances_votes_like_stable_argsort(case):
                     got, work = extend_with_work(spec, data, sample, labels, queries, knn_k, threads=threads)
                     assert np.array_equal(got, expected), (margin, budget, threads)
                     if margin == 0.0:
-                        assert work == everything, (budget, threads)
+                        assert {key: work[key] for key in everything} == everything, (budget, threads)
                     elif kind == "underflow":
                         height = max(1, budget // len(sample))
                         blocks = [apart[s : s + height] for s in range(0, len(queries), height)]
@@ -583,8 +578,8 @@ def test_np_exp_is_within_two_ulps_of_math_exp():
 
 
 def test_rbf_value_not_present_that_is_nan_is_named_as_before():
-    """The squared-distance screen runs only on finite rows; a NaN in a cell
-    that is not present falls through to the kernel-value path, whose error
+    """The squared-distance selection runs only on finite rows; a NaN in a cell
+    that is not present sends the queries to the general branch, whose error
     names the query, or, for a sample row, the first query it spoils."""
     values = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0], [1.0, 1.0], [3.0, 0.0]])
     present = np.ones(values.shape, dtype=bool)
@@ -595,6 +590,89 @@ def test_rbf_value_not_present_that_is_nan_is_named_as_before():
         bad[row, 1], mask[row, 1] = np.nan, False
         with pytest.raises(ValueError, match=rf"^kernel RbfKernel\(sigma=1.0\) gives a non-finite value for query id {named}$"):
             knn_extend(spec, Dataset(bad, mask), sample, labels, queries, 1)
+
+
+@st.composite
+def windowed_extension(draw):
+    """RBF cases for the column-0 sample window: samples smaller and larger
+    than the pilot (16 * knn_k), in no particular order; queries beyond the
+    sample's column-0 range on either side; duplicated rows and ties at the
+    k-th on a half-integer grid, continuous points, and a sigma under which
+    every value off the duplicates underflows to 0."""
+    knn_k = draw(st.sampled_from([1, 3, 5]))
+    n_sample = draw(st.integers(knn_k, 100))
+    n_queries = draw(st.integers(1, 60))
+    n = n_sample + n_queries
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["grid", "underflow", "continuous"]))
+    width = draw(st.integers(1, 3))
+    values = rng.normal(size=(n, width)) if kind == "continuous" else rng.integers(-4, 5, size=(n, width)) / 2
+    dup = rng.integers(0, n, size=n // 4)
+    values[rng.integers(0, n, size=len(dup))] = values[dup]
+    order = rng.permutation(n)
+    sample, queries = order[:n_sample], order[n_sample:]
+    if draw(st.booleans()):  # some queries beyond the sample's column-0 range
+        far = queries[rng.random(n_queries) < 0.3]
+        values[far, 0] += rng.choice([-1.0, 1.0], size=len(far)) * draw(st.sampled_from([3.0, 40.0]))
+    sigma = 1e-3 if kind == "underflow" else draw(st.sampled_from([0.3, 1.0, 3.0]))
+    labels = rng.integers(0, draw(st.integers(1, 4)), size=n_sample)
+    return RbfKernel(sigma=sigma), Dataset(values), sample, labels, queries, knn_k
+
+
+@settings(max_examples=150, deadline=None)
+@given(windowed_extension())
+def test_rbf_window_votes_like_stable_argsort(case):
+    """The windowed RBF selection gives the stable argsort's vote at every
+    block height and thread count, and the kernel values and full rows of a
+    selection without windows (a pilot as large as the sample): each row's
+    candidates are the same cells, and the same blocks fall back."""
+    spec, data, sample, labels, queries, knn_k = case
+    expected = argsort_vote(spec, data, sample, labels, queries, knn_k)
+    for budget in (treelets.extend._BLOCK_ELEMENTS, 3 * len(sample)):
+        with patch.object(treelets.extend, "_BLOCK_ELEMENTS", budget):
+            with patch.object(treelets.extend, "_PILOT_PER_K", len(sample)):
+                _, unwindowed = extend_with_work(spec, data, sample, labels, queries, knn_k)
+            for threads in (1, 2, 4):
+                got, work = extend_with_work(spec, data, sample, labels, queries, knn_k, threads=threads)
+                assert np.array_equal(got, expected), (budget, threads)
+                for key in ("kernel_values", "full_rows"):
+                    assert work[key] == unwindowed[key], (key, budget, threads)
+
+
+def test_rbf_window_falls_back_to_every_sample_column():
+    """With sigma 1e-3 every value underflows to 0 and every distance ties at
+    sqrt(2), so the guard proves no row and the tie goes to sample position
+    0, whose column 0 is far outside the window (the sample at 1 alone).
+    The block counts the pilot's 16 cells, the window's 1 and all 21."""
+    data = Dataset(np.array([[0.0], [1000.0]] + [[float(v)] for v in range(1, 21)]))
+    sample, labels, queries = np.arange(1, 22), np.array([1] + [0] * 20), np.array([0])
+    spec = RbfKernel(sigma=1e-3)
+    got, work = extend_with_work(spec, data, sample, labels, queries, 1)
+    assert got[0] == argsort_vote(spec, data, sample, labels, queries, 1)[0] == 1
+    assert work == {"queries": 1, "kernel_values": 21, "full_rows": 1, "squared_distances": 16 + 1 + 21}
+
+
+def test_rbf_window_keeps_a_column_whose_term_equals_its_reach():
+    """sigma 2**12 makes the margin's absolute part 2 sigma^2 * 2**-16 = 512,
+    so the query's reach is 256**2 * (1 + 2**-16) + 512 = 257**2 exactly: the
+    sample at -257 is kept (a candidate, though not the nearest) and those
+    from 1000 up are dropped."""
+    data = Dataset(np.array([[0.0], [-257.0], [256.0]] + [[1000.0 + v] for v in range(16)]))
+    sample, labels, queries = np.arange(1, 19), np.array([1, 0] + [1] * 16), np.array([0])
+    got, work = extend_with_work(RbfKernel(sigma=2.0**12), data, sample, labels, queries, 1)
+    assert got[0] == 0
+    assert work == {"queries": 1, "kernel_values": 2, "full_rows": 0, "squared_distances": 16 + 2}
+
+
+def test_rbf_window_reaches_as_far_as_the_blocks_farthest_row():
+    """One block of two queries, at 0 (a sample there: bound 0) and at 100,
+    whose nearest sample, at 110, lies outside the block's column-0 range
+    [0, 100] at a term of 100: the window must reach as far as the farther
+    row's bound, not the nearer row's."""
+    data = Dataset(np.array([[0.0], [100.0], [0.0], [110.0]] + [[1000.0 + v] for v in range(16)]))
+    sample, labels, queries = np.arange(2, 20), np.array([0, 1] + [0] * 16), np.array([0, 1])
+    got = knn_extend(RbfKernel(sigma=100.0), data, sample, labels, queries, 1)
+    assert got.tolist() == [0, 1]
 
 
 class TestKtConfig:

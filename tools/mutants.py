@@ -134,7 +134,7 @@ MUTANTS = [
     Mutant(
         "the RBF screen's guard proves every row",
         "src/treelets/extend.py",
-        "proven = _distance(hi, 1.0) > _distance(lo, 1.0)",
+        "proven = _distance(hi) > _distance(lo)",
         "proven = np.full(n_rows, True)",
         ("tests/test_extend.py",),
     ),
@@ -153,10 +153,31 @@ MUTANTS = [
         ("tests/test_extend.py",),
     ),
     Mutant(
-        "the RBF screen takes a query block without checking that its rows are finite",
+        "the RBF selection takes the queries without checking that their rows are finite",
         "src/treelets/extend.py",
-        "if on_sq and np.isfinite(values := data.values[block]).all():",
-        "if on_sq and (values := data.values[block]) is not None:",
+        "        and np.isfinite(data.values[queries]).all()\n",
+        "",
+        ("tests/test_extend.py",),
+    ),
+    Mutant(
+        "the RBF window drops a sample whose column-0 term equals its reach",
+        "src/treelets/extend.py",
+        "keep = ~(term > reach)",
+        "keep = ~(term >= reach)",
+        ("tests/test_extend.py",),
+    ),
+    Mutant(
+        "the RBF window reaches as far as the block's nearest row, not its farthest",
+        "src/treelets/extend.py",
+        "reach = np.max(",
+        "reach = np.min(",
+        ("tests/test_extend.py",),
+    ),
+    Mutant(
+        "a block with an unproven row falls back within its window, not to every sample column",
+        "src/treelets/extend.py",
+        "cols, sq = None, _squared_distances(values, sample_values)",
+        "sq = _squared_distances(values, sample_values[cols])",
         ("tests/test_extend.py",),
     ),
     Mutant(
