@@ -415,12 +415,15 @@ def test_only_rbf_selects_on_squared_distances(kind, monkeypatch):
     assert kths == {"rbf": [2, 2, 2]}.get(kind, [2])
 
 
-def test_screen_keeps_a_tie_below_the_kth_largest_kernel_value():
+@pytest.mark.parametrize("margin", [2.0**-26, 0.0])
+def test_screen_keeps_a_tie_below_the_kth_largest_kernel_value(margin):
     """Kernel values 4e-61 and 1.9e-22 both give distance sqrt(2), so the
     earlier sample position wins the tie though its kernel value is the
-    smaller: the guard proves nothing and the row takes every cell."""
+    smaller: the guard proves nothing and the row takes every cell, with a
+    small RBF margin as with none."""
     data = Dataset([[0.0], [1.0], [0.6]])
-    got = knn_extend(RbfKernel(sigma=0.06), data, np.array([1, 2]), np.array([0, 1]), np.array([0]), 1)
+    with patch.object(treelets.extend, "_RBF_MARGIN", margin):
+        got = knn_extend(RbfKernel(sigma=0.06), data, np.array([1, 2]), np.array([0, 1]), np.array([0]), 1)
     assert got[0] == 0
 
 
