@@ -58,7 +58,7 @@ class SymMatrix:
     every rotation: zeros and from_dense build it symmetric by assignment;
     kernels.gram writes each row block and its transpose as the block lands,
     and computes the cells above the diagonal in a block's diagonal square
-    with the same operations as their mirrors; and _rotate_pair writes each
+    with the same operations as their mirrors; and apply_rotation writes each
     rotated row to its row and its column alike.
     """
 
@@ -118,44 +118,47 @@ def jacobi_coeffs(a_pp: float, a_qq: float, a_pq: float) -> RotationCoeffs:
     return RotationCoeffs(float(c), float(c * t))
 
 
-def _rotate_pair(
+def _pair_rotation(
     g: np.ndarray, i: int, j: int, coeffs: RotationCoeffs | None = None
-) -> tuple[RotationCoeffs, np.ndarray, np.ndarray]:
-    """Jt G J on rows and columns i and j of a symmetric array g, in place; returns the coefficients and both new rows.
+) -> tuple[RotationCoeffs, float, float]:
+    """The coefficients of Jt G J on rows and columns i and j of a symmetric array g, and its new (i, i) and (j, j) cells.
 
-    coeffs None takes jacobi_coeffs of the 2x2 block as read from the rows.
-    Each row is rotated whole, then the block is overwritten by its closed
-    forms, with the (i, j) cell a literal zero so later passes see no
-    residual.  Each new row is written to its row and its column; the rows
-    returned are new arrays, not views of g.
+    coeffs None takes jacobi_coeffs of the 2x2 block; the new diagonals are
+    the block's closed forms.
     """
-    row_i, row_j = g[i], g[j]
-    a_ii, a_jj, a_ij = float(row_i[i]), float(row_j[j]), float(row_i[j])
+    a_ii, a_jj, a_ij = float(g[i, i]), float(g[j, j]), float(g[i, j])
     if coeffs is None:
         coeffs = jacobi_coeffs(a_ii, a_jj, a_ij)
     c, s = coeffs
+    return coeffs, c * c * a_ii - 2.0 * s * c * a_ij + s * s * a_jj, s * s * a_ii + 2.0 * s * c * a_ij + c * c * a_jj
 
-    new_i = c * row_i - s * row_j
-    new_j = s * row_i + c * row_j
-    new_i[i] = c * c * a_ii - 2.0 * s * c * a_ij + s * s * a_jj
-    new_j[j] = s * s * a_ii + 2.0 * s * c * a_ij + c * c * a_jj
-    new_i[j] = new_j[i] = 0.0
-    g[i] = g[:, i] = new_i
-    g[j] = g[:, j] = new_j
-    return coeffs, new_i, new_j
+
+def _rotated_row(g: np.ndarray, i: int, j: int, coeffs: RotationCoeffs, t: int) -> np.ndarray:
+    """Row t (i or j) of Jt G J, as a new array; its cells in columns i and j are left to the caller."""
+    c, s = coeffs
+    return c * g[i] - s * g[j] if t == i else s * g[i] + c * g[j]
 
 
 def apply_rotation(a: SymMatrix, p_idx: int, q_idx: int, coeffs: RotationCoeffs) -> SymMatrix:
     """In-place Jt A J on rows and columns p_idx and q_idx with the given coefficients; returns a.
 
-    Everything outside the two rows and columns is untouched.
+    Both rows are rotated whole, the 2x2 block is overwritten by its closed
+    forms with the (p_idx, q_idx) cell a literal zero, and each new row is
+    written to its row and its column.  Everything outside the two rows and
+    columns is untouched.
     """
     for t in (p_idx, q_idx):
         if not 0 <= t < a.p:
             raise IndexError(f"index {t} out of range for dimension {a.p}")
     if p_idx == q_idx:
         raise IndexError("rotation needs two distinct indices")
-    _rotate_pair(a.data, p_idx, q_idx, coeffs)
+    g, i, j = a.data, p_idx, q_idx
+    _, d_i, d_j = _pair_rotation(g, i, j, coeffs)
+    new_i, new_j = _rotated_row(g, i, j, coeffs, i), _rotated_row(g, i, j, coeffs, j)
+    new_i[i], new_j[j] = d_i, d_j
+    new_i[j] = new_j[i] = 0.0
+    g[i] = g[:, i] = new_i
+    g[j] = g[:, j] = new_j
     return a
 
 
@@ -236,9 +239,11 @@ def _rotate(records, w: np.ndarray) -> np.ndarray:
 def _scores(vals: np.ndarray, prod: np.ndarray, lam: float) -> np.ndarray:
     """Selection scores from |a_ij| and a_ii a_jj, elementwise; written over prod, which callers own."""
     # not <=: a NaN product scores 0 too, and a NaN minimum takes the masked path
-    tiny = None if prod.min() > _TINY_DIAG_PRODUCT else ~(prod > _TINY_DIAG_PRODUCT)
-    root = np.sqrt(np.maximum(prod, _TINY_DIAG_PRODUCT, out=prod), out=prod)
-    corr = np.divide(vals, root, out=prod)
+    tiny = None
+    if not prod.min() > _TINY_DIAG_PRODUCT:  # above it, the maximum changes nothing
+        tiny = ~(prod > _TINY_DIAG_PRODUCT)
+        np.maximum(prod, _TINY_DIAG_PRODUCT, out=prod)
+    corr = np.divide(vals, np.sqrt(prod, out=prod), out=prod)
     if tiny is not None:
         np.putmask(corr, tiny, 0.0)
     # corr >= +0 and vals is finite, so at lam 0 the sum would be corr bit for bit
@@ -281,11 +286,13 @@ def decompose(a0: SymMatrix, lam: float = 0.0, stop_tol: float = DEFAULT_STOP_TO
     lexicographically smallest (min, max) pair, which makes the choice
     platform-independent.  The loop holds one p x p array g (8p^2 bytes),
     here a0.to_dense(); fit_predict runs it (_decompose) on the Gram it
-    built instead.  Each step rotates rows and columns i and j of g
-    (_rotate_pair), takes both new diagonals from the rotated rows,
-    marks the retired index (its row is never read again, and its column is
-    masked where a row is read), and rescores the surviving index's rotated
-    row.  No pair score is stored: a row is scored where it is read, by the
+    built instead.  Each step takes the coefficients and both new diagonals
+    from the closed forms of the pair's 2x2 block (_pair_rotation), marks
+    the retired index, rotates the surviving index's row alone
+    (_rotated_row) and writes it to its row and its column of g, and
+    rescores it.  The retired index's row and column are left stale: its row
+    is never read again, and its column is masked where a row is read.  No
+    pair score is stored: a row is scored where it is read, by the
     chunked first scan or by one scorer (a lazy row's rescan, the survivor's
     row), with -inf at its own and at retired columns.
 
@@ -313,17 +320,23 @@ def decompose(a0: SymMatrix, lam: float = 0.0, stop_tol: float = DEFAULT_STOP_TO
 def _decompose(g: np.ndarray, lam: float = 0.0, stop_tol: float = DEFAULT_STOP_TOL) -> TreeletDecomposition:
     """decompose's loop on g, a C-contiguous symmetric p x p array, which it rotates and compacts in place.
 
-    g's contents mean nothing once it returns.
+    Each step writes one row and one column of g, the survivor's; g's
+    contents mean nothing once it returns.
     """
     check_params(lam, stop_tol)
 
     p = len(g)
     final_diag = diag = g.diagonal().copy()
     # ahead of the loop; min and max propagate NaN and +-inf and make no
-    # temporary.  Rotations keep the Frobenius norm, at most p max|a|, so
-    # every entry and diagonal stays within it, a rotation's intermediates
-    # within 3x it, and a diagonal product a_ii a_jj within its square: at
-    # max|a| <= sqrt(float max) / 2p nothing in the loop overflows
+    # temporary.  Active cells evolve as under whole rotations, which keep
+    # the Frobenius norm, at most p max|a|, so every active entry and
+    # diagonal stays within it.  A stale cell, in a retired column of an
+    # active row, only passes through orthogonal 2x2 maps whose other entry
+    # is dropped, so that column's norm over the active rows never grows,
+    # and the cell stays within the same bound.  So a rotation's
+    # intermediates stay within 3x it, and a diagonal product a_ii a_jj
+    # within its square: at max|a| <= sqrt(float max) / 2p nothing in the
+    # loop overflows, _scores' divide included
     lo, hi = g.min(), g.max()
     bound = np.sqrt(np.finfo(float).max) / (2 * p)
     if not max(-lo, hi) <= bound:  # not >: a NaN fails
@@ -369,9 +382,7 @@ def _decompose(g: np.ndarray, lam: float = 0.0, stop_tol: float = DEFAULT_STOP_T
             stop_score = score
             break
 
-        coeffs, row_i, row_j = _rotate_pair(g, i_sel, j_sel)
-        diag[i_sel] = row_i[i_sel]
-        diag[j_sel] = row_j[j_sel]
+        coeffs, diag[i_sel], diag[j_sel] = _pair_rotation(g, i_sel, j_sel)
 
         if diag[i_sel] < diag[j_sel]:
             alpha, beta = i_sel, j_sel
@@ -394,7 +405,10 @@ def _decompose(g: np.ndarray, lam: float = 0.0, stop_tol: float = DEFAULT_STOP_T
         best_j[alpha] = -1
         best_score[alpha] = -np.inf  # alpha's row is never read again; its column is masked on read
 
-        vals = row_i if beta == i_sel else row_j
+        # beta's row alone is rotated; alpha's row and column are left stale
+        vals = _rotated_row(g, i_sel, j_sel, coeffs, beta)
+        vals[beta] = diag[beta]
+        g[beta] = g[:, beta] = vals
         fresh = rescore(beta, np.abs(vals, out=vals))  # beta's whole row is fresh: it needs no rescan
         stale = (best_j == alpha) | (best_j == beta)
         stale[beta] = False  # at the last step beta's row is all -inf: its cached partner 0 may be alpha

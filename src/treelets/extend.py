@@ -156,20 +156,28 @@ def _row_kth(cells: np.ndarray, values: np.ndarray, shape: tuple, k: int) -> np.
     return np.partition(pad, k - 1, axis=1)[:, k - 1]
 
 
+def _rbf_guard(kth_sq: np.ndarray, scale: float):
+    """Each RBF row's margin edge at kth_sq, its k-th smallest squared distance or a bound on it, and whether _rbf_candidates' guard proves the row there."""
+    edge = kth_sq * (1.0 + _RBF_MARGIN) + -scale * _RBF_MARGIN
+    hi, lo = np.exp(np.divide((edge, kth_sq), scale)) * [[1.0 + _EXP_ALLOWANCE], [1.0 - _EXP_ALLOWANCE]]
+    return edge, _distance(hi) > _distance(lo)
+
+
 def _rbf_window(values: np.ndarray, sample_values: np.ndarray, by_col0: np.ndarray, scale: float, k: int):
     """The sample positions, ascending, that can hold a nearest neighbour of an RBF query block; and the pilot's cells.
 
     values are the block's rows, ascending in column 0; by_col0 the sample
     positions in column-0 order.  The pilot, the _PILOT_PER_K * k samples
     nearest the block's middle in that order, bounds each row's k-th
-    smallest squared distance; reach is the largest margin edge (as
-    _rbf_candidates computes it) at those bounds.  A sample whose column-0
-    term at the block's nearer end, fl((s0 - qa)^2) or fl((s0 - qb)^2), is
-    past reach is dropped: a squared distance is a rounded sum of
-    non-negative terms, at least each of them, so every row's cell there is
-    past the row's edge.  Each row keeps its pilot cells up to its bound, so
-    the window holds its k smallest and all its candidates.  None where
-    every column is kept, or the pilot would be the whole sample.
+    smallest squared distance; reach is the largest margin edge (_rbf_guard)
+    at those bounds.  A sample whose column-0 term at the block's nearer
+    end, fl((s0 - qa)^2) or fl((s0 - qb)^2), is past reach is dropped: a
+    squared distance is a rounded sum of non-negative terms, at least each
+    of them, so every row's cell there is past the row's edge.  Each row
+    keeps its pilot cells up to its bound, so the window holds its k
+    smallest and all its candidates.  None where every column is kept, the
+    pilot would be the whole sample, or the guard does not prove a row at
+    its bound, so that the block takes every column at once.
     """
     n = len(by_col0)
     pilot = _PILOT_PER_K * k
@@ -180,9 +188,13 @@ def _rbf_window(values: np.ndarray, sample_values: np.ndarray, by_col0: np.ndarr
     start = min(max(np.searchsorted(s0, values[len(values) // 2, 0]) - pilot // 2, 0), n - pilot)
     sq = _squared_distances(values, sample_values[by_col0[start : start + pilot]])
     bound = np.partition(sq, k - 1, axis=1)[:, k - 1]
-    # an infinite margin times 0 is NaN, past which nothing is dropped
+    # an infinite bound or margin gives values of 0 or NaN, which the guard
+    # does not prove
     with np.errstate(over="ignore", invalid="ignore"):
-        reach = np.max(bound * (1.0 + _RBF_MARGIN) + -scale * _RBF_MARGIN)
+        edge, proven = _rbf_guard(bound, scale)
+        if not proven.all():
+            return None, sq.size
+        reach = np.max(edge)
         term = np.square(s0 - np.where(s0 < qa, qa, np.minimum(s0, qb)))
     keep = ~(term > reach)
     return (None if keep.all() else np.sort(by_col0[keep])), sq.size
@@ -217,10 +229,7 @@ def _rbf_candidates(sq: np.ndarray, scale: float, k: int):
     with np.errstate(over="ignore", invalid="ignore"):
         near = np.flatnonzero(sq <= np.fmax(bound * (1.0 + _RBF_MARGIN) + floor, bound)[:, None])
         near_sq = sq.ravel()[near]
-        kth_sq = _row_kth(near, near_sq, sq.shape, k)
-        edge = kth_sq * (1.0 + _RBF_MARGIN) + floor
-        hi, lo = np.exp(np.divide((edge, kth_sq), scale)) * [[1.0 + _EXP_ALLOWANCE], [1.0 - _EXP_ALLOWANCE]]
-        proven = _distance(hi) > _distance(lo)
+        edge, proven = _rbf_guard(_row_kth(near, near_sq, sq.shape, k), scale)
         if not proven.all():  # every cell of the block is a candidate, as in knn_extend's general branch
             d = _distance(np.exp(sq / scale))
             kth = np.partition(d, k - 1, axis=1)[:, k - 1]

@@ -496,6 +496,33 @@ def test_decompose_rotates_as_apply_rotation_does(case):
         assert d.final_diag.tobytes() == replay.diagonal().tobytes()
 
 
+@pytest.mark.parametrize("floor", [1, treelets.core._COMPACT_MIN])
+def test_stale_cell_of_a_retired_column_is_never_read(floor):
+    """Ten indices that all correlate 0.8, then a block of four: (0, 1) at
+    0.45, row 2 with 0.3 to index 0, -0.2 to 1 and 0.15 to 3.  The ten merge
+    first, in nine steps (at a floor of 1 the active block is compacted after
+    step 7).  Step 10 rotates (0, 1) and retires 0 (diagonal 0.55) while only
+    the survivor 1's row and column are rewritten, so row 2 keeps the stale,
+    unrotated 0.3 in column 0, its largest |a| off its own cell; its cached
+    partner was 0, so it goes lazy and is rescanned on top at step 11.  Read
+    without the retired mask that cell would score 0.3 / sqrt(0.55) = 0.40
+    and pair 2 with 0; the rescan takes (2, 3) at 0.15, step 12 takes (3, 1)
+    and the loop stalls at 0 (a floor of 1 compacts again after step 11)."""
+    dense = np.zeros((14, 14))
+    dense[4:, 4:] = 0.8
+    dense[:4, :4] = [[0.0, 0.45, 0.3, 0.0], [0.45, 0.0, -0.2, 0.0], [0.3, -0.2, 0.0, 0.15], [0.0, 0.0, 0.15, 0.0]]
+    np.fill_diagonal(dense, 1.0)
+    a = SymMatrix.from_dense(dense)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(treelets.core, "_COMPACT_MIN", floor)
+        d = decompose(a)
+    assert [(r.alpha, r.beta) for r in d.records[9:]] == [(0, 1), (2, 3), (3, 1)]
+    assert all(r.alpha >= 4 and r.beta >= 4 for r in d.records[:9])
+    assert (d.compactions, d.stop_score) == (2 if floor == 1 else 0, 0.0)
+    assert d.lazy_rescans >= 1
+    assert same_decomposition(d, decompose_rescan(a))
+
+
 @settings(max_examples=100, deadline=None)
 @given(selection_case(), st.data())
 def test_basis_is_orthogonal_and_apply_basis_is_its_product(case, data):

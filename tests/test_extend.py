@@ -646,13 +646,45 @@ def test_rbf_window_falls_back_to_every_sample_column():
     """With sigma 1e-3 every value underflows to 0 and every distance ties at
     sqrt(2), so the guard proves no row and the tie goes to sample position
     0, whose column 0 is far outside the window (the sample at 1 alone).
-    The block counts the pilot's 16 cells, the window's 1 and all 21."""
+    The guard fails already at the pilot's bound, so no window is made: the
+    block counts the pilot's 16 cells and all 21."""
     data = Dataset(np.array([[0.0], [1000.0]] + [[float(v)] for v in range(1, 21)]))
     sample, labels, queries = np.arange(1, 22), np.array([1] + [0] * 20), np.array([0])
     spec = RbfKernel(sigma=1e-3)
     got, work = extend_with_work(spec, data, sample, labels, queries, 1)
     assert got[0] == argsort_vote(spec, data, sample, labels, queries, 1)[0] == 1
-    assert work == {"queries": 1, "kernel_values": 21, "full_rows": 1, "squared_distances": 16 + 1 + 21}
+    assert work == {"queries": 1, "kernel_values": 21, "full_rows": 1, "squared_distances": 16 + 21}
+
+
+def test_rbf_window_whose_row_the_guard_proves_only_at_the_pilot_bound_falls_back():
+    """The guard is not monotone near its limit (x about 28 in units of
+    2 sigma^2): at sigma 1 it proves 7.54**2 but not 7.53**2.  The pilot, the
+    16 samples at (0, 7.54), bounds the query's squared distance by 7.54**2,
+    which the guard proves, so the window is made: it drops the sample at
+    1000 and keeps the one at (7.53, 0), the nearest, where the guard fails.
+    The block then takes every column: the pilot's 16 cells, the window's 17
+    and all 18."""
+    points = [[0.0, 0.0]] + [[0.0, 7.54]] * 16 + [[7.53, 0.0], [1000.0, 0.0]]
+    data = Dataset(np.array(points))
+    sample, labels, queries = np.arange(1, 19), np.array([0] * 16 + [1, 0]), np.array([0])
+    spec = RbfKernel(sigma=1.0)
+    got, work = extend_with_work(spec, data, sample, labels, queries, 1)
+    assert got[0] == argsort_vote(spec, data, sample, labels, queries, 1)[0] == 1
+    assert work == {"queries": 1, "kernel_values": 18, "full_rows": 1, "squared_distances": 16 + 17 + 18}
+
+
+def test_rbf_extension_that_proves_no_row_computes_each_block_once():
+    """At sigma 1e-3 every value off the duplicates underflows and no row is
+    proven, so every block takes every sample column, straight after its
+    pilot: 1000 queries x 1000 samples plus 80 pilot cells a query, 108 %."""
+    data, truth = generate(Circles(factor=0.5, noise=0.05), 2000, 0)
+    sample = np.array(sorted(sample_indices(2000, 1000, 0)))
+    queries = np.setdiff1d(np.arange(2000), sample)
+    spec, labels = RbfKernel(sigma=1e-3), truth.assignments[sample]
+    got, work = extend_with_work(spec, data, sample, labels, queries, 5)
+    assert np.array_equal(got, argsort_vote(spec, data, sample, labels, queries, 5))
+    assert work["full_rows"] == len(queries)
+    assert work["squared_distances"] <= 1.10 * len(queries) * len(sample)
 
 
 def test_rbf_window_keeps_a_column_whose_term_equals_its_reach():

@@ -34,18 +34,32 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     Mutant(
-        "_rotate_pair does not write row j to its column",
+        "apply_rotation does not write row q_idx to its column",
         "src/treelets/core.py",
         "    g[j] = g[:, j] = new_j\n",
         "    g[j] = new_j\n",
         ("tests/test_core.py",),
     ),
     Mutant(
-        "_rotate_pair leaves the computed residual in the (i, j) cell",
+        "apply_rotation leaves the computed residual in the (p_idx, q_idx) cell",
         "src/treelets/core.py",
         "    new_i[j] = new_j[i] = 0.0\n",
         "",
         ("tests/test_symmat.py",),
+    ),
+    Mutant(
+        "the survivor's row is not written to its column",
+        "src/treelets/core.py",
+        "        g[beta] = g[:, beta] = vals\n",
+        "        g[beta] = vals\n",
+        ("tests/test_core.py",),
+    ),
+    Mutant(
+        "the survivor takes the retired index's combination",
+        "src/treelets/core.py",
+        "vals = _rotated_row(g, i_sel, j_sel, coeffs, beta)",
+        "vals = _rotated_row(g, i_sel, j_sel, coeffs, alpha)",
+        ("tests/test_core.py",),
     ),
     Mutant(
         "compaction remaps a lazy row's partner -1 to position 0",
@@ -134,8 +148,8 @@ MUTANTS = [
     Mutant(
         "the RBF screen's guard proves every row",
         "src/treelets/extend.py",
-        "proven = _distance(hi) > _distance(lo)",
-        "proven = np.full(n_rows, True)",
+        "return edge, _distance(hi) > _distance(lo)",
+        "return edge, np.full(len(kth_sq), True)",
         ("tests/test_extend.py",),
     ),
     Mutant(
@@ -178,6 +192,13 @@ MUTANTS = [
         "src/treelets/extend.py",
         "cols, sq = None, _squared_distances(values, sample_values)",
         "sq = _squared_distances(values, sample_values[cols])",
+        ("tests/test_extend.py",),
+    ),
+    Mutant(
+        "the RBF window is made for a block whose row the guard does not prove at the pilot's bound",
+        "src/treelets/extend.py",
+        "        if not proven.all():\n            return None, sq.size\n",
+        "",
         ("tests/test_extend.py",),
     ),
     Mutant(
