@@ -18,7 +18,7 @@ from .core import DEFAULT_STOP_TOL, TreeletDecomposition, check_params
 from .core import _decompose as decompose
 from .hierarchy import ClusterLabels, Dendrogram, cut, merge_tree
 from .kernels import Dataset, Graph, KernelSpec, RbfKernel, gram, kernel_block, kernel_diag, nonfinite_error
-from .kernels import _squared_distances
+from .kernels import _rbf_values, _squared_distances
 from .rng import SplitMix64
 
 # cells of one query block (queries x sample), whatever the width and the
@@ -159,7 +159,7 @@ def _row_kth(cells: np.ndarray, values: np.ndarray, shape: tuple, k: int) -> np.
 def _rbf_guard(kth_sq: np.ndarray, scale: float):
     """Each RBF row's margin edge at kth_sq, its k-th smallest squared distance or a bound on it, and whether _rbf_candidates' guard proves the row there."""
     edge = kth_sq * (1.0 + _RBF_MARGIN) + -scale * _RBF_MARGIN
-    hi, lo = np.exp(np.divide((edge, kth_sq), scale)) * [[1.0 + _EXP_ALLOWANCE], [1.0 - _EXP_ALLOWANCE]]
+    hi, lo = _rbf_values((edge, kth_sq), scale) * [[1.0 + _EXP_ALLOWANCE], [1.0 - _EXP_ALLOWANCE]]
     return edge, _distance(hi) > _distance(lo)
 
 
@@ -224,20 +224,20 @@ def _rbf_candidates(sq: np.ndarray, scale: float, k: int):
     # k smallest and every cell up to its own edge
     stride = max(1, min(_BOUND_STRIDE, width // k))
     bound = np.partition(sq[:, ::stride], k - 1, axis=1)[:, k - 1]
-    # a quotient past the float range is -inf, whose exp is the intended 0;
+    # a bound or margin edge past the float range is inf;
     # an infinite margin times 0 is NaN: fmax keeps the bound, the guard fails
     with np.errstate(over="ignore", invalid="ignore"):
         near = np.flatnonzero(sq <= np.fmax(bound * (1.0 + _RBF_MARGIN) + floor, bound)[:, None])
         near_sq = sq.ravel()[near]
         edge, proven = _rbf_guard(_row_kth(near, near_sq, sq.shape, k), scale)
         if not proven.all():  # every cell of the block is a candidate, as in knn_extend's general branch
-            d = _distance(np.exp(sq / scale))
+            d = _distance(_rbf_values(sq, scale))
             kth = np.partition(d, k - 1, axis=1)[:, k - 1]
             cells = np.flatnonzero(d <= kth[:, None])
             return cells, d.ravel()[cells], kth, n_rows
         keep = near_sq <= edge[near // width]
         cells = near[keep]
-        d = _distance(np.exp(near_sq[keep] / scale))
+        d = _distance(_rbf_values(near_sq[keep], scale))
     return cells, d, _row_kth(cells, d, sq.shape, k), 0
 
 

@@ -179,76 +179,129 @@ def graph_kernel_for(graph: Graph) -> GraphKernel:
 
 
 # cells of one Gram row block (rows x sample ids): 256 KB per float64
-# temporary.  On the 1080-row masked Gram (2 vCPUs, medians of 11 calls in
-# four processes) 1 << 15 took 0.13-0.15 s, 1 << 14 0.18-0.19 s, 1 << 16
-# 0.12-0.14 s and 1 << 17 0.13-0.14 s; but 1 << 16 was no faster in the
-# bench's missing-mpe job and raised its peak RSS by 3 %
+# temporary.  The graph kernel's blocks keep it: halving it made the bench's
+# graph-ego job 2.6 % slower (2 pairs).  A distance kernel's block is also
+# held to its buffers: min(width, 8) partial sums, and as many terms, of at
+# most 4 * _BLOCK_ELEMENTS cells (1 MB) each.  On the 1080 x 77 masked Gram
+# (BLAS at one thread; medians of 9 calls in each of 5 interleaved processes)
+# 512 KB, blocks of 1 << 13 cells, took 68-117 ms (median 80), 1 MB
+# (1 << 14) 72-78 ms (73) and 2 MB (1 << 15) 75-90 ms (79), and the bench's
+# missing-mpe job read a peak RSS of 51.3-51.5, 52.6-52.8 and 54.8-54.9 MB;
+# 512 KB was also slower there (cluster_s 0.27-0.29 s against 0.25-0.28 s)
 _BLOCK_ELEMENTS = 1 << 15
 
 
-def _pairwise_sum(term, lo: int, n: int, shape) -> np.ndarray:
-    """term(lo) + ... + term(lo + n - 1), added in the order numpy's pairwise sum adds them.
+class _Distances:
+    """||l - r||^2 from blocks of rows l to the leading rows r of right, on one set of buffers.
 
-    term(c, out) writes the c-th array into out and returns it.  Runs over
-    128 split at a multiple of 8 near the middle and recurse; shorter ones
-    keep eight partial sums and add the tail after combining them.
+    An attribute's differences are a BLAS product with inner dimension 2:
+    rows [1, -l] times columns [r; 1].  Both products are exact, so a cell
+    takes one rounding, fl(r - l), whatever the summation order, FMA use or
+    thread count.  With gap masks (True where a value is missing) both
+    factors of a gap are zero: the product is +-0 and its square +0, so a
+    present value must be finite where the other side has a gap.  Eight
+    attributes take one stacked product, one square and one add into eight
+    partial sums, in numpy's pairwise order, so a cell has the bits of
+    ((l - r) ** 2).sum() with no rows x cols x width temporary.  The
+    buffers fit blocks of up to `rows` rows.
     """
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        total = _pairwise_sum(term, lo, half, shape)
-        total += _pairwise_sum(term, lo + half, n - half, shape)
-        return total
-    r = [term(lo + j, np.empty(shape)) for j in range(min(n, 8))]
-    scratch = np.empty(shape) if n > 8 else None  # the loops below add terms past the eighth
-    head = max(8, n - n % 8)
-    for j in range(8, head):
-        r[j % 8] += term(lo + j, scratch)
-    # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), or a running sum under 8 terms
-    pairs = ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)) if n >= 8 else ((0, j) for j in range(1, n))
-    for a, b in pairs:
-        r[a] += r[b]
-    for j in range(head, n):
-        r[0] += term(lo + j, scratch)
-    return r[0]
 
+    def __init__(self, right: np.ndarray, right_gap=None, rows: int = 1):
+        self.right = right.T.copy()  # a row per attribute
+        self.present = None  # or which of its values are present, a gap's value zeroed
+        if right_gap is not None:
+            self.present = np.logical_not(right_gap.T, order="C")
+            np.copyto(self.right, 0.0, where=right_gap.T)
+        width, n = self.right.shape
+        self.sums = np.empty(min(width, 8) * rows * n)
+        self.terms = np.empty(min(width - 8, 8) * rows * n) if width > 8 else None
+        self.right_factors = np.empty(min(width, 8) * 2 * n)
 
-def _gaps_by_attribute(gap: np.ndarray) -> list:
-    """For each column c of a rows x attributes gap mask, the rows where it is True, ascending."""
-    n, width = gap.shape
-    # flat ids c * n + row of the transposed copy (a 2-D np.nonzero is 3x slower)
-    cells = np.flatnonzero(gap.T.copy())
-    bounds = np.searchsorted(cells, np.arange(width + 1) * n).tolist()
-    rows = cells % n
-    return [rows[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    def __call__(self, left: np.ndarray, left_gap=None, e=None, out=None) -> np.ndarray:
+        """The squared distances from the rows of left to the first e rows of right, in out."""
+        e = self.right.shape[1] if e is None else e
+        out = np.empty((len(left), e)) if out is None else out
+        a = np.empty((left.shape[1], len(left), 2))  # each attribute's left factors
+        np.negative(left.T, out=a[..., 1])
+        if left_gap is None:
+            a[..., 0] = 1.0
+        else:
+            a[..., 0] = ~left_gap.T
+            np.copyto(a[..., 1], 0.0, where=left_gap.T)
+        # a difference or square past the float range is +inf: an RBF kernel's 0
+        with np.errstate(over="ignore"):
+            return self._sum(a, 0, left.shape[1], out)
+
+    def _terms(self, a: np.ndarray, lo: int, k: int, buf: np.ndarray, e: int) -> np.ndarray:
+        """(r - l)^2 for attributes lo to lo + k - 1, from their left factors in a, as a k x rows x e view of buf."""
+        b = self.right_factors[: k * 2 * e].reshape(k, 2, e)
+        b[:, 0] = self.right[lo : lo + k, :e]
+        b[:, 1] = 1.0 if self.present is None else self.present[lo : lo + k, :e]
+        terms = buf[: k * a.shape[1] * e].reshape(k, a.shape[1], e)
+        return np.square(np.matmul(a[lo : lo + k], b, out=terms), out=terms)
+
+    def _sum(self, a: np.ndarray, lo: int, n: int, out: np.ndarray) -> np.ndarray:
+        """out = term(lo) + ... + term(lo + n - 1), added in the order numpy's pairwise sum adds them.
+
+        Runs over 128 split at a multiple of 8 near the middle and recurse;
+        shorter ones keep eight partial sums and add the tail after
+        combining them, or under 8 terms add them one by one.
+        """
+        if n > 128:
+            half = n // 2 - (n // 2) % 8
+            self._sum(a, lo, half, out)
+            return np.add(out, self._sum(a, lo + half, n - half, np.empty_like(out)), out=out)
+        e = out.shape[1]
+        r = self._terms(a, lo, min(n, 8), self.sums, e)
+        if n < 8:  # a running sum; + 0.0 keeps a square's bits
+            np.add(r[0], r[1] if n > 1 else 0.0, out=out)
+            for t in r[2:]:
+                out += t
+            return out
+        head = n - n % 8
+        for c in range(lo + 8, lo + head, 8):
+            r += self._terms(a, c, 8, self.terms, e)
+        # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+        r[::2] += r[1::2]
+        r[::4] += r[2::4]
+        np.add(r[0], r[4], out=out)
+        if n > head:
+            for t in self._terms(a, lo + head, n - head, self.terms, e):
+                out += t
+        return out
 
 
 def _squared_distances(left: np.ndarray, right: np.ndarray, left_gap=None, right_gap=None) -> np.ndarray:
-    """||l - r||^2 for every row l of left and r of right, one attribute at a time.
+    """||l - r||^2 for every row l of left and r of right (see _Distances), as a new array."""
+    return _Distances(right, right_gap, len(left))(left, left_gap)
 
-    Each cell has the bits of ((l - r) ** 2).sum(), with no rows x cols x
-    width temporary.  With gap masks (True where a value is missing), a
-    term missing on either side is zero: its gap rows and gap columns are
-    zeroed by index, so a sparse mask costs a few rows, not a block pass.
-    """
-    right = right.T.copy()  # a row per attribute
-    shape = (len(left), right.shape[1])
-    if left_gap is not None:
-        gap_rows = _gaps_by_attribute(left_gap)
-        gap_cols = _gaps_by_attribute(right_gap)
 
-    def term(c: int, out: np.ndarray) -> np.ndarray:
-        # fl(r - l), as a broadcast subtract gives it, but faster
-        np.copyto(out, right[c])
-        np.subtract(out, left[:, c, None], out=out)
-        np.square(out, out=out)
-        if left_gap is not None:
-            out[gap_rows[c]] = 0.0
-            out[:, gap_cols[c]] = 0.0
-        return out
+def _rbf_values(sq, scale: float, out=None) -> np.ndarray:
+    """exp(sq / scale): the RBF kernel's values at squared distances sq, for scale = -2 sigma^2."""
+    with np.errstate(over="ignore"):  # -inf, whose exp is the intended 0
+        out = np.divide(sq, scale, out=out)
+    return np.exp(out, out=out)
 
-    # a difference or square past the float range is +inf: an RBF kernel's 0
-    with np.errstate(over="ignore"):
-        return _pairwise_sum(term, 0, left.shape[1], shape)
+
+def _distance_kernel(spec, data: Dataset, rows, dist: _Distances, e=None, out=None) -> np.ndarray:
+    """The RBF or masked-RBF kernel from data's rows to the first e rows of dist, in out."""
+    if isinstance(spec, RbfKernel):
+        out = dist(data.values[rows], None, e, out)
+        return _rbf_values(out, -2.0 * spec.sigma**2, out=out)
+    present = data.present[rows]
+    # attributes present in both rows; 0/1 products sum exactly in any order
+    count = present.astype(float) @ dist.present[:, :e]
+    out = dist(data.values[rows], ~present, e, out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(out, -spec.gamma, out=out)  # an overflow is -inf, whose exp is the intended 0
+        np.divide(out, count, out=out)  # -0/0: NaN where no attribute is shared
+    return np.exp(out, out=out)
+
+
+def _distances_for(spec, data: Dataset, cols, rows: int) -> _Distances:
+    """A _Distances to data's cols for blocks of up to rows rows, with gap masks for a masked kernel."""
+    gap = ~data.present[cols] if isinstance(spec, MissingRbfKernel) else None
+    return _Distances(data.values[cols], gap, rows)
 
 
 def kernel_block(spec: KernelSpec, data, rows, cols) -> np.ndarray:
@@ -284,19 +337,8 @@ def kernel_block(spec: KernelSpec, data, rows, cols) -> np.ndarray:
                     out[a] = (spec.alpha * out[a] + spec.c0) ** spec.degree
         return out
 
-    if isinstance(spec, RbfKernel):
-        out = _squared_distances(data.values[rows], data.values[cols])
-        with np.errstate(over="ignore"):  # -inf, whose exp is the intended 0
-            np.divide(out, -2.0 * spec.sigma**2, out=out)
-        return np.exp(out, out=out)
-    if isinstance(spec, MissingRbfKernel):
-        # attributes present in both rows; 0/1 products sum exactly in any order
-        count = data.present[rows].astype(float) @ data.present[cols].T
-        out = _squared_distances(data.values[rows], data.values[cols], ~data.present[rows], ~data.present[cols])
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.multiply(out, -spec.gamma, out=out)  # an overflow is -inf, whose exp is the intended 0
-            np.divide(out, count, out=out)  # -0/0: NaN where no attribute is shared
-        return np.exp(out, out=out)
+    if isinstance(spec, (RbfKernel, MissingRbfKernel)):
+        return _distance_kernel(spec, data, rows, _distances_for(spec, data, cols, len(rows)))
     raise TypeError(f"unknown kernel spec {spec!r}")
 
 
@@ -329,9 +371,10 @@ def nonfinite_error(spec: KernelSpec, data, i: int, j: int, where: str) -> Value
 def gram(spec: KernelSpec, data, indices) -> SymMatrix:
     """Gram matrix K(S, S) over the given row/vertex ids.
 
-    Row blocks are kernel_block calls of indices[s:e] against indices[:e],
-    each written into rows s to e of one p x p array and, transposed, into
-    columns s to e above them, so the result is symmetric bit for bit.  A
+    Row blocks are the kernel of indices[s:e] against indices[:e], each
+    written into rows s to e of one p x p array (a distance kernel's in
+    place, from one _Distances per call) and, transposed, into columns s to
+    e above them, so the result is symmetric bit for bit.  A
     cell's mirror outside the block's diagonal square is assigned, so a -0.0
     stays -0.0; inside it the block computes both cells, with the same bits,
     since every kernel here computes K(x, y) and K(y, x) with the same
@@ -365,16 +408,24 @@ def gram(spec: KernelSpec, data, indices) -> SymMatrix:
     # height, so an inner-product row keeps its own prefix indices[: t + 1]
     inner = isinstance(spec, (LinearKernel, PolynomialKernel))
     height = 1 if inner else max(1, _BLOCK_ELEMENTS // m)
+    dist = None
+    if isinstance(spec, (RbfKernel, MissingRbfKernel)) and isinstance(data, Dataset):
+        # a block held to its buffers (see _BLOCK_ELEMENTS); the blocks share one
+        # transposed copy of the columns and one buffer set
+        height = max(1, min(_BLOCK_ELEMENTS, 4 * _BLOCK_ELEMENTS // min(data.p, 8)) // m)
+        dist = _distances_for(spec, data, indices, min(height, m))
     for s in range(0, m, height):
         e = min(m, s + height)
-        block = kernel_block(spec, data, indices[s:e], indices[:e])
+        if dist is None:
+            block = g[s:e, :e] = kernel_block(spec, data, indices[s:e], indices[:e])
+        else:
+            block = _distance_kernel(spec, data, indices[s:e], dist, e, out=g[s:e, :e])
         if not np.isfinite(block).all():
             # a bad cell above the diagonal has a bad mirror below it in the same block
             bad = (np.arange(e) <= np.arange(s, e)[:, None]) & ~np.isfinite(block)
             a, c = np.argwhere(bad)[0]
             i, j = indices[s + a], indices[c]
             raise nonfinite_error(spec, data, j, i, f"sample ids ({i}, {j})")
-        g[s:e, :e] = block
         g[:s, s:e] = block[:, :s].T
     return out
 

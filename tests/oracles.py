@@ -93,6 +93,54 @@ def kernel_distance(spec, x1, x2) -> float:
     return float(np.sqrt(max(0.0, d2)))
 
 
+def _pairwise_sum(term, lo: int, n: int, shape) -> np.ndarray:
+    """term(lo) + ... + term(lo + n - 1), added in the order numpy's pairwise sum adds them.
+
+    term(c, out) writes the c-th array into out and returns it.  Runs over
+    128 split at a multiple of 8 near the middle and recurse; shorter ones
+    keep eight partial sums and add the tail after combining them.
+    """
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        total = _pairwise_sum(term, lo, half, shape)
+        total += _pairwise_sum(term, lo + half, n - half, shape)
+        return total
+    r = [term(lo + j, np.empty(shape)) for j in range(min(n, 8))]
+    scratch = np.empty(shape)
+    head = max(8, n - n % 8)
+    for j in range(8, head):
+        r[j % 8] += term(lo + j, scratch)
+    # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), or a running sum under 8 terms
+    pairs = ((0, 1), (2, 3), (0, 2), (4, 5), (6, 7), (4, 6), (0, 4)) if n >= 8 else ((0, j) for j in range(1, n))
+    for a, b in pairs:
+        r[a] += r[b]
+    for j in range(head, n):
+        r[0] += term(lo + j, scratch)
+    return r[0]
+
+
+def squared_distances_by_attribute(left, right, left_gap=None, right_gap=None) -> np.ndarray:
+    """||l - r||^2 for every row l of left and r of right, one attribute at a time in numpy's pairwise order.
+
+    Each term copies the right attribute row into the block, subtracts the
+    left column in place, squares, and with gap masks (True where a value
+    is missing) writes 0.0 over the term's gap rows and gap columns.
+    """
+    right_t = right.T.copy()
+
+    def term(c: int, out: np.ndarray) -> np.ndarray:
+        np.copyto(out, right_t[c])
+        np.subtract(out, left[:, c, None], out=out)
+        np.square(out, out=out)
+        if left_gap is not None:
+            out[np.flatnonzero(left_gap[:, c])] = 0.0
+            out[:, np.flatnonzero(right_gap[:, c])] = 0.0
+        return out
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _pairwise_sum(term, 0, left.shape[1], (len(left), len(right)))
+
+
 def kernel_from_dict(payload: dict):
     """Inverse of kernels.kernel_to_dict, the kernel entry of labels files and manifests."""
     kind = payload["kind"]

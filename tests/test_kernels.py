@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_symmetric
-from oracles import eval_kernel, has_edge, obs, psd_sqrt
+from oracles import eval_kernel, has_edge, obs, psd_sqrt, squared_distances_by_attribute
 from treelets import (
     Dataset,
     Graph,
@@ -21,7 +21,7 @@ from treelets import (
     graph_kernel_for,
 )
 import treelets.kernels
-from treelets.kernels import _squared_distances, kernel_block, kernel_diag
+from treelets.kernels import _Distances, _squared_distances, kernel_block, kernel_diag
 
 
 def gram_by_scalar_loop(spec, data, indices):
@@ -375,6 +375,56 @@ def test_kmeans_distances_equal_the_cube_sum_bit_for_bit(width, n, k, seed):
     expected = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     assert _squared_distances(x, centers).tobytes() == expected.tobytes()
     assert _squared_distances(x, x[[0]])[:, 0].tobytes() == ((x - x[0]) ** 2).sum(axis=1).tobytes()
+
+
+# present values: subnormals, signed zeros, and values whose differences or squares overflow
+_EXTREMES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308, 1e-160, 1e154, -1.5e154, 1e200,
+                      -1e200, 1.5e308, -1.5e308, np.finfo(float).max, -np.finfo(float).max])
+# what a gap cell may hold; none of it may reach the sum
+_GAP_FILLS = np.array([np.nan, np.inf, -np.inf, -0.0, 1e308])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([1, 7, 8, 9, 16, 127, 128, 129, 259]),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.sampled_from([None, "both", "left", "right"]),
+    st.integers(0, 2**32 - 1),
+)
+@example(1, 3, 1, "both", 0)
+@example(8, 4, 1, None, 1)
+@example(9, 2, 1, "left", 2)
+@example(129, 3, 1, "right", 3)
+@example(259, 5, 6, "both", 4)
+@example(16, 1, 5, None, 5)
+def test_squared_distances_equal_the_by_attribute_oracle_at_the_extremes(width, n_rows, n_cols, gaps, seed):
+    """Bit for bit against copy, subtract, square and zero by index, summed in numpy's pairwise
+    order: on subnormals, signed zeros, differences and squares that overflow to inf, and NaN
+    or inf in gap cells on one side or both; a single right-hand row is kmeans' call.  A
+    _Distances reused for a shorter block over fewer columns, as gram uses it, gives the same."""
+    rng = np.random.default_rng(seed)
+
+    def draw(n):
+        values = rng.uniform(-1.0, 1.0, size=(n, width)) * 10.0 ** rng.integers(-320, 308, size=(n, width))
+        extreme = rng.random(values.shape) < 0.3
+        values[extreme] = rng.choice(_EXTREMES, size=extreme.sum())
+        return values
+
+    def gap_mask(n, side):
+        return rng.random((n, width)) < 0.3 if gaps in ("both", side) else np.zeros((n, width), dtype=bool)
+
+    left, right = draw(n_rows), draw(n_cols)
+    masks = () if gaps is None else (gap_mask(n_rows, "left"), gap_mask(n_cols, "right"))
+    for values, gap in zip((left, right), masks):
+        values[gap] = rng.choice(_GAP_FILLS, size=gap.sum())
+    expected = squared_distances_by_attribute(left, right, *masks)
+    assert _squared_distances(left, right, *masks).tobytes() == expected.tobytes()
+    dist = _Distances(right, masks[1] if masks else None, n_rows)
+    dist(left, masks[0] if masks else None)
+    e = max(1, n_cols - 1)
+    got = dist(left[1:], masks[0][1:] if masks else None, e)
+    assert got.tobytes() == expected[1:, :e].tobytes()
 
 
 @pytest.mark.parametrize("budget", [1, 3, 2**40])

@@ -225,9 +225,30 @@ MUTANTS = [
     Mutant(
         "_squared_distances warns where a difference or square overflows",
         "src/treelets/kernels.py",
-        '    with np.errstate(over="ignore"):\n        return _pairwise_sum(',
-        "    if True:\n        return _pairwise_sum(",
+        '        with np.errstate(over="ignore"):\n            return self._sum(',
+        "        if True:\n            return self._sum(",
         ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "a gap column whose right factor keeps its value",
+        "src/treelets/kernels.py",
+        "            np.copyto(self.right, 0.0, where=right_gap.T)\n",
+        "",
+        ("tests/test_kernels.py",),
+    ),
+    Mutant(
+        "a gap row whose left factor keeps its 1",
+        "src/treelets/kernels.py",
+        "            a[..., 0] = ~left_gap.T\n",
+        "            a[..., 0] = 1.0\n",
+        ("tests/test_kernels.py",),
+    ),
+    Mutant(
+        "the eight partial sums are combined in sequence, not pairwise",
+        "src/treelets/kernels.py",
+        "        r[::2] += r[1::2]\n        r[::4] += r[2::4]\n        np.add(r[0], r[4], out=out)\n",
+        "        np.copyto(out, r[0])\n        for t in r[1:]:\n            out += t\n",
+        ("tests/test_kernels.py",),
     ),
     Mutant(
         "from_dense warns where an asymmetric input's skew overflows",
