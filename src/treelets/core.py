@@ -231,8 +231,7 @@ def _rotate(records, w: np.ndarray) -> np.ndarray:
     """Apply each record's rotation, in order, to axis 0 of w in place; returns w."""
     for rec in records:
         lo, hi = rec.axes
-        c, s = rec.coeffs
-        w[lo], w[hi] = c * w[lo] - s * w[hi], s * w[lo] + c * w[hi]
+        w[lo], w[hi] = _rotated_row(w, lo, hi, rec.coeffs, lo), _rotated_row(w, lo, hi, rec.coeffs, hi)
     return w
 
 

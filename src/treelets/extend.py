@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,11 +30,6 @@ _BLOCK_ELEMENTS = 1 << 17
 # smallest squared distance x, so with the allowance below the guard proves
 # a row wherever x is under about 30 (k exact duplicates included)
 _RBF_MARGIN = 2.0**-16
-# an RBF row's k-th smallest squared distance is first bounded by the k-th
-# smallest of every _BOUND_STRIDE-th column.  On the 11000 x 1000 extension
-# (2 vCPUs, 21 interleaved in-process calls each) 4 was level with 8, and 16
-# and a partition of every column were slower in 19 of 21 calls
-_BOUND_STRIDE = 8
 # an RBF query block's pilot: the _PILOT_PER_K * knn_k samples nearest its
 # middle in column-0 order.  On the 11000 x 1000 extension (2 vCPUs, 9
 # interleaved in-process calls each) 8 took 42 % of the squared distances
@@ -46,9 +40,6 @@ _PILOT_PER_K = 16
 # and math.exp within 1 ulp of exp: a relative error under 2**-50 on normal
 # values, which this allowance covers 1000 times over
 _EXP_ALLOWANCE = 2.0**-40
-# a dict of work counters that knn_extend adds to, where its caller sets one:
-# fit_predict reads the extension's work while knn_extend returns labels alone
-_extension_work: ContextVar = ContextVar("_extension_work", default=None)
 
 
 @dataclass(frozen=True)
@@ -157,88 +148,71 @@ def _row_kth(cells: np.ndarray, values: np.ndarray, shape: tuple, k: int) -> np.
 
 
 def _rbf_guard(kth_sq: np.ndarray, scale: float):
-    """Each RBF row's margin edge at kth_sq, its k-th smallest squared distance or a bound on it, and whether _rbf_candidates' guard proves the row there."""
-    edge = kth_sq * (1.0 + _RBF_MARGIN) + -scale * _RBF_MARGIN
-    hi, lo = _rbf_values((edge, kth_sq), scale) * [[1.0 + _EXP_ALLOWANCE], [1.0 - _EXP_ALLOWANCE]]
-    return edge, _distance(hi) > _distance(lo)
+    """Each RBF row's margin edge at kth_sq, a bound on its k-th smallest squared distance, and whether the guard
+    proves the row there (_rbf_select).  An infinite bound or margin gives values of 0 or NaN, which it does not."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        edge = kth_sq * (1.0 + _RBF_MARGIN) + -scale * _RBF_MARGIN
+        hi, lo = _rbf_values((edge, kth_sq), scale) * [[1.0 + _EXP_ALLOWANCE], [1.0 - _EXP_ALLOWANCE]]
+        return edge, _distance(hi) > _distance(lo)
 
 
-def _rbf_window(values: np.ndarray, sample_values: np.ndarray, by_col0: np.ndarray, scale: float, k: int):
-    """The sample positions, ascending, that can hold a nearest neighbour of an RBF query block; and the pilot's cells.
+def _rbf_select(values: np.ndarray, sample_values: np.ndarray, by_col0: np.ndarray, scale: float, k: int):
+    """Candidate cells of an RBF query block, at one bound on each row's k-th smallest squared distance.
 
     values are the block's rows, ascending in column 0; by_col0 the sample
-    positions in column-0 order.  The pilot, the _PILOT_PER_K * k samples
-    nearest the block's middle in that order, bounds each row's k-th
-    smallest squared distance; reach is the largest margin edge (_rbf_guard)
-    at those bounds.  A sample whose column-0 term at the block's nearer
-    end, fl((s0 - qa)^2) or fl((s0 - qb)^2), is past reach is dropped: a
-    squared distance is a rounded sum of non-negative terms, at least each
-    of them, so every row's cell there is past the row's edge.  Each row
-    keeps its pilot cells up to its bound, so the window holds its k
-    smallest and all its candidates.  None where every column is kept, the
-    pilot would be the whole sample, or the guard does not prove a row at
-    its bound, so that the block takes every column at once.
+    positions in column-0 order; scale = -2 sigma^2.  A row's bound b is its
+    k-th smallest over the pilot, the _PILOT_PER_K * k samples nearest the
+    block's middle in column-0 order, where the sample is larger and the
+    guard proves every row there; otherwise its exact k-th over every
+    column.  Its candidates are the cells with sq at most b's margin edge,
+    (b + 2 sigma^2) (1 + _RBF_MARGIN) - 2 sigma^2.  A value never rises with
+    sq, so, allowing for exp's rounding, every dropped cell has a value at
+    most hi, the computed exp at the edge plus the allowance, and at least k
+    cells (sq <= b) a value at least lo, the computed exp at b less it.  If
+    _distance(hi) > _distance(lo), every dropped cell is strictly farther
+    than the row's k-th nearest, for any b at least the true k-th.  At the
+    pilot's bounds the block's window (Friedman, Baskett & Shustek, 1975)
+    drops a sample whose column-0 term at the block's nearer end,
+    fl((s0 - qa)^2) or fl((s0 - qb)^2), is past the largest edge: a squared
+    distance is a rounded sum of non-negative terms, at least each of them,
+    so that cell is past every row's edge; each row's pilot cells up to b
+    stay in the window.
+
+    Returns the window's ascending sample positions (None for every
+    column), the squared distances to them, the candidates for _first_k
+    (ascending flat ids, distances, each row's k-th smallest distance) or
+    None where the guard does not prove every row at its exact k-th, so that
+    the block takes the general branch on sq; and the number of squared
+    distances computed, the pilot's included.
     """
-    n = len(by_col0)
-    pilot = _PILOT_PER_K * k
-    if pilot >= n:
-        return None, 0
-    s0 = sample_values[by_col0, 0]
-    qa, qb = values[0, 0], values[-1, 0]
-    start = min(max(np.searchsorted(s0, values[len(values) // 2, 0]) - pilot // 2, 0), n - pilot)
-    sq = _squared_distances(values, sample_values[by_col0[start : start + pilot]])
-    bound = np.partition(sq, k - 1, axis=1)[:, k - 1]
-    # an infinite bound or margin gives values of 0 or NaN, which the guard
-    # does not prove
-    with np.errstate(over="ignore", invalid="ignore"):
+    n, pilot = len(by_col0), _PILOT_PER_K * k
+    cols, bound, counted = None, None, 0
+    if pilot < n:
+        s0 = sample_values[by_col0, 0]
+        start = min(max(np.searchsorted(s0, values[len(values) // 2, 0]) - pilot // 2, 0), n - pilot)
+        sq = _squared_distances(values, sample_values[by_col0[start : start + pilot]])
+        counted = sq.size
+        bound = np.partition(sq, k - 1, axis=1)[:, k - 1]
+        edge, proven = _rbf_guard(bound, scale)
+        if proven.all():
+            qa, qb = values[0, 0], values[-1, 0]
+            reach = np.max(edge)
+            with np.errstate(over="ignore"):
+                term = np.square(s0 - np.where(s0 < qa, qa, np.minimum(s0, qb)))
+            keep = ~(term > reach)
+            cols = None if keep.all() else np.sort(by_col0[keep])
+        else:
+            bound = None
+    sq = _squared_distances(values, sample_values if cols is None else sample_values[cols])
+    counted += sq.size
+    if bound is None:
+        bound = np.partition(sq, k - 1, axis=1)[:, k - 1]
         edge, proven = _rbf_guard(bound, scale)
         if not proven.all():
-            return None, sq.size
-        reach = np.max(edge)
-        term = np.square(s0 - np.where(s0 < qa, qa, np.minimum(s0, qb)))
-    keep = ~(term > reach)
-    return (None if keep.all() else np.sort(by_col0[keep])), sq.size
-
-
-def _rbf_candidates(sq: np.ndarray, scale: float, k: int):
-    """Candidate cells of an RBF query block, from its squared distances sq.
-
-    Returns, for _first_k, the ascending flat ids of the cells whose kernel
-    value exp(sq / scale) was computed (scale = -2 sigma^2), their distances
-    and each row's k-th smallest distance; and the number of rows that took
-    all their cells.  A row's candidates are the cells with sq at most edge,
-    (kth_sq + 2 sigma^2) (1 + _RBF_MARGIN) - 2 sigma^2 for its k-th smallest
-    squared distance kth_sq.  A value never rises with sq, so, allowing for
-    exp's rounding, every dropped cell has a value at most hi, the computed
-    exp at the edge plus the allowance, and at least k candidates a value at
-    least lo, the computed exp at kth_sq less it.  If _distance(hi) >
-    _distance(lo), every dropped cell is strictly farther than the row's
-    k-th nearest.  Where a row is not proven (say, its values are so small
-    that every distance rounds to sqrt(2)), every row of the block takes
-    all its cells, at the cost of the general branch.
-    """
-    n_rows, width = sq.shape
-    floor = -scale * _RBF_MARGIN
-    # the k-th smallest of every stride-th column bounds a row's k-th
-    # smallest; the cells up to the bound's margin edge, near, hold the row's
-    # k smallest and every cell up to its own edge
-    stride = max(1, min(_BOUND_STRIDE, width // k))
-    bound = np.partition(sq[:, ::stride], k - 1, axis=1)[:, k - 1]
-    # a bound or margin edge past the float range is inf;
-    # an infinite margin times 0 is NaN: fmax keeps the bound, the guard fails
-    with np.errstate(over="ignore", invalid="ignore"):
-        near = np.flatnonzero(sq <= np.fmax(bound * (1.0 + _RBF_MARGIN) + floor, bound)[:, None])
-        near_sq = sq.ravel()[near]
-        edge, proven = _rbf_guard(_row_kth(near, near_sq, sq.shape, k), scale)
-        if not proven.all():  # every cell of the block is a candidate, as in knn_extend's general branch
-            d = _distance(_rbf_values(sq, scale))
-            kth = np.partition(d, k - 1, axis=1)[:, k - 1]
-            cells = np.flatnonzero(d <= kth[:, None])
-            return cells, d.ravel()[cells], kth, n_rows
-        keep = near_sq <= edge[near // width]
-        cells = near[keep]
-        d = _distance(_rbf_values(near_sq[keep], scale))
-    return cells, d, _row_kth(cells, d, sq.shape, k), 0
+            return None, sq, None, counted
+    cells = np.flatnonzero(sq <= edge[:, None])
+    d = _distance(_rbf_values(sq.ravel()[cells], scale))
+    return cols, sq, (cells, d, _row_kth(cells, d, sq.shape, k)), counted
 
 
 def knn_extend(
@@ -257,12 +231,16 @@ def knn_extend(
     blocks.  Distance ties prefer the smaller sample position, vote ties
     the smaller cluster id, so the result is deterministic and independent
     of the thread count and the block height.  An RBF block on finite rows
-    computes few distances: its queries are taken in column-0 order, each
-    block's squared distances only to the samples its window keeps
-    (_rbf_window), and it selects its candidates on those
-    (_rbf_candidates).  A non-finite kernel value is an error naming the
+    computes few distances: its queries are taken in column-0 order, and
+    each block computes kernel values for its candidates alone
+    (_rbf_select).  A non-finite kernel value is an error naming the
     kernel and the first sample or query id with one.
     """
+    return _knn_extend(spec, data, sample, sample_labels, queries, knn_k, threads)[0]
+
+
+def _knn_extend(spec: KernelSpec, data, sample, sample_labels, queries, knn_k: int, threads: int = 1):
+    """knn_extend's labels and its work: queries, kernel values computed, rows that took all cells, squared distances."""
     sample = np.asarray(sample, dtype=np.int64)
     queries = np.asarray(queries, dtype=np.int64)
     sample_labels = np.asarray(sample_labels, dtype=np.int64)
@@ -299,24 +277,14 @@ def knn_extend(
         """Labels a block; returns its kernel values, rows that took all their cells and squared distances."""
         rows = order[start : start + height]
         block = queries[rows]
-        cols = None  # the sample positions the block's cells are in, where not all
-        sq_cells = 0
+        cols, selected, sq_cells = None, None, 0  # cols: the sample positions the block's cells are in, where not all
         if on_sq:
-            values = data.values[block]
-            cols, sq_cells = _rbf_window(values, sample_values, by_col0, scale, knn_k)
-            sq = _squared_distances(values, sample_values if cols is None else sample_values[cols])
-            cells, d, kth, full_rows = _rbf_candidates(sq, scale, knn_k)
-            if full_rows and cols is not None:
-                # an unproven row ties cells that may lie outside the window
-                # (values that underflow all give distance sqrt(2)), so the
-                # block takes every column
-                sq_cells += sq.size
-                cols, sq = None, _squared_distances(values, sample_values)
-                cells, d, kth, full_rows = _rbf_candidates(sq, scale, knn_k)
-            sq_cells += sq.size
-            computed = sq.size if full_rows else len(cells)
+            cols, sq, selected, sq_cells = _rbf_select(data.values[block], sample_values, by_col0, scale, knn_k)
+        if selected is not None:
+            cells, d, kth = selected
+            computed, full_rows = len(cells), 0
         else:
-            k = kernel_block(spec, data, block, sample)
+            k = _rbf_values(sq, scale) if on_sq else kernel_block(spec, data, block, sample)
             computed = k.size
             self_block = kernel_diag(spec, data, block)
             finite = np.isfinite(k).all(axis=1) & np.isfinite(self_block)
@@ -344,12 +312,10 @@ def knn_extend(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             blocks = list(pool.map(label_block, starts))
-    work = _extension_work.get()
-    if work is not None:
-        work["queries"] += len(queries)
-        for key, counts in zip(("kernel_values", "full_rows", "squared_distances"), zip(*blocks)):
-            work[key] += sum(counts)
-    return labels
+    work = dict.fromkeys(("kernel_values", "full_rows", "squared_distances"), 0)
+    for key, counts in zip(work, zip(*blocks)):
+        work[key] = sum(counts)
+    return labels, {"queries": len(queries), **work}
 
 
 def fit_predict(data, config: KtConfig, threads: int = 1) -> KtResult:
@@ -384,19 +350,15 @@ def fit_predict(data, config: KtConfig, threads: int = 1) -> KtResult:
     work = dict.fromkeys(("queries", "kernel_values", "full_rows", "squared_distances"), 0)
     if config.sample_size < n:
         queries = np.setdiff1d(np.arange(n), sample)
-        token = _extension_work.set(work)
-        try:
-            full[queries] = knn_extend(
-                config.kernel,
-                data,
-                np.asarray(sample),
-                sample_labels.assignments,
-                queries,
-                config.knn_k,
-                threads=threads,
-            )
-        finally:
-            _extension_work.reset(token)
+        full[queries], work = _knn_extend(
+            config.kernel,
+            data,
+            np.asarray(sample),
+            sample_labels.assignments,
+            queries,
+            config.knn_k,
+            threads=threads,
+        )
     timer.lap("extend")
 
     return KtResult(

@@ -395,10 +395,10 @@ def test_screen_votes_like_stable_argsort(case):
 
 @pytest.mark.parametrize("kind", ["rbf", "missing-rbf", "graph", "linear"])
 def test_only_rbf_selects_on_squared_distances(kind, monkeypatch):
-    """An RBF block partitions squared distances (every 8th column's, for a
-    bound, then those of the cells within it), then its candidates'
-    distances, each for the k-th smallest; every other kernel partitions
-    the distances of all its cells, for the k-th smallest."""
+    """An RBF block (its sample no larger than its pilot) partitions all its
+    squared distances, then its candidates' distances, each for the k-th
+    smallest; every other kernel partitions the distances of all its cells,
+    for the k-th smallest."""
     spec, data = extension_case(kind)
     sample = np.arange(0, 40, 3)
     queries = np.setdiff1d(np.arange(40), sample)
@@ -412,7 +412,7 @@ def test_only_rbf_selects_on_squared_distances(kind, monkeypatch):
 
     monkeypatch.setattr(np, "partition", spy)
     knn_extend(spec, data, sample, labels, queries, 3)
-    assert kths == {"rbf": [2, 2, 2]}.get(kind, [2])
+    assert kths == {"rbf": [2, 2]}.get(kind, [2])
 
 
 @pytest.mark.parametrize("margin", [2.0**-26, 0.0])
@@ -466,12 +466,7 @@ def test_screen_stress_cases_vote_like_stable_argsort(kind):
 def extend_with_work(*args, **kwargs):
     """knn_extend's labels and its work counters (queries, kernel values computed, rows that took all cells,
     squared distances computed)."""
-    work = dict.fromkeys(("queries", "kernel_values", "full_rows", "squared_distances"), 0)
-    token = treelets.extend._extension_work.set(work)
-    try:
-        return knn_extend(*args, **kwargs), work
-    finally:
-        treelets.extend._extension_work.reset(token)
+    return treelets.extend._knn_extend(*args, **kwargs)
 
 
 @st.composite
@@ -549,11 +544,11 @@ def test_rbf_screen_proves_nothing_with_a_margin_inside_the_allowance(margin, wo
     assert (counters["kernel_values"], counters["full_rows"]) == work
 
 
-def test_rbf_screen_keeps_a_tie_just_past_the_stride_bound():
-    """Of every 8th sample column, 0 and 8, column 8 is the nearest (squared
-    distance 1) and gives the bound; column 3 is 2 ulps farther: past the
-    bound but within its margin.  With sigma 2**10 their kernel values and
-    distances are equal, so column 3 wins the tie."""
+def test_rbf_screen_keeps_a_tie_just_past_the_kth_squared_distance():
+    """Column 8 is the nearest (squared distance 1) and gives the bound;
+    column 3 is 2 ulps farther: past the bound but within its margin.  With
+    sigma 2**10 their kernel values and distances are equal, so column 3
+    wins the tie."""
     sample_values = [50.0, 60.0, 70.0, 1.0 + 2.0**-52, 80.0, 90.0, 100.0, 110.0, 1.0]
     data = Dataset(np.array([[0.0]] + [[v] for v in sample_values]))
     sample, labels, queries = np.arange(1, 10), np.array([1, 1, 1, 0, 1, 1, 1, 1, 1]), np.array([0])
@@ -583,14 +578,17 @@ def test_np_exp_is_within_two_ulps_of_math_exp():
 def test_rbf_value_not_present_that_is_nan_is_named_as_before():
     """The squared-distance selection runs only on finite rows; a NaN in a cell
     that is not present sends the queries to the general branch, whose error
-    names the query, or, for a sample row, the first query it spoils."""
+    names the query, or, for a sample row, the first query it spoils.  Of
+    two such queries the first in query order is named, not the first in
+    column-0 order, the order of the selection's blocks."""
     values = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0], [1.0, 1.0], [3.0, 0.0]])
     present = np.ones(values.shape, dtype=bool)
     sample, labels, queries = np.array([0, 1, 2]), np.array([0, 1, 1]), np.array([3, 4, 5])
     spec = RbfKernel(sigma=1.0)
-    for row, named in ((4, 4), (1, 3)):
+    for cells, named in ((((4, 1),), 4), (((1, 1),), 3), (((3, 0), (4, 1)), 3)):
         bad, mask = values.copy(), present.copy()
-        bad[row, 1], mask[row, 1] = np.nan, False
+        for cell in cells:
+            bad[cell], mask[cell] = np.nan, False
         with pytest.raises(ValueError, match=rf"^kernel RbfKernel\(sigma=1.0\) gives a non-finite value for query id {named}$"):
             knn_extend(spec, Dataset(bad, mask), sample, labels, queries, 1)
 
@@ -626,9 +624,10 @@ def windowed_extension(draw):
 @given(windowed_extension())
 def test_rbf_window_votes_like_stable_argsort(case):
     """The windowed RBF selection gives the stable argsort's vote at every
-    block height and thread count, and the kernel values and full rows of a
-    selection without windows (a pilot as large as the sample): each row's
-    candidates are the same cells, and the same blocks fall back."""
+    block height and thread count, and no more full rows than a selection
+    without windows (a pilot as large as the sample): a block the guard
+    does not prove at its pilot's bounds is bounded as that selection
+    bounds it."""
     spec, data, sample, labels, queries, knn_k = case
     expected = argsort_vote(spec, data, sample, labels, queries, knn_k)
     for budget in (treelets.extend._BLOCK_ELEMENTS, 3 * len(sample)):
@@ -638,8 +637,7 @@ def test_rbf_window_votes_like_stable_argsort(case):
             for threads in (1, 2, 4):
                 got, work = extend_with_work(spec, data, sample, labels, queries, knn_k, threads=threads)
                 assert np.array_equal(got, expected), (budget, threads)
-                for key in ("kernel_values", "full_rows"):
-                    assert work[key] == unwindowed[key], (key, budget, threads)
+                assert work["full_rows"] <= unwindowed["full_rows"], (budget, threads)
 
 
 def test_rbf_window_falls_back_to_every_sample_column():
@@ -656,21 +654,42 @@ def test_rbf_window_falls_back_to_every_sample_column():
     assert work == {"queries": 1, "kernel_values": 21, "full_rows": 1, "squared_distances": 16 + 21}
 
 
-def test_rbf_window_whose_row_the_guard_proves_only_at_the_pilot_bound_falls_back():
+def test_rbf_window_whose_row_the_guard_proves_only_at_the_pilot_bound_is_kept():
     """The guard is not monotone near its limit (x about 28 in units of
     2 sigma^2): at sigma 1 it proves 7.54**2 but not 7.53**2.  The pilot, the
     16 samples at (0, 7.54), bounds the query's squared distance by 7.54**2,
     which the guard proves, so the window is made: it drops the sample at
-    1000 and keeps the one at (7.53, 0), the nearest, where the guard fails.
-    The block then takes every column: the pilot's 16 cells, the window's 17
-    and all 18."""
+    1000 and keeps the one at (7.53, 0), the nearest.  A proof at a bound
+    holds at the row's true k-th, so the window's 17 cells are the
+    candidates, after the pilot's 16 squared distances."""
     points = [[0.0, 0.0]] + [[0.0, 7.54]] * 16 + [[7.53, 0.0], [1000.0, 0.0]]
     data = Dataset(np.array(points))
     sample, labels, queries = np.arange(1, 19), np.array([0] * 16 + [1, 0]), np.array([0])
     spec = RbfKernel(sigma=1.0)
     got, work = extend_with_work(spec, data, sample, labels, queries, 1)
     assert got[0] == argsort_vote(spec, data, sample, labels, queries, 1)[0] == 1
-    assert work == {"queries": 1, "kernel_values": 18, "full_rows": 1, "squared_distances": 16 + 17 + 18}
+    assert work == {"queries": 1, "kernel_values": 17, "full_rows": 0, "squared_distances": 16 + 17}
+
+
+def test_extension_of_no_queries_reports_no_work():
+    """The work counters come back by value, all four keys at 0 where there is nothing to label."""
+    data = Dataset(np.array([[0.0], [1.0]]))
+    got, work = extend_with_work(RbfKernel(sigma=1.0), data, np.array([0, 1]), np.array([0, 1]), np.array([], int), 1)
+    assert len(got) == 0
+    assert work == {"queries": 0, "kernel_values": 0, "full_rows": 0, "squared_distances": 0}
+
+
+def test_rbf_block_whose_pilot_bound_the_guard_fails_is_bounded_at_its_exact_kth():
+    """The pilot, the 16 samples at (0, 10), bounds the query's squared
+    distance by 100 (x = 50 in units of 2 sigma^2), which the guard does not
+    prove, so the block makes no window.  Its exact k-th over every sample
+    column, 1 at (1, 0), is proven: that one cell is its candidate."""
+    data = Dataset(np.array([[0.0, 0.0]] + [[0.0, 10.0]] * 16 + [[1.0, 0.0]]))
+    sample, labels, queries = np.arange(1, 18), np.array([0] * 16 + [1]), np.array([0])
+    spec = RbfKernel(sigma=1.0)
+    got, work = extend_with_work(spec, data, sample, labels, queries, 1)
+    assert got[0] == argsort_vote(spec, data, sample, labels, queries, 1)[0] == 1
+    assert work == {"queries": 1, "kernel_values": 1, "full_rows": 0, "squared_distances": 16 + 17}
 
 
 def test_rbf_extension_that_proves_no_row_computes_each_block_once():

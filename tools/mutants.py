@@ -160,10 +160,10 @@ MUTANTS = [
         ("tests/test_extend.py",),
     ),
     Mutant(
-        "the RBF screen's near cells stop at the bound, short of its margin",
+        "the RBF candidates are cut at the bound, not at its margin edge",
         "src/treelets/extend.py",
-        "np.fmax(bound * (1.0 + _RBF_MARGIN) + floor, bound)",
-        "bound",
+        "np.flatnonzero(sq <= edge[:, None])",
+        "np.flatnonzero(sq <= bound[:, None])",
         ("tests/test_extend.py",),
     ),
     Mutant(
@@ -188,17 +188,24 @@ MUTANTS = [
         ("tests/test_extend.py",),
     ),
     Mutant(
-        "a block with an unproven row falls back within its window, not to every sample column",
+        "a block whose pilot bound the guard does not prove goes straight to the general branch",
         "src/treelets/extend.py",
-        "cols, sq = None, _squared_distances(values, sample_values)",
-        "sq = _squared_distances(values, sample_values[cols])",
+        "        if not proven.all():\n            return None, sq, None, counted\n",
+        "        if counted > sq.size or not proven.all():\n            return None, sq, None, counted\n",
+        ("tests/test_extend.py",),
+    ),
+    Mutant(
+        "the RBF window's columns stay in column-0 order, not ascending sample position",
+        "src/treelets/extend.py",
+        "np.sort(by_col0[keep])",
+        "by_col0[keep]",
         ("tests/test_extend.py",),
     ),
     Mutant(
         "the RBF window is made for a block whose row the guard does not prove at the pilot's bound",
         "src/treelets/extend.py",
-        "        if not proven.all():\n            return None, sq.size\n",
-        "",
+        "        if proven.all():\n            qa, qb",
+        "        if True:\n            qa, qb",
         ("tests/test_extend.py",),
     ),
     Mutant(
