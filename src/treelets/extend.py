@@ -71,7 +71,7 @@ class KtResult:
     decomposition: TreeletDecomposition = field(repr=False)
     # seconds per stage: sample, gram, decompose, cut, extend, total
     timings: dict = field(compare=False, repr=False)
-    # the extension's work: queries labeled, kernel values computed for them,
+    # knn_extend's work: queries labeled, kernel values computed for them,
     # rows that took all their cells (no guard proved a cell farther), and
     # squared distances computed by the RBF selection
     extension: dict = field(compare=False, repr=False)
@@ -101,15 +101,15 @@ def sample_indices(n: int, n_sample: int, seed: int) -> list[int]:
     return SplitMix64(seed).sample_without_replacement(n, n_sample)
 
 
-def _distance(k: np.ndarray) -> np.ndarray:
-    """sqrt(max(0, 2 - 2k)): the kernel distance at an RBF value k, whose K(x, x) is 1.
+def _distance(k: np.ndarray, self_sum=2.0) -> np.ndarray:
+    """sqrt(max(0, self_sum - 2k)), written over k: the kernel distance at kernel values k.
 
-    These are the operations of knn_extend's general branch, in its order
-    (1 + 1 is 2 exactly), so the bits are the same; each is correctly
-    rounded and monotone, so the distance never increases as k rises.
+    self_sum is K(x, x) + K(y, y), 2 for an RBF kernel.  Each operation is
+    correctly rounded and monotone, so the distance never increases as k
+    rises.
     """
-    d = 2.0 - 2.0 * k
-    return np.sqrt(np.maximum(0.0, d, out=d), out=d)
+    np.subtract(self_sum, np.multiply(k, 2.0, out=k), out=k)
+    return np.sqrt(np.maximum(0.0, k, out=k), out=k)
 
 
 def _first_k(cells: np.ndarray, width: int, d: np.ndarray, kth: np.ndarray, k: int) -> np.ndarray:
@@ -223,8 +223,8 @@ def knn_extend(
     queries: np.ndarray,
     knn_k: int,
     threads: int = 1,
-) -> np.ndarray:
-    """Label each query by majority vote of its knn_k nearest sampled points.
+) -> tuple[np.ndarray, dict]:
+    """Label each query by majority vote of its knn_k nearest sampled points; return the labels and the work.
 
     Queries are labeled in blocks whose height keeps one block of kernel
     work within a fixed element budget; `threads` workers take whole
@@ -234,13 +234,10 @@ def knn_extend(
     computes few distances: its queries are taken in column-0 order, and
     each block computes kernel values for its candidates alone
     (_rbf_select).  A non-finite kernel value is an error naming the
-    kernel and the first sample or query id with one.
+    kernel and the first sample or query id with one.  The work counts the
+    queries, the kernel values computed, the rows that took all their
+    cells, and the squared distances computed.
     """
-    return _knn_extend(spec, data, sample, sample_labels, queries, knn_k, threads)[0]
-
-
-def _knn_extend(spec: KernelSpec, data, sample, sample_labels, queries, knn_k: int, threads: int = 1):
-    """knn_extend's labels and its work: queries, kernel values computed, rows that took all cells, squared distances."""
     sample = np.asarray(sample, dtype=np.int64)
     queries = np.asarray(queries, dtype=np.int64)
     sample_labels = np.asarray(sample_labels, dtype=np.int64)
@@ -292,9 +289,7 @@ def _knn_extend(spec: KernelSpec, data, sample, sample_labels, queries, knn_k: i
                 a = np.argmin(finite)
                 j = sample[np.argmin(np.isfinite(k[a]))]
                 raise nonfinite_error(spec, data, block[a], j, f"query id {block[a]}")
-            d = self_block[:, None] + self_sample
-            d -= np.multiply(k, 2.0, out=k)
-            np.sqrt(np.maximum(0.0, d, out=d), out=d)
+            d = _distance(k, self_block[:, None] + self_sample)
             kth = np.partition(d, knn_k - 1, axis=1)[:, knn_k - 1]
             full_rows = len(block)
             cells = np.flatnonzero(d <= kth[:, None])
@@ -350,14 +345,9 @@ def fit_predict(data, config: KtConfig, threads: int = 1) -> KtResult:
     work = dict.fromkeys(("queries", "kernel_values", "full_rows", "squared_distances"), 0)
     if config.sample_size < n:
         queries = np.setdiff1d(np.arange(n), sample)
-        full[queries], work = _knn_extend(
-            config.kernel,
-            data,
-            np.asarray(sample),
-            sample_labels.assignments,
-            queries,
-            config.knn_k,
-            threads=threads,
+        # positional, as bench/worker.py's tracer reads the sample and the queries
+        full[queries], work = knn_extend(
+            config.kernel, data, np.asarray(sample), sample_labels.assignments, queries, config.knn_k, threads=threads
         )
     timer.lap("extend")
 

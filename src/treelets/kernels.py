@@ -203,23 +203,23 @@ class _Distances:
     attributes take one stacked product, one square and one add into eight
     partial sums, in numpy's pairwise order, so a cell has the bits of
     ((l - r) ** 2).sum() with no rows x cols x width temporary.  The
-    buffers fit blocks of up to `rows` rows.
+    right factors are made once, as a width x 2 x n array, and a product
+    reads its slice of them; the buffers fit blocks of up to `rows` rows.
     """
 
     def __init__(self, right: np.ndarray, right_gap=None, rows: int = 1):
-        self.right = right.T.copy()  # a row per attribute
-        self.present = None  # or which of its values are present, a gap's value zeroed
+        width, n = right.shape[1], len(right)
+        self.factors = np.empty((width, 2, n))  # each attribute's right factors [r; 1], [0; 0] at a gap
+        self.factors[:, 0] = right.T
+        self.factors[:, 1] = 1.0 if right_gap is None else ~right_gap.T
         if right_gap is not None:
-            self.present = np.logical_not(right_gap.T, order="C")
-            np.copyto(self.right, 0.0, where=right_gap.T)
-        width, n = self.right.shape
+            np.copyto(self.factors[:, 0], 0.0, where=right_gap.T)
         self.sums = np.empty(min(width, 8) * rows * n)
         self.terms = np.empty(min(width - 8, 8) * rows * n) if width > 8 else None
-        self.right_factors = np.empty(min(width, 8) * 2 * n)
 
     def __call__(self, left: np.ndarray, left_gap=None, e=None, out=None) -> np.ndarray:
         """The squared distances from the rows of left to the first e rows of right, in out."""
-        e = self.right.shape[1] if e is None else e
+        e = self.factors.shape[2] if e is None else e
         out = np.empty((len(left), e)) if out is None else out
         a = np.empty((left.shape[1], len(left), 2))  # each attribute's left factors
         np.negative(left.T, out=a[..., 1])
@@ -234,11 +234,8 @@ class _Distances:
 
     def _terms(self, a: np.ndarray, lo: int, k: int, buf: np.ndarray, e: int) -> np.ndarray:
         """(r - l)^2 for attributes lo to lo + k - 1, from their left factors in a, as a k x rows x e view of buf."""
-        b = self.right_factors[: k * 2 * e].reshape(k, 2, e)
-        b[:, 0] = self.right[lo : lo + k, :e]
-        b[:, 1] = 1.0 if self.present is None else self.present[lo : lo + k, :e]
         terms = buf[: k * a.shape[1] * e].reshape(k, a.shape[1], e)
-        return np.square(np.matmul(a[lo : lo + k], b, out=terms), out=terms)
+        return np.square(np.matmul(a[lo : lo + k], self.factors[lo : lo + k, :, :e], out=terms), out=terms)
 
     def _sum(self, a: np.ndarray, lo: int, n: int, out: np.ndarray) -> np.ndarray:
         """out = term(lo) + ... + term(lo + n - 1), added in the order numpy's pairwise sum adds them.
@@ -271,9 +268,9 @@ class _Distances:
         return out
 
 
-def _squared_distances(left: np.ndarray, right: np.ndarray, left_gap=None, right_gap=None) -> np.ndarray:
+def _squared_distances(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """||l - r||^2 for every row l of left and r of right (see _Distances), as a new array."""
-    return _Distances(right, right_gap, len(left))(left, left_gap)
+    return _Distances(right, rows=len(left))(left)
 
 
 def _rbf_values(sq, scale: float, out=None) -> np.ndarray:
@@ -290,7 +287,7 @@ def _distance_kernel(spec, data: Dataset, rows, dist: _Distances, e=None, out=No
         return _rbf_values(out, -2.0 * spec.sigma**2, out=out)
     present = data.present[rows]
     # attributes present in both rows; 0/1 products sum exactly in any order
-    count = present.astype(float) @ dist.present[:, :e]
+    count = present.astype(float) @ dist.factors[:, 1, :e]
     out = dist(data.values[rows], ~present, e, out)
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(out, -spec.gamma, out=out)  # an overflow is -inf, whose exp is the intended 0
@@ -411,7 +408,7 @@ def gram(spec: KernelSpec, data, indices) -> SymMatrix:
     dist = None
     if isinstance(spec, (RbfKernel, MissingRbfKernel)) and isinstance(data, Dataset):
         # a block held to its buffers (see _BLOCK_ELEMENTS); the blocks share one
-        # transposed copy of the columns and one buffer set
+        # factor array of the columns and one buffer set
         height = max(1, min(_BLOCK_ELEMENTS, 4 * _BLOCK_ELEMENTS // min(data.p, 8)) // m)
         dist = _distances_for(spec, data, indices, min(height, m))
     for s in range(0, m, height):

@@ -118,7 +118,7 @@ class TestKnnExtend:
         data = Dataset(np_rng.normal(size=(6, 2)))
         sample = np.arange(6)
         labels = np.array([0, 1, 0, 1, 0, 1])
-        out = knn_extend(RbfKernel(sigma=1.0), data, sample, labels, np.array([3]), knn_k=1)
+        out, _ = knn_extend(RbfKernel(sigma=1.0), data, sample, labels, np.array([3]), knn_k=1)
         assert out[0] == 1
 
     def test_majority_beats_single_close_vote(self):
@@ -126,14 +126,14 @@ class TestKnnExtend:
         data = Dataset([[0.0], [1.0], [-1.0], [10.0]])
         sample = np.array([1, 2, 3])
         labels = np.array([0, 0, 1])
-        out = knn_extend(LinearKernel(), data, sample, labels, np.array([0]), knn_k=3)
+        out, _ = knn_extend(LinearKernel(), data, sample, labels, np.array([0]), knn_k=3)
         assert out[0] == 0
 
     def test_unanimous_sample(self, np_rng):
         data = Dataset(np_rng.normal(size=(9, 2)))
         sample = np.arange(5)
         labels = np.zeros(5, dtype=np.int64)
-        out = knn_extend(RbfKernel(sigma=1.0), data, sample, labels, np.arange(5, 9), knn_k=3)
+        out, _ = knn_extend(RbfKernel(sigma=1.0), data, sample, labels, np.arange(5, 9), knn_k=3)
         assert (out == 0).all()
 
     def test_k1_matches_brute_force_scan(self, np_rng):
@@ -142,7 +142,7 @@ class TestKnnExtend:
         sample = np.array(sample_indices(30, 12, seed=5))
         labels = np_rng.integers(0, 3, size=12)
         queries = np.array([i for i in range(30) if i not in set(sample.tolist())])
-        got = knn_extend(spec, data, sample, labels, queries, knn_k=1)
+        got, _ = knn_extend(spec, data, sample, labels, queries, knn_k=1)
         for qi, q in enumerate(queries):
             dists = [
                 kernel_distance(spec, data.values[q], data.values[int(s)]) for s in sample
@@ -153,14 +153,14 @@ class TestKnnExtend:
     def test_distance_tie_prefers_earlier_sample_position(self):
         # both sample points equidistant from the query; position 0 wins
         data = Dataset([[1.0], [-1.0], [0.0]])
-        out = knn_extend(
+        out, _ = knn_extend(
             LinearKernel(), data, np.array([0, 1]), np.array([1, 0]), np.array([2]), knn_k=1
         )
         assert out[0] == 1
 
     def test_vote_tie_prefers_smaller_cluster_id(self):
         data = Dataset([[0.0], [1.0], [-1.0]])
-        out = knn_extend(
+        out, _ = knn_extend(
             LinearKernel(),
             data,
             np.array([1, 2]),
@@ -169,7 +169,7 @@ class TestKnnExtend:
             knn_k=1,
         )
         # distances tie at position level already resolved; force a 2-vote tie
-        out2 = knn_extend(
+        out2, _ = knn_extend(
             LinearKernel(),
             data,
             np.array([1, 2]),
@@ -186,12 +186,12 @@ class TestKnnExtend:
         labels = np_rng.integers(0, 4, size=15)
         queries = np.arange(15, 40)
         spec = RbfKernel(sigma=0.8)
-        a = knn_extend(spec, data, sample, labels, queries, knn_k=3, threads=1)
-        b = knn_extend(spec, data, sample, labels, queries, knn_k=3, threads=4)
+        a, _ = knn_extend(spec, data, sample, labels, queries, knn_k=3, threads=1)
+        b, _ = knn_extend(spec, data, sample, labels, queries, knn_k=3, threads=4)
         assert np.array_equal(a, b)
         # one thread labels its blocks in the calling thread, with no pool
         with patch.object(treelets.extend, "ThreadPoolExecutor", side_effect=AssertionError("pool started")):
-            c = knn_extend(spec, data, sample, labels, queries, knn_k=3, threads=1)
+            c, _ = knn_extend(spec, data, sample, labels, queries, knn_k=3, threads=1)
         assert np.array_equal(a, c)
 
     def test_non_finite_query_names_kernel_and_query_id(self):
@@ -271,7 +271,7 @@ def test_knn_extend_matches_kernel_distance_scan(kind, knn_k, monkeypatch):
     for budget in (treelets.extend._BLOCK_ELEMENTS, 3 * len(sample)):
         monkeypatch.setattr(treelets.extend, "_BLOCK_ELEMENTS", budget)
         for threads in (1, 2, 4):
-            got = knn_extend(spec, data, sample, labels, queries, knn_k, threads=threads)
+            got, _ = knn_extend(spec, data, sample, labels, queries, knn_k, threads=threads)
             assert np.array_equal(got, expected), (budget, threads)
 
 
@@ -312,7 +312,7 @@ def tie_heavy_extension(draw):
 @given(tie_heavy_extension())
 def test_partition_selection_votes_like_stable_argsort(case):
     spec, data, sample, labels, queries, knn_k = case
-    got = knn_extend(spec, data, sample, labels, queries, knn_k)
+    got, _ = knn_extend(spec, data, sample, labels, queries, knn_k)
     assert np.array_equal(got, argsort_vote(spec, data, sample, labels, queries, knn_k))
 
 
@@ -389,7 +389,7 @@ def test_screen_votes_like_stable_argsort(case):
     for budget in (treelets.extend._BLOCK_ELEMENTS, 3 * len(sample)):
         with patch.object(treelets.extend, "_BLOCK_ELEMENTS", budget):
             for threads in (1, 2, 4):
-                got = knn_extend(spec, data, sample, labels, queries, knn_k, threads=threads)
+                got, _ = knn_extend(spec, data, sample, labels, queries, knn_k, threads=threads)
                 assert np.array_equal(got, expected), (budget, threads)
 
 
@@ -423,7 +423,7 @@ def test_screen_keeps_a_tie_below_the_kth_largest_kernel_value(margin):
     small RBF margin as with none."""
     data = Dataset([[0.0], [1.0], [0.6]])
     with patch.object(treelets.extend, "_RBF_MARGIN", margin):
-        got = knn_extend(RbfKernel(sigma=0.06), data, np.array([1, 2]), np.array([0, 1]), np.array([0]), 1)
+        got, _ = knn_extend(RbfKernel(sigma=0.06), data, np.array([1, 2]), np.array([0, 1]), np.array([0]), 1)
     assert got[0] == 0
 
 
@@ -433,7 +433,7 @@ def test_self_similarity_whose_double_overflows_takes_the_general_branch():
     distance is NaN, which the partition on distances sorts last."""
     data = Dataset([[1e154, 0.0], [0.0, 1e154], [-1e154, 0.0], [1e154, 0.0]])
     sample, labels, queries = np.array([0, 1, 2]), np.array([0, 1, 2]), np.array([3])
-    got = knn_extend(LinearKernel(), data, sample, labels, queries, 1)
+    got, _ = knn_extend(LinearKernel(), data, sample, labels, queries, 1)
     assert got[0] == argsort_vote(LinearKernel(), data, sample, labels, queries, 1)[0] == 1
 
 
@@ -459,14 +459,8 @@ def test_screen_stress_cases_vote_like_stable_argsort(kind):
     n = data.n_vertices if isinstance(data, Graph) else data.n
     queries = np.setdiff1d(np.arange(n), sample)
     labels = np.random.default_rng(11).integers(0, 3, size=len(sample))
-    got = knn_extend(spec, data, sample, labels, queries, 5)
+    got, _ = knn_extend(spec, data, sample, labels, queries, 5)
     assert np.array_equal(got, argsort_vote(spec, data, sample, labels, queries, 5))
-
-
-def extend_with_work(*args, **kwargs):
-    """knn_extend's labels and its work counters (queries, kernel values computed, rows that took all cells,
-    squared distances computed)."""
-    return treelets.extend._knn_extend(*args, **kwargs)
 
 
 @st.composite
@@ -518,7 +512,7 @@ def test_rbf_screen_on_squared_distances_votes_like_stable_argsort(case):
                 treelets.extend, "_BLOCK_ELEMENTS", budget
             ):
                 for threads in (1, 2, 4):
-                    got, work = extend_with_work(spec, data, sample, labels, queries, knn_k, threads=threads)
+                    got, work = knn_extend(spec, data, sample, labels, queries, knn_k, threads=threads)
                     assert np.array_equal(got, expected), (margin, budget, threads)
                     if margin == 0.0:
                         assert {key: work[key] for key in everything} == everything, (budget, threads)
@@ -538,8 +532,8 @@ def test_rbf_screen_proves_nothing_with_a_margin_inside_the_allowance(margin, wo
     proves it."""
     data = Dataset([[0.0], [1.0], [3.0], [-3.0]])
     with patch.object(treelets.extend, "_RBF_MARGIN", margin or treelets.extend._RBF_MARGIN):
-        got, counters = extend_with_work(RbfKernel(sigma=1.0), data, np.array([1, 2, 3]), np.array([0, 1, 1]),
-                                         np.array([0]), 1)
+        got, counters = knn_extend(RbfKernel(sigma=1.0), data, np.array([1, 2, 3]), np.array([0, 1, 1]),
+                                   np.array([0]), 1)
     assert got[0] == 0
     assert (counters["kernel_values"], counters["full_rows"]) == work
 
@@ -553,7 +547,7 @@ def test_rbf_screen_keeps_a_tie_just_past_the_kth_squared_distance():
     data = Dataset(np.array([[0.0]] + [[v] for v in sample_values]))
     sample, labels, queries = np.arange(1, 10), np.array([1, 1, 1, 0, 1, 1, 1, 1, 1]), np.array([0])
     spec = RbfKernel(sigma=2.0**10)
-    got, work = extend_with_work(spec, data, sample, labels, queries, 1)
+    got, work = knn_extend(spec, data, sample, labels, queries, 1)
     assert got[0] == argsort_vote(spec, data, sample, labels, queries, 1)[0] == 0
     assert (work["kernel_values"], work["full_rows"]) == (2, 0)
 
@@ -633,9 +627,9 @@ def test_rbf_window_votes_like_stable_argsort(case):
     for budget in (treelets.extend._BLOCK_ELEMENTS, 3 * len(sample)):
         with patch.object(treelets.extend, "_BLOCK_ELEMENTS", budget):
             with patch.object(treelets.extend, "_PILOT_PER_K", len(sample)):
-                _, unwindowed = extend_with_work(spec, data, sample, labels, queries, knn_k)
+                _, unwindowed = knn_extend(spec, data, sample, labels, queries, knn_k)
             for threads in (1, 2, 4):
-                got, work = extend_with_work(spec, data, sample, labels, queries, knn_k, threads=threads)
+                got, work = knn_extend(spec, data, sample, labels, queries, knn_k, threads=threads)
                 assert np.array_equal(got, expected), (budget, threads)
                 assert work["full_rows"] <= unwindowed["full_rows"], (budget, threads)
 
@@ -649,7 +643,7 @@ def test_rbf_window_falls_back_to_every_sample_column():
     data = Dataset(np.array([[0.0], [1000.0]] + [[float(v)] for v in range(1, 21)]))
     sample, labels, queries = np.arange(1, 22), np.array([1] + [0] * 20), np.array([0])
     spec = RbfKernel(sigma=1e-3)
-    got, work = extend_with_work(spec, data, sample, labels, queries, 1)
+    got, work = knn_extend(spec, data, sample, labels, queries, 1)
     assert got[0] == argsort_vote(spec, data, sample, labels, queries, 1)[0] == 1
     assert work == {"queries": 1, "kernel_values": 21, "full_rows": 1, "squared_distances": 16 + 21}
 
@@ -666,7 +660,7 @@ def test_rbf_window_whose_row_the_guard_proves_only_at_the_pilot_bound_is_kept()
     data = Dataset(np.array(points))
     sample, labels, queries = np.arange(1, 19), np.array([0] * 16 + [1, 0]), np.array([0])
     spec = RbfKernel(sigma=1.0)
-    got, work = extend_with_work(spec, data, sample, labels, queries, 1)
+    got, work = knn_extend(spec, data, sample, labels, queries, 1)
     assert got[0] == argsort_vote(spec, data, sample, labels, queries, 1)[0] == 1
     assert work == {"queries": 1, "kernel_values": 17, "full_rows": 0, "squared_distances": 16 + 17}
 
@@ -674,7 +668,7 @@ def test_rbf_window_whose_row_the_guard_proves_only_at_the_pilot_bound_is_kept()
 def test_extension_of_no_queries_reports_no_work():
     """The work counters come back by value, all four keys at 0 where there is nothing to label."""
     data = Dataset(np.array([[0.0], [1.0]]))
-    got, work = extend_with_work(RbfKernel(sigma=1.0), data, np.array([0, 1]), np.array([0, 1]), np.array([], int), 1)
+    got, work = knn_extend(RbfKernel(sigma=1.0), data, np.array([0, 1]), np.array([0, 1]), np.array([], int), 1)
     assert len(got) == 0
     assert work == {"queries": 0, "kernel_values": 0, "full_rows": 0, "squared_distances": 0}
 
@@ -687,7 +681,7 @@ def test_rbf_block_whose_pilot_bound_the_guard_fails_is_bounded_at_its_exact_kth
     data = Dataset(np.array([[0.0, 0.0]] + [[0.0, 10.0]] * 16 + [[1.0, 0.0]]))
     sample, labels, queries = np.arange(1, 18), np.array([0] * 16 + [1]), np.array([0])
     spec = RbfKernel(sigma=1.0)
-    got, work = extend_with_work(spec, data, sample, labels, queries, 1)
+    got, work = knn_extend(spec, data, sample, labels, queries, 1)
     assert got[0] == argsort_vote(spec, data, sample, labels, queries, 1)[0] == 1
     assert work == {"queries": 1, "kernel_values": 1, "full_rows": 0, "squared_distances": 16 + 17}
 
@@ -700,7 +694,7 @@ def test_rbf_extension_that_proves_no_row_computes_each_block_once():
     sample = np.array(sorted(sample_indices(2000, 1000, 0)))
     queries = np.setdiff1d(np.arange(2000), sample)
     spec, labels = RbfKernel(sigma=1e-3), truth.assignments[sample]
-    got, work = extend_with_work(spec, data, sample, labels, queries, 5)
+    got, work = knn_extend(spec, data, sample, labels, queries, 5)
     assert np.array_equal(got, argsort_vote(spec, data, sample, labels, queries, 5))
     assert work["full_rows"] == len(queries)
     assert work["squared_distances"] <= 1.10 * len(queries) * len(sample)
@@ -713,7 +707,7 @@ def test_rbf_window_keeps_a_column_whose_term_equals_its_reach():
     from 1000 up are dropped."""
     data = Dataset(np.array([[0.0], [-257.0], [256.0]] + [[1000.0 + v] for v in range(16)]))
     sample, labels, queries = np.arange(1, 19), np.array([1, 0] + [1] * 16), np.array([0])
-    got, work = extend_with_work(RbfKernel(sigma=2.0**12), data, sample, labels, queries, 1)
+    got, work = knn_extend(RbfKernel(sigma=2.0**12), data, sample, labels, queries, 1)
     assert got[0] == 0
     assert work == {"queries": 1, "kernel_values": 2, "full_rows": 0, "squared_distances": 16 + 2}
 
@@ -725,7 +719,7 @@ def test_rbf_window_reaches_as_far_as_the_blocks_farthest_row():
     row's bound, not the nearer row's."""
     data = Dataset(np.array([[0.0], [100.0], [0.0], [110.0]] + [[1000.0 + v] for v in range(16)]))
     sample, labels, queries = np.arange(2, 20), np.array([0, 1] + [0] * 16), np.array([0, 1])
-    got = knn_extend(RbfKernel(sigma=100.0), data, sample, labels, queries, 1)
+    got, _ = knn_extend(RbfKernel(sigma=100.0), data, sample, labels, queries, 1)
     assert got.tolist() == [0, 1]
 
 
@@ -788,6 +782,26 @@ class TestFitPredict:
         full = np.empty(40, dtype=np.int64)
         full[list(res.sample)] = res.sample_labels.assignments
         assert np.array_equal(res.labels.assignments, full)
+
+    def test_sampled_labels_come_from_one_public_knn_extend_call(self, monkeypatch):
+        """The rows outside the sample are labeled by one call of the module's
+        knn_extend, with the sample at args[2] and the queries at args[4], where
+        the bench's tracer reads them to count the extension's queries."""
+        data, _ = generate(Circles(factor=0.5, noise=0.05), 80, 5)
+        cfg = KtConfig(kernel=RbfKernel(sigma=0.15), sample_size=50, n_clusters=2, seed=11)
+        calls = []
+        extend = treelets.extend.knn_extend
+
+        def recorder(*args, **kwargs):
+            calls.append(args)
+            return extend(*args, **kwargs)
+
+        monkeypatch.setattr(treelets.extend, "knn_extend", recorder)
+        res = fit_predict(data, cfg)
+        assert len(calls) == 1
+        assert calls[0][2].tolist() == list(res.sample)
+        assert calls[0][4].tolist() == np.setdiff1d(np.arange(80), res.sample).tolist()
+        assert res.extension["queries"] == 30
 
     def test_blobs_agree_with_single_linkage_oracle(self):
         data, truth = generate(Blobs(centers=((0.0, 0.0), (20.0, 0.0)), stds=(1.0, 1.0)), 60, 3)

@@ -353,8 +353,8 @@ def test_column_wise_distances_equal_numpy_sum_bit_for_bit(width, n_rows, n_cols
     diff2 = (values[cols] - values[rows][:, None, :]) ** 2
     shared = present[cols] & present[rows][:, None, :]
     expected = np.where(shared, diff2, 0.0).sum(axis=-1)
-    gaps = (~present[rows], ~present[cols]) if masked else ()
-    got = _squared_distances(values[rows], values[cols], *gaps)
+    left_gap, right_gap = (~present[rows], ~present[cols]) if masked else (None, None)
+    got = _Distances(values[cols], right_gap, n_rows)(values[rows], left_gap)
     assert got.tobytes() == expected.tobytes()
 
 
@@ -415,15 +415,15 @@ def test_squared_distances_equal_the_by_attribute_oracle_at_the_extremes(width, 
         return rng.random((n, width)) < 0.3 if gaps in ("both", side) else np.zeros((n, width), dtype=bool)
 
     left, right = draw(n_rows), draw(n_cols)
-    masks = () if gaps is None else (gap_mask(n_rows, "left"), gap_mask(n_cols, "right"))
-    for values, gap in zip((left, right), masks):
-        values[gap] = rng.choice(_GAP_FILLS, size=gap.sum())
-    expected = squared_distances_by_attribute(left, right, *masks)
-    assert _squared_distances(left, right, *masks).tobytes() == expected.tobytes()
-    dist = _Distances(right, masks[1] if masks else None, n_rows)
-    dist(left, masks[0] if masks else None)
+    left_gap, right_gap = (None, None) if gaps is None else (gap_mask(n_rows, "left"), gap_mask(n_cols, "right"))
+    for values, gap in ((left, left_gap), (right, right_gap)):
+        if gap is not None:
+            values[gap] = rng.choice(_GAP_FILLS, size=gap.sum())
+    expected = squared_distances_by_attribute(left, right, left_gap, right_gap)
+    dist = _Distances(right, right_gap, n_rows)
+    assert dist(left, left_gap).tobytes() == expected.tobytes()
     e = max(1, n_cols - 1)
-    got = dist(left[1:], masks[0][1:] if masks else None, e)
+    got = dist(left[1:], None if left_gap is None else left_gap[1:], e)
     assert got.tobytes() == expected[1:, :e].tobytes()
 
 

@@ -209,6 +209,13 @@ MUTANTS = [
         ("tests/test_extend.py",),
     ),
     Mutant(
+        "the general branch's distance drops K(x,x)+K(y,y)",
+        "src/treelets/extend.py",
+        "d = _distance(k, self_block[:, None] + self_sample)",
+        "d = _distance(k)",
+        ("tests/test_extend.py",),
+    ),
+    Mutant(
         "gram mirrors a row block by arithmetic, turning -0.0 into +0.0",
         "src/treelets/kernels.py",
         "g[:s, s:e] = block[:, :s].T",
@@ -239,8 +246,15 @@ MUTANTS = [
     Mutant(
         "a gap column whose right factor keeps its value",
         "src/treelets/kernels.py",
-        "            np.copyto(self.right, 0.0, where=right_gap.T)\n",
-        "",
+        "            np.copyto(self.factors[:, 0], 0.0, where=right_gap.T)\n",
+        "            pass\n",
+        ("tests/test_kernels.py",),
+    ),
+    Mutant(
+        "a gap column's presence row stays 1",
+        "src/treelets/kernels.py",
+        "self.factors[:, 1] = 1.0 if right_gap is None else ~right_gap.T",
+        "self.factors[:, 1] = 1.0",
         ("tests/test_kernels.py",),
     ),
     Mutant(
