@@ -95,7 +95,7 @@ def main():
 
     t0 = time.perf_counter()
     a0 = gram(MissingRbfKernel(gamma=32.0), normalized, range(normalized.n))
-    d = decompose(a0)
+    d = decompose(a0.data)
     tree = merge_tree(d)
     kt_auc = auc(roc_from_hierarchy(tree, classes))
     print(f"hierarchy: {d.stop_level} merges of {normalized.n - 1} possible "

@@ -9,7 +9,7 @@ compression aligned with the cluster structure.
 
 import numpy as np
 
-from treelets import SymMatrix, apply_basis, compress, decompose
+from treelets import apply_basis, compress, decompose
 
 # two tight groups: indices {0,1,2} and {3,4}
 SIMILARITY = np.array(
@@ -24,8 +24,7 @@ SIMILARITY = np.array(
 
 
 def main():
-    a0 = SymMatrix.from_dense(SIMILARITY)
-    d = decompose(a0)
+    d = decompose(SIMILARITY)
     print(f"{d.stop_level} rotations recorded")
     for rec in d.records:
         print(f"  step {rec.step}: merged {rec.alpha} into {rec.beta} "

@@ -55,7 +55,7 @@ def main():
 
     t0 = time.perf_counter()
     a0 = gram(kernel, graph, range(graph.n_vertices))
-    tree = merge_tree(decompose(a0))
+    tree = merge_tree(decompose(a0.data))
     curve = roc_from_hierarchy(tree, graph)
     elapsed = time.perf_counter() - t0
 

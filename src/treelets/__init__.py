@@ -12,10 +12,8 @@ from .baseline import kmeans, zscore_normalize
 from .core import (
     RotationCoeffs,
     RotationRecord,
-    SymMatrix,
     TreeletDecomposition,
     apply_basis,
-    apply_rotation,
     compress,
     decompose,
     jacobi_coeffs,
@@ -32,6 +30,7 @@ from .kernels import (
     MissingRbfKernel,
     PolynomialKernel,
     RbfKernel,
+    SymMatrix,
     check_spsd,
     gram,
     graph_kernel_for,
@@ -67,7 +66,6 @@ __all__ = [
     "Uniform",
     "Varied",
     "apply_basis",
-    "apply_rotation",
     "auc",
     "check_spsd",
     "compress",

@@ -4,8 +4,8 @@ Each step scores every active pair by normalized similarity, rotates the
 winning pair so its off-diagonal entry becomes exactly zero, retires the
 rotated index with the smaller diagonal, and records the step.  The record
 sequence simultaneously encodes an orthogonal basis per level and a merge
-tree over the observations.  The symmetric matrix type and the 2x2 Jacobi
-rotation on it live here too.
+tree over the observations.  The 2x2 Jacobi rotation's formulas live here
+too, in _pair_rotation and _rotated_row.
 """
 
 from __future__ import annotations
@@ -51,51 +51,6 @@ class RotationCoeffs(NamedTuple):
     s: float
 
 
-class SymMatrix:
-    """Symmetric p x p matrix held as one C-contiguous float64 array, data.
-
-    Cells (i, j) and (j, i) hold the same bits, by construction and under
-    every rotation: zeros and from_dense build it symmetric by assignment;
-    kernels.gram writes each row block and its transpose as the block lands,
-    and computes the cells above the diagonal in a block's diagonal square
-    with the same operations as their mirrors; and apply_rotation writes each
-    rotated row to its row and its column alike.
-    """
-
-    __slots__ = ("p", "data")
-
-    def __init__(self, p: int):
-        if p < 1:
-            raise ValueError("dimension must be >= 1")
-        self.p = p
-        self.data = np.zeros((p, p))
-
-    @classmethod
-    def from_dense(cls, arr) -> "SymMatrix":
-        """Copy a dense symmetric array, its lower triangle mirrored; rejects asymmetric or non-finite input."""
-        a = np.asarray(arr, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("expected a square matrix")
-        if not np.isfinite(a).all():
-            raise ValueError("matrix has a non-finite entry")
-        with np.errstate(over="ignore"):  # a skew that overflows is inf, and refused
-            skew = np.abs(a - a.T).max() if a.size else 0.0
-        if skew > 1e-12 * max(1.0, float(np.abs(a).max())):
-            raise ValueError("matrix is not symmetric")
-        out = cls(a.shape[0])
-        # picked, not summed, so a -0.0 stays -0.0
-        out.data = np.where(np.tri(out.p, dtype=bool), a, a.T)
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        """A copy of data."""
-        return self.data.copy()
-
-    def diagonal(self) -> np.ndarray:
-        """The diagonal, as a new array."""
-        return self.data.diagonal().copy()
-
-
 def jacobi_coeffs(a_pp: float, a_qq: float, a_pq: float) -> RotationCoeffs:
     """Rotation coefficients that zero the (p, q) entry of a symmetric 2x2 block.
 
@@ -137,29 +92,6 @@ def _rotated_row(g: np.ndarray, i: int, j: int, coeffs: RotationCoeffs, t: int) 
     """Row t (i or j) of Jt G J, as a new array; its cells in columns i and j are left to the caller."""
     c, s = coeffs
     return c * g[i] - s * g[j] if t == i else s * g[i] + c * g[j]
-
-
-def apply_rotation(a: SymMatrix, p_idx: int, q_idx: int, coeffs: RotationCoeffs) -> SymMatrix:
-    """In-place Jt A J on rows and columns p_idx and q_idx with the given coefficients; returns a.
-
-    Both rows are rotated whole, the 2x2 block is overwritten by its closed
-    forms with the (p_idx, q_idx) cell a literal zero, and each new row is
-    written to its row and its column.  Everything outside the two rows and
-    columns is untouched.
-    """
-    for t in (p_idx, q_idx):
-        if not 0 <= t < a.p:
-            raise IndexError(f"index {t} out of range for dimension {a.p}")
-    if p_idx == q_idx:
-        raise IndexError("rotation needs two distinct indices")
-    g, i, j = a.data, p_idx, q_idx
-    _, d_i, d_j = _pair_rotation(g, i, j, coeffs)
-    new_i, new_j = _rotated_row(g, i, j, coeffs, i), _rotated_row(g, i, j, coeffs, j)
-    new_i[i], new_j[j] = d_i, d_j
-    new_i[j] = new_j[i] = 0.0
-    g[i] = g[:, i] = new_i
-    g[j] = g[:, j] = new_j
-    return a
 
 
 @dataclass(frozen=True)
@@ -278,20 +210,24 @@ def check_params(lam: float, stop_tol: float) -> None:
         raise ValueError(f"stop_tol must be >= 0, not {stop_tol}")
 
 
-def decompose(a0: SymMatrix, lam: float = 0.0, stop_tol: float = DEFAULT_STOP_TOL) -> TreeletDecomposition:
-    """Run the rotation loop on a copy of a similarity matrix until done or stalled; a0 is not modified.
+def decompose(a, lam: float = 0.0, stop_tol: float = DEFAULT_STOP_TOL) -> TreeletDecomposition:
+    """Run the rotation loop on a copy of a symmetric array-like a until done or stalled; a is not modified.
+
+    a must be square, non-empty, finite and symmetric within 1e-12 of its
+    largest magnitude (a skew that overflows is refused).  The loop holds
+    one p x p array g (8p^2 bytes), here a C-contiguous copy of a with its
+    lower triangle on both sides; fit_predict runs it (_decompose) on the
+    Gram it built instead.
 
     Each step takes the highest-scoring active pair; ties go to the
     lexicographically smallest (min, max) pair, which makes the choice
-    platform-independent.  The loop holds one p x p array g (8p^2 bytes),
-    here a0.to_dense(); fit_predict runs it (_decompose) on the Gram it
-    built instead.  Each step takes the coefficients and both new diagonals
-    from the closed forms of the pair's 2x2 block (_pair_rotation), marks
-    the retired index, rotates the surviving index's row alone
-    (_rotated_row) and writes it to its row and its column of g, and
-    rescores it.  The retired index's row and column are left stale: its row
-    is never read again, and its column is masked where a row is read.  No
-    pair score is stored: a row is scored where it is read, by the
+    platform-independent.  Each step takes the coefficients and both new
+    diagonals from the closed forms of the pair's 2x2 block
+    (_pair_rotation), marks the retired index, rotates the surviving index's
+    row alone (_rotated_row) and writes it to its row and its column of g,
+    and rescores it.  The retired index's row and column are left stale:
+    its row is never read again, and its column is masked where a row is
+    read.  No pair score is stored: a row is scored where it is read, by the
     chunked first scan or by one scorer (a lazy row's rescan, the survivor's
     row), with -inf at its own and at retired columns.
 
@@ -313,7 +249,21 @@ def decompose(a0: SymMatrix, lam: float = 0.0, stop_tol: float = DEFAULT_STOP_TO
     cached value, so the pair, the tie rules and the stop test are those of
     an exact rescan of every row.
     """
-    return _decompose(a0.to_dense(), lam, stop_tol)
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expected a square matrix")
+    if not a.size:
+        raise ValueError("dimension must be >= 1")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a non-finite entry")
+    with np.errstate(over="ignore"):  # a skew that overflows is inf, and refused
+        skew = a - a.T
+    # max and -min, not abs: one p x p temporary, dropped before the copy
+    skew = max(skew.max(), -skew.min())
+    if skew > 1e-12 * max(1.0, a.max(), -a.min()):
+        raise ValueError("matrix is not symmetric")
+    # picked, not summed, so a -0.0 stays -0.0; np.where's result is a new C-ordered array
+    return _decompose(np.where(np.tri(len(a), dtype=bool), a, a.T), lam, stop_tol)
 
 
 def _decompose(g: np.ndarray, lam: float = 0.0, stop_tol: float = DEFAULT_STOP_TOL) -> TreeletDecomposition:

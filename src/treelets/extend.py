@@ -96,7 +96,7 @@ class Timer:
 
 def sample_indices(n: int, n_sample: int, seed: int) -> list[int]:
     """n_sample distinct indices, uniform without replacement, seed-determined."""
-    if n_sample > n:
+    if not 0 <= n_sample <= n:
         raise ValueError(f"cannot sample {n_sample} of {n} observations")
     return SplitMix64(seed).sample_without_replacement(n, n_sample)
 
@@ -233,10 +233,13 @@ def knn_extend(
     of the thread count and the block height.  An RBF block on finite rows
     computes few distances: its queries are taken in column-0 order, and
     each block computes kernel values for its candidates alone
-    (_rbf_select).  A non-finite kernel value is an error naming the
-    kernel and the first sample or query id with one.  The work counts the
-    queries, the kernel values computed, the rows that took all their
-    cells, and the squared distances computed.
+    (_rbf_select).  A label count that differs from the sample's, a
+    negative label, or a sample or query id outside the data is an error
+    naming the first bad value, raised before any block.  A non-finite
+    kernel value is an error naming the kernel and the first sample or
+    query id with one.  The work counts the queries, the kernel values
+    computed, the rows that took all their cells, and the squared distances
+    computed.
     """
     sample = np.asarray(sample, dtype=np.int64)
     queries = np.asarray(queries, dtype=np.int64)
@@ -245,6 +248,16 @@ def knn_extend(
         raise ValueError("sample must be non-empty")
     if knn_k > len(sample):
         raise ValueError("knn_k cannot exceed the sample size")
+    if len(sample_labels) != len(sample):
+        raise ValueError(f"{len(sample_labels)} sample labels for {len(sample)} sampled ids")
+    negative = sample_labels < 0
+    if negative.any():
+        raise ValueError(f"sample label {sample_labels[negative.argmax()]} is negative")
+    n_rows = data.n_vertices if isinstance(data, Graph) else data.n
+    for name, ids in (("sample", sample), ("query", queries)):
+        outside = (ids < 0) | (ids >= n_rows)
+        if outside.any():
+            raise ValueError(f"{name} id {ids[outside.argmax()]} outside [0, {n_rows})")
 
     self_sample = kernel_diag(spec, data, sample)
     if not np.isfinite(self_sample).all():

@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import ClassVar, Union
+from typing import ClassVar, NamedTuple, Union
 
 import numpy as np
-
-from .core import SymMatrix
 
 
 @dataclass(frozen=True)
@@ -365,6 +363,13 @@ def nonfinite_error(spec: KernelSpec, data, i: int, j: int, where: str) -> Value
     return ValueError(f"kernel {spec} gives a non-finite value for {where}")
 
 
+class SymMatrix(NamedTuple):
+    """gram's result: p, and data, a C-contiguous p x p float64 array whose cells (i, j) and (j, i) hold the same bits."""
+
+    p: int
+    data: np.ndarray
+
+
 def gram(spec: KernelSpec, data, indices) -> SymMatrix:
     """Gram matrix K(S, S) over the given row/vertex ids.
 
@@ -399,8 +404,7 @@ def gram(spec: KernelSpec, data, indices) -> SymMatrix:
             "the Gram matrix would lose diagonal dominance"
         )
 
-    out = SymMatrix(m)
-    g = out.data
+    g = np.zeros((m, m))
     # a BLAS matrix-vector product rounds a cell differently with the matrix's
     # height, so an inner-product row keeps its own prefix indices[: t + 1]
     inner = isinstance(spec, (LinearKernel, PolynomialKernel))
@@ -424,7 +428,7 @@ def gram(spec: KernelSpec, data, indices) -> SymMatrix:
             i, j = indices[s + a], indices[c]
             raise nonfinite_error(spec, data, j, i, f"sample ids ({i}, {j})")
         g[:s, s:e] = block[:, :s].T
-    return out
+    return SymMatrix(m, g)
 
 
 @dataclass(frozen=True)
@@ -435,8 +439,8 @@ class SpsdReport:
     diagonally_dominant: bool
 
 
-def check_spsd(k: SymMatrix) -> SpsdReport:
-    """Gershgorin screening of a candidate similarity matrix.
+def check_spsd(k) -> SpsdReport:
+    """Gershgorin screening of a candidate similarity matrix, a non-empty square array-like.
 
     diagonally_dominant is true when every diagonal entry covers its
     off-diagonal absolute row sum; the eigenvalue bound is
@@ -444,9 +448,12 @@ def check_spsd(k: SymMatrix) -> SpsdReport:
     O(p^3) a spectral check would cost.  Row sums are taken in row chunks
     of at most _BLOCK_ELEMENTS cells, so no p x p temporary is made.
     """
+    k = np.asarray(k, dtype=float)
+    if k.ndim != 2 or k.shape[0] != k.shape[1] or not k.size:
+        raise ValueError("expected a non-empty square matrix")
     diag = k.diagonal()
-    height = max(1, _BLOCK_ELEMENTS // k.p)
+    height = max(1, _BLOCK_ELEMENTS // len(k))
     with np.errstate(over="ignore"):  # a row sum that overflows is inf: the bound is -inf, not dominant
-        sums = np.concatenate([np.abs(k.data[r : r + height]).sum(axis=1) for r in range(0, k.p, height)])
+        sums = np.concatenate([np.abs(k[r : r + height]).sum(axis=1) for r in range(0, len(k), height)])
     bound = float((diag - (sums - np.abs(diag))).min())
     return SpsdReport(min_eigenvalue_lower_bound=bound, diagonally_dominant=bound >= 0)

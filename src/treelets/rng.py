@@ -84,7 +84,7 @@ class SplitMix64:
         Swap i draws below(n - i); only the k-long prefix is materialized
         in output order.
         """
-        if k > n:
+        if not 0 <= k <= n:
             raise ValueError(f"cannot sample {k} of {n} without replacement")
         items = list(range(n))
         for i in range(k):

@@ -1,20 +1,37 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from treelets import Dendrogram, SymMatrix
+import treelets.core
+from treelets import Dendrogram, decompose
 from treelets.hierarchy import Merge
 
 
-def random_spsd(rng: np.random.Generator, p: int) -> SymMatrix:
-    """Random SPSD matrix built as G Gt."""
+def lower_mirrored(a) -> np.ndarray:
+    """A new array with a's lower triangle on both sides, picked, so a -0.0 stays -0.0."""
+    a = np.asarray(a, dtype=float)
+    return np.where(np.tri(len(a), dtype=bool), a, a.T)
+
+
+def random_spsd(rng: np.random.Generator, p: int) -> np.ndarray:
+    """Random SPSD matrix built as G Gt, its lower triangle mirrored."""
     g = rng.normal(size=(p, p))
-    return SymMatrix.from_dense(g @ g.T)
+    return lower_mirrored(g @ g.T)
 
 
-def random_symmetric(rng: np.random.Generator, p: int, lo=-1.0, hi=1.0) -> SymMatrix:
+def random_symmetric(rng: np.random.Generator, p: int, lo=-1.0, hi=1.0) -> np.ndarray:
     d = rng.uniform(lo, hi, (p, p))
-    return SymMatrix.from_dense((d + d.T) / 2.0)
+    return lower_mirrored((d + d.T) / 2.0)
+
+
+def working_copy(a) -> np.ndarray:
+    """The array public decompose(a) hands its rotation loop, taken in place of running the loop."""
+    seen = []
+    with patch.object(treelets.core, "_decompose", lambda g, lam, stop_tol: seen.append(g)):
+        decompose(a)
+    return seen[0]
 
 
 @pytest.fixture

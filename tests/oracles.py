@@ -15,13 +15,12 @@ from treelets import (
     RbfKernel,
     RocCurve,
     RotationRecord,
-    SymMatrix,
     TreeletDecomposition,
     cut,
     jacobi_coeffs,
     matching_matrix,
 )
-from treelets.core import DEFAULT_STOP_TOL
+from treelets.core import DEFAULT_STOP_TOL, _pair_rotation, _rotated_row
 from treelets.io import DEFAULT_MISSING_TOKENS, MAX_VERTEX_ID, _is_header
 
 
@@ -251,15 +250,38 @@ def rotate_dense(d: np.ndarray, i: int, j: int, coeffs) -> np.ndarray:
     return d
 
 
-def jacobi_eigh(a: SymMatrix, rel_tol: float = 1e-12, max_sweeps: int = 60):
+def apply_rotation(g: np.ndarray, p_idx: int, q_idx: int, coeffs) -> np.ndarray:
+    """In-place Jt G J on rows and columns p_idx and q_idx of a symmetric array g, by decompose's formulas; returns g.
+
+    Both rows are rotated whole (_rotated_row), the 2x2 block is overwritten
+    by its closed forms (_pair_rotation) with the (p_idx, q_idx) cell a
+    literal zero, and each new row is written to its row and its column.
+    Everything outside the two rows and columns is untouched.
+    """
+    for t in (p_idx, q_idx):
+        if not 0 <= t < len(g):
+            raise IndexError(f"index {t} out of range for dimension {len(g)}")
+    if p_idx == q_idx:
+        raise IndexError("rotation needs two distinct indices")
+    i, j = p_idx, q_idx
+    _, d_i, d_j = _pair_rotation(g, i, j, coeffs)
+    new_i, new_j = _rotated_row(g, i, j, coeffs, i), _rotated_row(g, i, j, coeffs, j)
+    new_i[i], new_j[j] = d_i, d_j
+    new_i[j] = new_j[i] = 0.0
+    g[i] = g[:, i] = new_i
+    g[j] = g[:, j] = new_j
+    return g
+
+
+def jacobi_eigh(a: np.ndarray, rel_tol: float = 1e-12, max_sweeps: int = 60):
     """Eigen-decomposition by cyclic Jacobi sweeps.
 
     Returns (eigenvalues, eigenvectors) with eigenvectors in columns, so
     a = V diag(w) Vt.  Sweeps run until every off-diagonal magnitude drops
     below rel_tol times the largest absolute entry of the input.
     """
-    work = a.to_dense()
-    p = a.p
+    work = np.array(a, dtype=float)
+    p = len(work)
     v = np.eye(p)
     scale = float(np.abs(work).max())
     if scale == 0.0:
@@ -285,7 +307,7 @@ def jacobi_eigh(a: SymMatrix, rel_tol: float = 1e-12, max_sweeps: int = 60):
     return np.diag(work).copy(), v
 
 
-def psd_sqrt(k: SymMatrix, tol: float = 1e-10) -> SymMatrix:
+def psd_sqrt(k: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """Symmetric PSD square root S with S S ~= K.  Used to check kernels and decompositions.
 
     Eigenvalues in [-tol, 0) are clamped to zero; anything below -tol means
@@ -296,19 +318,18 @@ def psd_sqrt(k: SymMatrix, tol: float = 1e-10) -> SymMatrix:
         raise ValueError("kernel matrix not PSD")
     w = np.where(w < 0.0, 0.0, w)
     dense = (v * np.sqrt(w)) @ v.T
-    dense = 0.5 * (dense + dense.T)
-    return SymMatrix.from_dense(dense)
+    return 0.5 * (dense + dense.T)  # symmetric bit for bit: the sum commutes
 
 
 def select_pair(a, active, lam: float = 0.0) -> tuple[int, int, float]:
-    """Highest-scoring active pair of a SymMatrix or dense array, by full enumeration.
+    """Highest-scoring active pair of a dense symmetric array, by full enumeration.
 
     Ties resolve to the lexicographically smallest (min, max) pair.
     """
     act = np.asarray(sorted(set(int(i) for i in active)), dtype=np.int64)
     if len(act) < 2:
         raise ValueError("need at least two active indices")
-    dense = a.to_dense() if isinstance(a, SymMatrix) else a
+    dense = np.asarray(a, dtype=float)
     ii, jj = (act[k] for k in np.triu_indices(len(act), 1))
     vals = np.abs(dense[ii, jj])
     prod = dense[ii, ii] * dense[jj, jj]
@@ -319,10 +340,10 @@ def select_pair(a, active, lam: float = 0.0) -> tuple[int, int, float]:
     return int(ii[best]), int(jj[best]), float(scores[best])
 
 
-def decompose_rescan(a0: SymMatrix, lam: float = 0.0, stop_tol: float = DEFAULT_STOP_TOL):
-    """decompose() on a dense copy, with every active pair rescored at every step, and no cache."""
-    d = a0.to_dense()
-    active = list(range(a0.p))
+def decompose_rescan(a0: np.ndarray, lam: float = 0.0, stop_tol: float = DEFAULT_STOP_TOL):
+    """decompose() on a dense copy of a symmetric array, with every active pair rescored at every step, and no cache."""
+    d = np.array(a0, dtype=float)
+    active = list(range(len(d)))
     records = []
     stop_score = None
     while len(active) >= 2:
@@ -338,7 +359,7 @@ def decompose_rescan(a0: SymMatrix, lam: float = 0.0, stop_tol: float = DEFAULT_
             RotationRecord(len(records) + 1, alpha, beta, coeffs, float(d[alpha, alpha]), float(d[beta, beta]), score)
         )
         active.remove(alpha)
-    return TreeletDecomposition(a0.p, tuple(records), np.diag(d).copy(), lam, stop_score)
+    return TreeletDecomposition(len(d), tuple(records), np.diag(d).copy(), lam, stop_score)
 
 
 def same_decomposition(fast: TreeletDecomposition, slow: TreeletDecomposition) -> bool:

@@ -13,8 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_spsd, random_symmetric
-from oracles import decompose_rescan, psd_sqrt, roc_brute_force, same_decomposition
+from conftest import lower_mirrored, random_spsd, random_symmetric
+from oracles import apply_rotation, decompose_rescan, psd_sqrt, roc_brute_force, same_decomposition
 from test_core import merge_sets_from_records, oracle_merge_sets, replay
 from test_metrics import random_tree
 
@@ -23,8 +23,6 @@ from treelets import (
     KtConfig,
     MissingRbfKernel,
     RbfKernel,
-    SymMatrix,
-    apply_rotation,
     auc,
     cut,
     decompose,
@@ -77,20 +75,20 @@ def test_criterion_01_rotation_correctness():
     ok = True
     for _ in range(1000):
         a = random_symmetric(rng, 8)
-        dense = a.to_dense()
+        dense = a.copy()
         i, j = sorted(rng.choice(8, size=2, replace=False))
-        coeffs = jacobi_coeffs(float(a.data[i, i]), float(a.data[j, j]), float(a.data[i, j]))
+        coeffs = jacobi_coeffs(float(a[i, i]), float(a[j, j]), float(a[i, j]))
         apply_rotation(a, int(i), int(j), coeffs)
 
-        ok &= a.data[i, j] == a.data[j, i] == 0.0
+        ok &= a[i, j] == a[j, i] == 0.0
         rot = np.eye(8)
         rot[i, i] = rot[j, j] = coeffs.c
         rot[i, j] = coeffs.s
         rot[j, i] = -coeffs.s
-        ok &= np.abs(a.to_dense() - rot.T @ dense @ rot).max() <= 1e-12
-        ok &= abs(np.trace(a.to_dense()) - np.trace(dense)) <= 1e-10 * abs(np.trace(dense))
+        ok &= np.abs(a - rot.T @ dense @ rot).max() <= 1e-12
+        ok &= abs(np.trace(a) - np.trace(dense)) <= 1e-10 * abs(np.trace(dense))
         f0 = np.linalg.norm(dense)
-        ok &= abs(np.linalg.norm(a.to_dense()) - f0) <= 1e-10 * f0
+        ok &= abs(np.linalg.norm(a) - f0) <= 1e-10 * f0
     elapsed = time.perf_counter() - t0
     report(1, "rotation correctness, 1000 random 8x8", ok and elapsed < 1.0, f"{elapsed:.2f}s")
 
@@ -105,7 +103,7 @@ def test_criterion_02_treelet_structure():
         for k in range(d.stop_level + 1):
             b = d.basis_matrix(k)
             ok &= np.abs(b @ b.T - np.eye(p)).max() <= 1e-8
-            ok &= np.abs(replay(a, d, k).to_dense() - b @ a.to_dense() @ b.T).max() <= 1e-8
+            ok &= np.abs(replay(a, d, k) - b @ a @ b.T).max() <= 1e-8
             ok &= len(d.scaling_set(k)) == p - k
         ok &= all(r.diag_alpha <= r.diag_beta for r in d.records)
     elapsed = time.perf_counter() - t0
@@ -128,14 +126,14 @@ def test_criterion_04_sqrt_equivalence():
     for _ in range(50):
         p = int(rng.integers(2, 17))
         k = random_spsd(rng, p)
-        s = psd_sqrt(k).to_dense()
+        s = psd_sqrt(k)
         seq_k = [(r.alpha, r.beta) for r in decompose(k).records]
-        seq_s = [(r.alpha, r.beta) for r in decompose(SymMatrix.from_dense(s @ s)).records]
+        seq_s = [(r.alpha, r.beta) for r in decompose(lower_mirrored(s @ s)).records]
         ok &= seq_k == seq_s
     report(4, "merge sequence of K equals sqrt(K)^2, 50 matrices", ok)
 
 
-def planted_partition(block_size: int) -> tuple[SymMatrix, np.ndarray]:
+def planted_partition(block_size: int) -> tuple[np.ndarray, np.ndarray]:
     weights = (0.9, 0.8, 0.7, 0.6)
     p = 4 * block_size
     dense = np.zeros((p, p))
@@ -144,13 +142,13 @@ def planted_partition(block_size: int) -> tuple[SymMatrix, np.ndarray]:
         sl = slice(b * block_size, (b + 1) * block_size)
         dense[sl, sl] = w
     np.fill_diagonal(dense, 1.0)
-    return SymMatrix.from_dense(dense), labels
+    return dense, labels
 
 
 def test_criterion_05_planted_partition():
     a12, truth12 = planted_partition(3)
     d12 = decompose(a12)
-    brute = oracle_merge_sets(a12.to_dense())
+    brute = oracle_merge_sets(a12)
     ok = merge_sets_from_records(d12) == brute
     ok &= agreement(cut(merge_tree(d12), 4), truth12) == 1.0
 
@@ -219,7 +217,7 @@ def test_criterion_08_social_graph():
     a0 = gram(kernel, graph, range(graph.n_vertices))
     timings["gram"] = time.perf_counter() - t
     t = time.perf_counter()
-    tree = merge_tree(decompose(a0))
+    tree = merge_tree(decompose(a0.data))
     timings["decompose"] = time.perf_counter() - t
     t = time.perf_counter()
     curve = roc_from_hierarchy(tree, graph)
@@ -263,7 +261,7 @@ def test_criterion_09_missing_data_benchmark():
     # the ROC sweeps every reachable hierarchy level, so no flat cut is
     # involved; the sharp kernel stalls once clusters go mutually orthogonal
     a0 = gram(MissingRbfKernel(gamma=32.0), normalized, range(normalized.n))
-    tree = merge_tree(decompose(a0))
+    tree = merge_tree(decompose(a0.data))
     kt_auc = auc(roc_from_hierarchy(tree, classes))
 
     imputed = Dataset(np.where(normalized.present, normalized.values, 0.0))
@@ -282,7 +280,7 @@ def test_criterion_10_complexity():
         data = Dataset(rng.uniform(0, 1, (n, 2)))
         a = gram(RbfKernel(sigma=0.1), data, range(n))
         t0 = time.perf_counter()
-        decompose(a)
+        decompose(a.data)
         return time.perf_counter() - t0
 
     t800 = decompose_time(800)

@@ -658,7 +658,7 @@ class TestPipeline:
             sections.append(manifest["decomposition"])
         assert sections[0] == sections[1]
         g = io.read_edge_list(graph)
-        d = decompose(gram(graph_kernel_for(g), g, range(g.n_vertices)))
+        d = decompose(gram(graph_kernel_for(g), g, range(g.n_vertices)).data)
         counters = {k: sections[0][k] for k in ("rows_made_lazy", "lazy_rescans")}
         assert counters == {"rows_made_lazy": d.rows_made_lazy, "lazy_rescans": d.lazy_rescans}
         assert counters["lazy_rescans"] > 0

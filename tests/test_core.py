@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treelets.core
-from conftest import random_spsd
-from oracles import decompose_rescan, psd_sqrt, rotate_dense, same_decomposition, select_pair
+from conftest import lower_mirrored, random_spsd, working_copy
+from oracles import apply_rotation, decompose_rescan, psd_sqrt, rotate_dense, same_decomposition, select_pair
+from test_symmat import from_lower, same_bits
 from treelets import (
-    SymMatrix,
     apply_basis,
-    apply_rotation,
     compress,
     decompose,
 )
@@ -26,12 +25,12 @@ BLOCK4 = np.array(
 )
 
 
-def replay(a0: SymMatrix, decomp, k: int) -> SymMatrix:
+def replay(a0: np.ndarray, decomp, k: int) -> np.ndarray:
     """Level-k matrix rebuilt by re-applying the recorded rotations to a dense copy."""
-    d = a0.to_dense()
+    d = a0.copy()
     for rec in decomp.records[:k]:
         rotate_dense(d, *rec.axes, rec.coeffs)
-    return SymMatrix.from_dense(d)
+    return d
 
 
 def oracle_merge_sets(dense, lam=0.0, stop_tol=1e-10):
@@ -89,36 +88,36 @@ def merge_sets_from_records(decomp):
 
 class TestSelectPair:
     def test_clear_winner(self):
-        a = SymMatrix.from_dense([[1.0, 0.9, 0.0], [0.9, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        a = [[1.0, 0.9, 0.0], [0.9, 1.0, 0.0], [0.0, 0.0, 1.0]]
         assert select_pair(a, [0, 1, 2]) == (0, 1, 0.9)
 
     def test_all_zero_ties_break_lexicographically(self):
-        a = SymMatrix.from_dense(np.eye(3))
+        a = np.eye(3)
         assert select_pair(a, [0, 1, 2]) == (0, 1, 0.0)
 
     def test_regularization_term(self):
-        a = SymMatrix.from_dense([[1.0, 0.5], [0.5, 1.0]])
+        a = [[1.0, 0.5], [0.5, 1.0]]
         assert select_pair(a, [0, 1], lam=1.0) == (0, 1, 1.0)
 
     def test_restricted_active_set(self):
-        a = SymMatrix.from_dense([[1.0, 0.9, 0.0], [0.9, 1.0, 0.3], [0.0, 0.3, 1.0]])
+        a = [[1.0, 0.9, 0.0], [0.9, 1.0, 0.3], [0.0, 0.3, 1.0]]
         assert select_pair(a, [1, 2]) == (1, 2, pytest.approx(0.3))
 
     def test_tiny_diagonal_uses_regularization_only(self):
-        a = SymMatrix.from_dense([[0.0, 0.5], [0.5, 1.0]])
+        a = [[0.0, 0.5], [0.5, 1.0]]
         alpha, beta, score = select_pair(a, [0, 1], lam=2.0)
         assert (alpha, beta) == (0, 1)
         assert score == 1.0  # correlation term suppressed, 2 * |0.5| remains
 
     def test_needs_two_active(self):
-        a = SymMatrix.from_dense(np.eye(3))
+        a = np.eye(3)
         with pytest.raises(ValueError):
             select_pair(a, [1])
 
 
 class TestDecompose:
     def test_block_example_merge_order(self):
-        d = decompose(SymMatrix.from_dense(BLOCK4))
+        d = decompose(BLOCK4)
         pairs = [tuple(sorted((r.alpha, r.beta))) for r in d.records]
         scores = [r.score for r in d.records]
         assert pairs == [(0, 1), (2, 3)]
@@ -126,31 +125,29 @@ class TestDecompose:
         assert d.stop_level == 2  # survivors are orthogonal
 
     def test_block_example_with_zero_stop_tol_runs_to_completion(self):
-        d = decompose(SymMatrix.from_dense(BLOCK4), stop_tol=0.0)
+        d = decompose(BLOCK4, stop_tol=0.0)
         assert d.stop_level == 3
         assert d.records[2].score == 0.0
 
     def test_identity_stops_immediately(self):
-        d = decompose(SymMatrix.from_dense(np.eye(5)), stop_tol=1e-10)
+        d = decompose(np.eye(5), stop_tol=1e-10)
         assert d.stop_level == 0
         assert d.records == ()
 
     def test_all_ones_2x2(self):
-        d = decompose(SymMatrix.from_dense(np.ones((2, 2))))
+        d = decompose(np.ones((2, 2)))
         rec = d.records[0]
         assert rec.diag_alpha == pytest.approx(0.0, abs=1e-12)
         assert rec.diag_beta == pytest.approx(2.0, abs=1e-12)
 
     def test_negative_diagonal_rejected(self):
         with pytest.raises(ValueError, match="negative diagonal"):
-            decompose(SymMatrix.from_dense([[-1.0, 0.0], [0.0, 1.0]]))
+            decompose([[-1.0, 0.0], [0.0, 1.0]])
 
     def test_non_finite_entry_rejected(self):
         for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="non-finite"):
-                a = SymMatrix(2)
-                a.data[:] = [[1.0, bad], [bad, 1.0]]
-                decompose(a)
+            with pytest.raises(ValueError, match="non-finite"):  # the loop's own entry bound, past decompose's checks
+                treelets.core._decompose(np.array([[1.0, bad], [bad, 1.0]]))
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0, treelets.core.MAX_LAM])
     def test_entries_past_the_overflow_bound_are_refused_up_front(self, np_rng, lam):
@@ -163,17 +160,17 @@ class TestDecompose:
                 dense += dense.T
                 np.fill_diagonal(dense, np_rng.uniform(0.0, 2.0, size=p))
                 dense = dense / np.abs(dense).max() * bound  # the largest entry is +-bound exactly
-                d = decompose(SymMatrix.from_dense(dense), lam=lam, stop_tol=0.0)
+                d = decompose(dense, lam=lam, stop_tol=0.0)
                 assert d.stop_level == p - 1 and np.isfinite(d.final_diag).all()
                 i, j = np.unravel_index(np.abs(dense).argmax(), dense.shape)
                 dense[i, j] = dense[j, i] = np.nextafter(dense[i, j], np.copysign(np.inf, dense[i, j]))
                 with pytest.raises(ValueError, match=r"above sqrt\(float max\) / 2p = .*, where a rotation or a pair score could overflow"):
-                    decompose(SymMatrix.from_dense(dense), lam=lam)
+                    decompose(dense, lam=lam)
 
     def test_lam_and_stop_tol_that_corrupt_scores_are_refused(self):
         """An overflowing lambda scored pairs inf (with a RuntimeWarning), a NaN one NaN,
         and a NaN stop_tol acted as 0."""
-        a = SymMatrix.from_dense(BLOCK4)
+        a = BLOCK4
         too_big = np.nextafter(treelets.core.MAX_LAM, np.inf)
         for lam in (math.nan, math.inf, 1e308, too_big, -1.0):
             with pytest.raises(ValueError, match=r"^lam must be in \[0, sqrt\(float max\) = 1.34078e\+154\], not "):
@@ -194,7 +191,7 @@ class TestDecompose:
             p = int(np_rng.integers(2, 13))
             a = random_spsd(np_rng, p)
             d = decompose(a)
-            assert merge_sets_from_records(d) == oracle_merge_sets(a.to_dense())
+            assert merge_sets_from_records(d) == oracle_merge_sets(a)
 
     def test_cached_equals_rescan(self, np_rng):
         for _ in range(40):
@@ -209,7 +206,7 @@ class TestDecompose:
             assert same_decomposition(decompose(a, lam=0.5), decompose_rescan(a, lam=0.5))
 
     def test_single_element_matrix(self):
-        d = decompose(SymMatrix.from_dense([[3.0]]))
+        d = decompose([[3.0]])
         assert d.stop_level == 0 and d.records == ()
         assert d.scaling_set(0) == [0]
 
@@ -227,7 +224,7 @@ class TestDecompose:
             g = Graph(n, edges)
             if g.max_degree == 0:
                 continue
-            a = gram(graph_kernel_for(g), g, range(n))
+            a = gram(graph_kernel_for(g), g, range(n)).data
             assert same_decomposition(decompose(a), decompose_rescan(a))
 
     def test_step_that_makes_every_row_stale(self, monkeypatch):
@@ -240,17 +237,17 @@ class TestDecompose:
         p = 40
         edges = {(0, v) for v in range(1, p)} | {(u, v) for u in range(1, 16) for v in range(u + 1, 16)}
         g = Graph(p, edges)
-        a = gram(graph_kernel_for(g), g, range(p))
-        dense = a.to_dense()
+        a = gram(graph_kernel_for(g), g, range(p)).data
+        dense = a.copy()
         np.fill_diagonal(dense, -np.inf)
         assert set(dense.argmax(axis=1)) == {0, 1}  # equal diagonals: score order is |a_ij| order
-        before = a.data.tobytes()
+        before = a.tobytes()
         monkeypatch.setattr(treelets.core, "_BLOCK_ELEMENTS", 3 * p)
         for lam in (0.0, 0.5):
             d = decompose(a, lam=lam)
             assert {d.records[0].alpha, d.records[0].beta} == {0, 1}
             assert same_decomposition(d, decompose_rescan(a, lam=lam))
-        assert a.data.tobytes() == before
+        assert a.tobytes() == before
 
     def test_lazy_rows_reach_the_top_and_are_rescanned(self):
         """A star: every leaf's best partner is the hub, so the first step, on
@@ -260,7 +257,7 @@ class TestDecompose:
 
         p = 20
         g = Graph(p, {(0, v) for v in range(1, p)})
-        a = gram(graph_kernel_for(g), g, range(p))
+        a = gram(graph_kernel_for(g), g, range(p)).data
         d = decompose(a)
         assert (d.records[0].alpha, d.records[0].beta) == (0, 1)
         assert d.rows_made_lazy >= p - 2 and d.lazy_rescans > 0
@@ -275,7 +272,7 @@ class TestDecompose:
         3 (partner 1, 0.317) and takes (1, 3); the survivor 3 scores 0.287
         against row 2, above its bound, so row 2 is exact again, and step 3 takes
         (2, 3) from it with no second rescan."""
-        a = SymMatrix.from_dense([[2, 3, 1, -3], [3, 14, -3, 6], [1, -3, 9, -3], [-3, 6, -3, 18]])
+        a = [[2, 3, 1, -3], [3, 14, -3, 6], [1, -3, 9, -3], [-3, 6, -3, 18]]
         d = decompose(a)
         assert [(r.alpha, r.beta) for r in d.records] == [(0, 1), (1, 3), (2, 3)]
         assert (d.rows_made_lazy, d.lazy_rescans) == (2, 1)
@@ -288,7 +285,7 @@ class TestDecompose:
         from treelets import Graph, gram, graph_kernel_for
 
         g = Graph(7, {(0, 2), (0, 3), (0, 5), (0, 6), (1, 5), (1, 6), (2, 6), (3, 4), (4, 6)})
-        a = gram(graph_kernel_for(g), g, range(7))
+        a = gram(graph_kernel_for(g), g, range(7)).data
         d = decompose(a)
         assert [(r.alpha, r.beta) for r in d.records] == [(0, 2), (6, 2), (1, 5), (3, 4), (4, 2), (5, 2)]
         assert same_decomposition(d, decompose_rescan(a))
@@ -309,7 +306,7 @@ class TestDecompose:
                 u, v = np_rng.choice(members, size=2, replace=False)
                 edges.add((int(u), int(v)))
         g = Graph(p, edges)
-        a = gram(graph_kernel_for(g), g, range(p))
+        a = gram(graph_kernel_for(g), g, range(p)).data
         for lam in (0.0, 0.5):
             d = decompose(a, lam=lam)
             assert d.stop_level >= p // 2 and d.compactions > 0
@@ -326,9 +323,9 @@ class TestDecompose:
             tied = np.triu(np_rng.integers(0, 2, (p, p)), 1).astype(float)
             tied += tied.T
             tied[np.diag_indices(p)] = max(1.0, tied.sum(axis=1).max())
-            grams.append(SymMatrix.from_dense(tied))
+            grams.append(tied)
             for a in grams:
-                dense, diag = a.to_dense(), a.diagonal()
+                dense, diag = a, a.diagonal()
                 for lam in (0.0, 0.5, 2.0):
                     vals, prod = np.abs(dense), np.outer(diag, diag)
                     want = np.where(prod > 1e-300, vals / np.sqrt(np.maximum(prod, 1e-300)), 0.0) + lam * vals
@@ -343,7 +340,7 @@ class TestDecompose:
         for p in (4, 8, 16):
             a = random_spsd(np_rng, p)
             d = decompose(a)
-            trace0 = np.trace(a.to_dense())
+            trace0 = np.trace(a)
             for k in range(d.stop_level + 1):
                 assert len(d.scaling_set(k)) == p - k
             for rec in d.records:
@@ -351,8 +348,8 @@ class TestDecompose:
             for k in (1, d.stop_level):
                 ak = replay(a, d, k)
                 rec = d.records[k - 1]
-                assert ak.data[rec.alpha, rec.beta] == 0.0
-                assert np.trace(ak.to_dense()) == pytest.approx(trace0, rel=1e-8)
+                assert ak[rec.alpha, rec.beta] == 0.0
+                assert np.trace(ak) == pytest.approx(trace0, rel=1e-8)
 
     def test_conjugation_consistency(self, np_rng):
         """Replayed rotations agree with the dense basis conjugation."""
@@ -363,7 +360,7 @@ class TestDecompose:
                 b = d.basis_matrix(k)
                 np.testing.assert_allclose(b @ b.T, np.eye(p), atol=1e-8)
                 np.testing.assert_allclose(
-                    replay(a, d, k).to_dense(), b @ a.to_dense() @ b.T, atol=1e-8
+                    replay(a, d, k), b @ a @ b.T, atol=1e-8
                 )
 
     def test_final_diag_matches_replay(self, np_rng):
@@ -375,17 +372,29 @@ class TestDecompose:
         for _ in range(20):
             p = int(np_rng.integers(3, 17))
             k = random_spsd(np_rng, p)
-            s = psd_sqrt(k).to_dense()
-            k2 = SymMatrix.from_dense(s @ s)
+            s = psd_sqrt(k)
+            k2 = lower_mirrored(s @ s)
             assert [(r.alpha, r.beta) for r in decompose(k).records] == [
                 (r.alpha, r.beta) for r in decompose(k2).records
             ]
 
     def test_input_left_untouched(self, np_rng):
         a = random_spsd(np_rng, 6)
-        before = a.data.copy()
+        before = a.copy()
         decompose(a)
-        assert np.array_equal(a.data, before)
+        assert np.array_equal(a, before)
+
+    def test_argument_is_copied_once_to_a_c_ordered_array(self, np_rng):
+        """The loop rotates its own C-contiguous float64 copy, whatever the argument's
+        layout or dtype, and the argument keeps its bytes."""
+        a = random_spsd(np_rng, 7)
+        for arg in (a, np.asfortranarray(a), a[::-1, ::-1], np.rint(a * 10).astype(np.int64), a.tolist()):
+            before = np.asarray(arg).tobytes()
+            g = working_copy(arg)
+            assert g.flags.c_contiguous and g.dtype == np.float64
+            assert not np.shares_memory(g, arg) and np.asarray(arg).tobytes() == before
+            assert np.array_equal(g, np.asarray(arg, dtype=float))
+            assert same_decomposition(decompose(arg), decompose_rescan(g))
 
 
 def graph_gram(draw, p: int) -> np.ndarray:
@@ -412,7 +421,7 @@ def selection_case(draw, max_graph: int = 14, max_float: int = 14):
         entries = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
         g = np.array(draw(st.lists(entries, min_size=p * width, max_size=p * width))).reshape(p, width)
         dense = g @ g.T
-    return SymMatrix.from_dense(np.tril(dense) + np.tril(dense, -1).T), lam
+    return np.tril(dense) + np.tril(dense, -1).T, lam
 
 
 @settings(max_examples=200, deadline=None)
@@ -421,9 +430,9 @@ def test_cached_records_equal_rescan_records(case, stop_tol):
     """stop_tol 0 also merges zero-score pairs, whose equal diagonals hit the tie rule.
     decompose leaves its argument's bytes as they were."""
     a, lam = case
-    before = a.data.tobytes()
+    before = a.tobytes()
     assert same_decomposition(decompose(a, lam, stop_tol), decompose_rescan(a, lam, stop_tol))
-    assert a.data.tobytes() == before
+    assert a.tobytes() == before
 
 
 @settings(max_examples=100, deadline=None)
@@ -441,7 +450,7 @@ def test_cached_records_do_not_depend_on_row_chunking(case):
 def graph_case(draw):
     """A tie-heavy 0/1 graph Gram on up to 40 vertices, with lambda 0, 0.5 or 2."""
     p = draw(st.integers(2, 40))
-    return SymMatrix.from_dense(graph_gram(draw, p)), draw(st.sampled_from([0.0, 0.5, 2.0]))
+    return graph_gram(draw, p), draw(st.sampled_from([0.0, 0.5, 2.0]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -460,7 +469,7 @@ def test_compacted_and_uncompacted_runs_give_the_rescan_records(case, stop_tol):
     """A floor of 1 compacts at every halving of the active count; 2**40 never compacts.
     Either way decompose compacts its own copy, and leaves its argument's bytes as they were."""
     a, lam = case
-    before = a.data.tobytes()
+    before = a.tobytes()
     want = decompose_rescan(a, lam, stop_tol)
     runs = []
     for floor in (1, 1 << 40):
@@ -468,12 +477,12 @@ def test_compacted_and_uncompacted_runs_give_the_rescan_records(case, stop_tol):
             mp.setattr(treelets.core, "_COMPACT_MIN", floor)
             d = decompose(a, lam, stop_tol)
         assert same_decomposition(d, want)
-        assert a.data.tobytes() == before
+        assert a.tobytes() == before
         runs.append(d)
     every, never = runs
     # at a floor of 1 a compaction follows each step that leaves half the stored size active
-    stored, halvings = a.p, 0
-    for live in range(a.p - 1, a.p - 1 - every.stop_level, -1):
+    stored, halvings = len(a), 0
+    for live in range(len(a) - 1, len(a) - 1 - every.stop_level, -1):
         if 2 * live <= stored:
             stored, halvings = live, halvings + 1
     assert (every.compactions, never.compactions) == (halvings, 0)
@@ -486,7 +495,7 @@ def test_decompose_rotates_as_apply_rotation_does(case):
     """Replaying the records through apply_rotation gives final_diag bit for bit,
     with a compaction at every halving and with the default floor."""
     a, lam = case
-    replay = SymMatrix.from_dense(a.data)
+    replay = a.copy()
     for rec in decompose(a, lam).records:
         apply_rotation(replay, *rec.axes, rec.coeffs)
     for floor in (1, treelets.core._COMPACT_MIN):
@@ -512,7 +521,7 @@ def test_stale_cell_of_a_retired_column_is_never_read(floor):
     dense[4:, 4:] = 0.8
     dense[:4, :4] = [[0.0, 0.45, 0.3, 0.0], [0.45, 0.0, -0.2, 0.0], [0.3, -0.2, 0.0, 0.15], [0.0, 0.0, 0.15, 0.0]]
     np.fill_diagonal(dense, 1.0)
-    a = SymMatrix.from_dense(dense)
+    a = dense
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(treelets.core, "_COMPACT_MIN", floor)
         d = decompose(a)
@@ -523,6 +532,18 @@ def test_stale_cell_of_a_retired_column_is_never_read(floor):
     assert same_decomposition(d, decompose_rescan(a))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 13), st.data())
+def test_decompose_copies_the_lower_triangle_bit_for_bit(p, data):
+    """The loop's copy keeps the lower triangle bit for bit, signed zeros included,
+    which an arithmetic mirror would turn to +0.0; each zero above it is given the other sign."""
+    cells = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-1e300, 1e300, allow_nan=False))
+    mirrored = from_lower(p, data.draw(st.lists(cells, min_size=p * (p + 1) // 2, max_size=p * (p + 1) // 2)))
+    i, j = np.indices((p, p))
+    given = np.where((j > i) & (mirrored == 0.0), -mirrored, mirrored)
+    assert same_bits(working_copy(given), mirrored)
+
+
 @settings(max_examples=100, deadline=None)
 @given(selection_case(), st.data())
 def test_basis_is_orthogonal_and_apply_basis_is_its_product(case, data):
@@ -530,9 +551,9 @@ def test_basis_is_orthogonal_and_apply_basis_is_its_product(case, data):
     d = decompose(a, lam=lam)
     k = data.draw(st.integers(0, d.stop_level))
     entries = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
-    v = np.array(data.draw(st.lists(entries, min_size=a.p, max_size=a.p)))
+    v = np.array(data.draw(st.lists(entries, min_size=len(a), max_size=len(a))))
     b = d.basis_matrix(k)
-    np.testing.assert_allclose(b @ b.T, np.eye(a.p), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(b @ b.T, np.eye(len(a)), rtol=0, atol=1e-12)
     np.testing.assert_allclose(apply_basis(d, k, v), b @ v, rtol=0, atol=1e-12 * max(1.0, np.abs(v).max()))
 
 
@@ -552,7 +573,7 @@ class TestBasisOps:
             assert np.linalg.norm(w) == pytest.approx(np.linalg.norm(v), rel=1e-10)
 
     def test_2x2_explicit(self):
-        d = decompose(SymMatrix.from_dense([[2.0, 1.0], [1.0, 2.0]]))
+        d = decompose([[2.0, 1.0], [1.0, 2.0]])
         rec = d.records[0]
         c, s = rec.coeffs
         rot = np.array([[c, s], [-s, c]])
@@ -597,7 +618,7 @@ class TestCompress:
                 assert w[i] == apply_basis(d, k, v)[i]
 
     def test_block_example_threshold(self, np_rng):
-        d = decompose(SymMatrix.from_dense(BLOCK4))
+        d = decompose(BLOCK4)
         v = np_rng.normal(size=4)
         k = 2
         dense = d.basis_matrix(k) @ v

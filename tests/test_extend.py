@@ -19,7 +19,6 @@ from treelets import (
     MissingRbfKernel,
     PolynomialKernel,
     RbfKernel,
-    SymMatrix,
     fit_predict,
     generate,
     gram,
@@ -76,6 +75,11 @@ class TestSampleIndices:
     def test_oversample_rejected(self):
         with pytest.raises(ValueError):
             sample_indices(3, 4, seed=0)
+
+    def test_negative_count_rejected(self):
+        """A count of -2 took items[:-2], eight indices of ten."""
+        with pytest.raises(ValueError, match="^cannot sample -2 of 10 observations$"):
+            sample_indices(10, -2, seed=0)
 
     def test_uniformity_five_sigma(self):
         """Frequency of each index over 1e5 single draws stays within 5 sigma."""
@@ -224,6 +228,41 @@ class TestKnnExtend:
                 np.array([0]),
                 knn_k=1,
             )
+
+
+@pytest.mark.parametrize("kind", ["rbf", "linear"])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ({"sample_labels": np.r_[np.arange(10) % 2, 0, 0, 0]}, "^13 sample labels for 10 sampled ids$"),
+        ({"sample_labels": np.r_[np.arange(9) % 2, -1]}, "^sample label -1 is negative$"),
+        ({"sample": np.r_[np.arange(9), -1]}, r"^sample id -1 outside \[0, 20\)$"),
+        ({"sample": np.r_[np.arange(9), 20]}, r"^sample id 20 outside \[0, 20\)$"),
+        ({"queries": np.r_[np.arange(10, 20), -1]}, r"^query id -1 outside \[0, 20\)$"),
+        ({"queries": np.r_[np.arange(10, 20), 25, -3]}, r"^query id 25 outside \[0, 20\)$"),
+    ],
+    ids=["labels-too-long", "negative-label", "negative-sample-id", "sample-id-n", "negative-query-id", "query-id-past-n"],
+)
+def test_knn_extend_refuses_bad_labels_and_ids_before_any_block(kind, bad, message, monkeypatch):
+    """Too many labels, a negative label, and an id outside [0, n) on either side were
+    taken silently (a negative id wrapping to the last row), voted with, or failed in
+    numpy's bincount or indexing; each is refused, naming the first bad value."""
+    data = Dataset(np.random.default_rng(3).normal(size=(20, 2)))
+    spec = RbfKernel(sigma=1.0) if kind == "rbf" else LinearKernel()
+    args = {"sample": np.arange(10), "sample_labels": np.arange(10) % 2, "queries": np.arange(10, 20), **bad}
+    monkeypatch.setattr(treelets.extend, "kernel_block", lambda *a: pytest.fail("a block was computed"))
+    monkeypatch.setattr(treelets.extend, "_rbf_select", lambda *a: pytest.fail("a block was computed"))
+    with pytest.raises(ValueError, match=message):
+        knn_extend(spec, data, args["sample"], args["sample_labels"], args["queries"], 3)
+
+
+def test_knn_extend_takes_graph_ids_below_n_vertices():
+    g = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
+    spec = treelets.graph_kernel_for(g)
+    labels, _ = knn_extend(spec, g, np.array([0, 5]), np.array([0, 1]), np.array([1, 4]), 1)
+    assert labels.tolist() == [0, 1]
+    with pytest.raises(ValueError, match=r"^query id 6 outside \[0, 6\)$"):
+        knn_extend(spec, g, np.array([0, 5]), np.array([0, 1]), np.array([1, 6]), 1)
 
 
 def knn_by_kernel_distance(spec, data, sample, labels, queries, knn_k):
@@ -747,10 +786,14 @@ class TestFitPredict:
         data, _ = generate(Circles(factor=0.5, noise=0.05), 60, 4)
         cfg = KtConfig(kernel=RbfKernel(sigma=0.2), sample_size=60, n_clusters=2, seed=0, lam=0.5)
         a0 = gram(cfg.kernel, data, range(60))
-        monkeypatch.setattr(SymMatrix, "to_dense", lambda self: pytest.fail("SymMatrix.to_dense called"))
+        built, rotated = [], []
+        monkeypatch.setattr(treelets.extend, "gram", lambda *args: built.append(gram(*args)) or built[-1])
+        loop = treelets.extend.decompose
+        monkeypatch.setattr(treelets.extend, "decompose", lambda g, **kw: rotated.append(g) or loop(g, **kw))
         res = fit_predict(data, cfg)
         monkeypatch.undo()
-        assert same_decomposition(res.decomposition, decompose_rescan(a0, lam=cfg.lam))
+        assert len(rotated) == 1 and rotated[0] is built[0].data
+        assert same_decomposition(res.decomposition, decompose_rescan(a0.data, lam=cfg.lam))
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
     def test_in_place_decomposition_equals_the_public_one(self, lam):
@@ -769,7 +812,7 @@ class TestFitPredict:
             cfg = KtConfig(kernel=spec, sample_size=150, n_clusters=2, lam=lam, stop_tol=0.0)
             a0 = gram(spec, data, range(150))
             before = a0.data.tobytes()
-            public = treelets.decompose(a0, lam=lam, stop_tol=0.0)
+            public = treelets.decompose(a0.data, lam=lam, stop_tol=0.0)
             assert a0.data.tobytes() == before
             in_place = fit_predict(data, cfg).decomposition
             assert public.compactions > 0

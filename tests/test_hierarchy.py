@@ -7,17 +7,15 @@ from hypothesis import strategies as st
 
 from conftest import forests, random_spsd
 from oracles import union_find_labels
-from treelets import ClusterLabels, Dendrogram, SymMatrix, cut, cut_at_score, decompose, merge_tree
+from treelets import ClusterLabels, Dendrogram, cut, cut_at_score, decompose, merge_tree
 from treelets.hierarchy import Merge
 
-BLOCK4 = SymMatrix.from_dense(
-    [
-        [1.0, 0.9, 0.0, 0.0],
-        [0.9, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.8],
-        [0.0, 0.0, 0.8, 1.0],
-    ]
-)
+BLOCK4 = [
+    [1.0, 0.9, 0.0, 0.0],
+    [0.9, 1.0, 0.0, 0.0],
+    [0.0, 0.0, 1.0, 0.8],
+    [0.0, 0.0, 0.8, 1.0],
+]
 
 
 def groups(labels: ClusterLabels):
@@ -33,7 +31,7 @@ class TestClusterLabels:
 
 class TestMergeTree:
     def test_no_merges_all_roots(self):
-        d = decompose(SymMatrix.from_dense(np.eye(4)))
+        d = decompose(np.eye(4))
         tree = merge_tree(d)
         assert tree.n_roots == tree.n_leaves == 4
         assert tree.merges == ()
@@ -135,7 +133,7 @@ class TestCutAtScore:
 
     def test_nan_threshold_rejected_and_infinities_mean_every_merge_and_none(self):
         """A NaN compares false with every score, so it used to apply every merge."""
-        tree = merge_tree(decompose(SymMatrix.from_dense([[2, 1, 0], [1, 2, 0.5], [0, 0.5, 2]])))
+        tree = merge_tree(decompose([[2, 1, 0], [1, 2, 0.5], [0, 0.5, 2]]))
         with pytest.raises(ValueError, match="^threshold must not be NaN$"):
             cut_at_score(tree, math.nan)
         assert list(cut_at_score(tree, -math.inf).assignments) == [0, 0, 0]

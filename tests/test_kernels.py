@@ -191,17 +191,17 @@ class TestGram:
     def test_three_identical_points(self):
         data = Dataset(np.zeros((3, 2)))
         k = gram(RbfKernel(sigma=0.1), data, [0, 1, 2])
-        assert np.array_equal(k.to_dense(), np.ones((3, 3)))
+        assert np.array_equal(k.data, np.ones((3, 3)))
 
     def test_path_graph_example(self):
         g = Graph(3, [(0, 1), (1, 2)])
         k = gram(GraphKernel(diag=2.0), g, [0, 1, 2])
-        assert np.array_equal(k.to_dense(), [[2, 1, 0], [1, 2, 1], [0, 1, 2]])
+        assert np.array_equal(k.data, [[2, 1, 0], [1, 2, 1], [0, 1, 2]])
 
     def test_linear_orthonormal_rows(self):
         data = Dataset([[1.0, 0.0], [0.0, 1.0]])
         k = gram(LinearKernel(), data, [0, 1])
-        assert np.array_equal(k.to_dense(), np.eye(2))
+        assert np.array_equal(k.data, np.eye(2))
 
     def test_non_finite_value_names_kernel_and_sample_ids(self):
         data = Dataset([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [1000.0, 0.0]])
@@ -223,15 +223,27 @@ class TestGram:
             PolynomialKernel(alpha=1.0, c0=0.5, degree=2),
             MissingRbfKernel(gamma=3.0),
         ):
-            got = gram(spec, data, [5, 1, 3]).to_dense()
+            got = gram(spec, data, [5, 1, 3]).data
             np.testing.assert_allclose(got, gram_by_scalar_loop(spec, data, [5, 1, 3]), rtol=1e-13)
 
     def test_graph_gram_matches_scalar_oracle(self, np_rng):
         g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (6, 7), (1, 6)])
         spec = graph_kernel_for(g)
         ids = [7, 0, 4, 2, 1]
-        got = gram(spec, g, ids).to_dense()
+        got = gram(spec, g, ids).data
         np.testing.assert_allclose(got, gram_by_scalar_loop(spec, g, ids))
+
+    def test_result_is_p_and_a_c_contiguous_float64_square(self, np_rng):
+        """What gram's callers read: p, the index count, and data, a C-contiguous (p, p)
+        float64 array that fit_predict decomposes in place; the bench tracer counts p."""
+        g = Graph(9, [(0, 1), (1, 2), (3, 4), (5, 8)])
+        data = Dataset(np_rng.normal(size=(9, 3)))
+        for spec, on, ids in ((graph_kernel_for(g), g, [4, 0, 8]), (RbfKernel(sigma=1.0), data, range(7)),
+                              (LinearKernel(), data, np.array([2, 6]))):
+            k = gram(spec, on, ids)
+            p = len(list(ids))
+            assert k.p == p and k.data.shape == (p, p) and k.data.dtype == np.float64
+            assert k.data.flags.c_contiguous
 
     def test_duplicate_indices_rejected(self):
         data = Dataset(np.zeros((3, 2)))
@@ -513,42 +525,41 @@ def test_gram_names_the_first_unshared_pair_in_packed_order_whatever_the_budget(
 
 class TestCheckSpsd:
     def test_identity(self):
-        from treelets import SymMatrix
-
-        report = check_spsd(SymMatrix.from_dense(np.eye(3)))
+        report = check_spsd(np.eye(3))
         assert report.min_eigenvalue_lower_bound == 1.0
         assert report.diagonally_dominant
 
     def test_gershgorin_counterexample(self):
-        from treelets import SymMatrix
-
-        report = check_spsd(SymMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]]))
+        report = check_spsd([[1.0, 2.0], [2.0, 1.0]])
         assert not report.diagonally_dominant
         assert report.min_eigenvalue_lower_bound == -1.0
 
     def test_row_sums_that_overflow_warn_nothing(self):
         """A finite matrix whose absolute row sums pass float max has bound -inf and is not dominant."""
-        from treelets import SymMatrix
-
-        report = check_spsd(SymMatrix.from_dense([[1e308, 1e308], [1e308, 1e308]]))
+        report = check_spsd([[1e308, 1e308], [1e308, 1e308]])
         assert report.min_eigenvalue_lower_bound == -math.inf
         assert not report.diagonally_dominant
+
+    def test_rejects_a_non_square_or_empty_matrix(self):
+        for bad in (np.ones((2, 3)), np.ones(4), np.zeros((0, 0))):
+            with pytest.raises(ValueError, match="^expected a non-empty square matrix$"):
+                check_spsd(bad)
 
     def test_bound_equals_row_by_row_loop(self, np_rng):
         """The bound against a loop that subtracts each diagonal entry's scalar abs, bit for bit."""
         for p in (1, 2, 9, 130):
             k = random_symmetric(np_rng, p, lo=-3.0, hi=3.0)
             diag = k.diagonal()
-            off = [np.abs(k.data[i]).sum() - abs(diag[i]) for i in range(p)]
+            off = [np.abs(k[i]).sum() - abs(diag[i]) for i in range(p)]
             assert check_spsd(k).min_eigenvalue_lower_bound == float((diag - np.array(off)).min())
 
     def test_bound_equals_dense_formula(self, np_rng):
         """Row sums one row at a time equal the dense matrix's sum(axis=1), bit for bit."""
         points = Dataset(np_rng.normal(size=(300, 3)))
         grams = [random_symmetric(np_rng, p, lo=-3.0, hi=3.0) for p in (1, 2, 9, 130, 300)]
-        grams.append(gram(RbfKernel(sigma=0.5), points, range(300)))
+        grams.append(gram(RbfKernel(sigma=0.5), points, range(300)).data)
         for k in grams:
-            dense = np.abs(k.to_dense())
+            dense = np.abs(k)
             diag = k.diagonal()
             expected = float((diag - (dense.sum(axis=1) - np.abs(diag))).min())
             assert check_spsd(k).min_eigenvalue_lower_bound == expected
@@ -563,7 +574,7 @@ class TestCheckSpsd:
             g = Graph(n, edges)
             if g.max_degree == 0:
                 continue
-            k = gram(graph_kernel_for(g), g, range(n))
+            k = gram(graph_kernel_for(g), g, range(n)).data
             report = check_spsd(k)
             assert report.diagonally_dominant
             assert report.min_eigenvalue_lower_bound >= -1e-10
@@ -582,9 +593,9 @@ class TestCheckSpsd:
             present[:, 1] = True
             data = Dataset(values, present)
             for spec in (RbfKernel(sigma=0.5), MissingRbfKernel(gamma=2.0)):
-                k = gram(spec, data, range(n))
+                k = gram(spec, data, range(n)).data
                 s = psd_sqrt(k, tol=1e-8)  # raises if any eigenvalue < -1e-8
-                err = np.abs(s.to_dense() @ s.to_dense() - k.to_dense()).max()
+                err = np.abs(s @ s - k).max()
                 assert err < 1e-8
 
     def test_heavy_missingness_can_break_psd(self):
@@ -607,8 +618,8 @@ class TestCheckSpsd:
                 [False, True, True],
             ]
         )
-        k = gram(MissingRbfKernel(gamma=2.0), Dataset(values, present), range(4))
-        assert np.linalg.eigvalsh(k.to_dense()).min() < -0.5
+        k = gram(MissingRbfKernel(gamma=2.0), Dataset(values, present), range(4)).data
+        assert np.linalg.eigvalsh(k).min() < -0.5
         with pytest.raises(ValueError, match="not PSD"):
             psd_sqrt(k, tol=1e-8)
         assert not check_spsd(k).diagonally_dominant
@@ -619,7 +630,7 @@ class TestCheckSpsd:
             n = int(np_rng.integers(2, 10))
             pts = np_rng.uniform(0, 10, size=(n, 2))
             pts += np.arange(n)[:, None] * 25.0  # enforce separation
-            k = gram(RbfKernel(sigma=1.0), Dataset(pts), range(n))
+            k = gram(RbfKernel(sigma=1.0), Dataset(pts), range(n)).data
             report = check_spsd(k)
             assert report.diagonally_dominant
             assert report.min_eigenvalue_lower_bound >= -1e-10

@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from treelets.rng import SplitMix64
 
 
@@ -47,3 +49,10 @@ def test_sample_without_replacement_is_a_prefix_of_a_permutation():
     assert sorted(sample) == list(range(10))
     partial = SplitMix64(5).sample_without_replacement(10, 4)
     assert sample[:4] == partial
+
+
+def test_sample_without_replacement_refuses_a_negative_count():
+    """k = -2 returned items[:-2], eight of ten."""
+    with pytest.raises(ValueError, match="^cannot sample -2 of 10 without replacement$"):
+        SplitMix64(5).sample_without_replacement(10, -2)
+    assert SplitMix64(5).sample_without_replacement(10, 0) == []

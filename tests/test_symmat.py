@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_spsd, random_symmetric
-from oracles import jacobi_eigh, psd_sqrt, rotate_dense
-from treelets import SymMatrix, apply_rotation, jacobi_coeffs
+from conftest import lower_mirrored, random_spsd, random_symmetric, working_copy
+from oracles import apply_rotation, jacobi_eigh, psd_sqrt, rotate_dense
+from treelets import decompose, jacobi_coeffs
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -21,45 +21,46 @@ def dense_rotation(p, i, j, coeffs):
 
 
 class TestSymMatrix:
+    """Public decompose's checks and copy of its symmetric argument, and the rotation oracle's index checks."""
+
     def test_single_cell_per_pair(self):
-        """from_dense keeps one value per pair, the lower one, on both sides of the diagonal."""
-        a = SymMatrix.from_dense([[1.0, 2.0 + 1e-15, -0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        assert a.data[0, 1] == a.data[1, 0] == 2.0
-        assert a.data.tobytes() == a.data.T.copy().tobytes()  # the +0.0 at (2, 0) on both sides
-        assert a.data.flags.c_contiguous
+        """decompose keeps one value per pair, the lower one, on both sides of the diagonal."""
+        a = [[1.0, 2.0 + 1e-15, -0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        g = working_copy(a)
+        assert g[0, 1] == g[1, 0] == 2.0
+        assert g.tobytes() == g.T.copy().tobytes()  # the +0.0 at (2, 0) on both sides
+        assert g.flags.c_contiguous
+        assert decompose(a).records[0].score == 2.0  # |a_10| / 1, not the upper cell's 2 + 1e-15
 
     def test_round_trip_dense(self, np_rng):
+        """A symmetric array reaches the rotation loop as a copy with its bits."""
         d = np_rng.normal(size=(6, 6))
         d = (d + d.T) / 2
-        assert np.array_equal(SymMatrix.from_dense(d).to_dense(), d)
+        g = working_copy(d)
+        assert np.array_equal(g, d) and not np.shares_memory(g, d)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="not symmetric"):
-            SymMatrix.from_dense([[1.0, 2.0], [3.0, 4.0]])
+            decompose([[1.0, 2.0], [3.0, 4.0]])
 
     def test_rejects_asymmetric_whose_skew_overflows(self):
         """1e308 - (-1e308) is inf, refused as a skew, not warned about."""
         with pytest.raises(ValueError, match="not symmetric"):
-            SymMatrix.from_dense([[0.0, 1e308], [-1e308, 0.0]])
+            decompose([[0.0, 1e308], [-1e308, 0.0]])
 
     def test_rejects_non_finite(self):
         # a NaN or inf skew compares false against any tolerance
         for bad in ([[1.0, math.inf], [5.0, 1.0]], [[1.0, math.nan], [0.0, 1.0]]):
             with pytest.raises(ValueError, match="non-finite"):
-                SymMatrix.from_dense(bad)
+                decompose(bad)
 
     def test_index_range(self):
         """A rotation index outside [0, p) is refused, a negative one too, which numpy would wrap."""
-        a = SymMatrix.from_dense([[2.0, 1.0], [1.0, 2.0]])
+        a = np.array([[2.0, 1.0], [1.0, 2.0]])
         for i, j in ((0, 2), (-1, 0), (1, -2)):
             with pytest.raises(IndexError):
                 apply_rotation(a, i, j, jacobi_coeffs(2.0, 2.0, 1.0))
-        assert np.array_equal(a.data, [[2.0, 1.0], [1.0, 2.0]])
-
-    def test_diagonal_is_a_new_array(self):
-        a = SymMatrix.from_dense(np.diag([1.0, 2.0]))
-        a.diagonal()[:] = 5.0
-        assert np.array_equal(a.data, np.diag([1.0, 2.0]))
+        assert np.array_equal(a, [[2.0, 1.0], [1.0, 2.0]])
 
 
 class TestJacobiCoeffs:
@@ -101,25 +102,25 @@ class TestJacobiCoeffs:
 
 class TestApplyRotation:
     def test_2x2_eigendecomposition(self):
-        a = SymMatrix.from_dense([[2.0, 1.0], [1.0, 2.0]])
+        a = np.array([[2.0, 1.0], [1.0, 2.0]])
         apply_rotation(a, 0, 1, jacobi_coeffs(2.0, 2.0, 1.0))
-        assert a.data[0, 1] == a.data[1, 0] == 0.0
+        assert a[0, 1] == a[1, 0] == 0.0
         assert sorted(a.diagonal()) == pytest.approx([1.0, 3.0], abs=1e-12)
 
     def test_indefinite_2x2(self):
-        a = SymMatrix.from_dense([[3.0, 4.0], [4.0, -3.0]])
+        a = np.array([[3.0, 4.0], [4.0, -3.0]])
         apply_rotation(a, 0, 1, jacobi_coeffs(3.0, -3.0, 4.0))
-        assert a.data[0, 1] == a.data[1, 0] == 0.0
+        assert a[0, 1] == a[1, 0] == 0.0
         assert sorted(a.diagonal()) == pytest.approx([-5.0, 5.0], abs=1e-12)
 
     def test_identity_rotation_is_noop(self):
         d = np.diag([1.0, 2.0, 3.0])
-        a = SymMatrix.from_dense(d)
+        a = d.copy()
         apply_rotation(a, 0, 2, jacobi_coeffs(1.0, 3.0, 0.0))
-        assert np.array_equal(a.to_dense(), d)
+        assert np.array_equal(a, d)
 
     def test_same_index_rejected(self):
-        a = SymMatrix(3)
+        a = np.zeros((3, 3))
         with pytest.raises(IndexError):
             apply_rotation(a, 1, 1, jacobi_coeffs(2.0, 2.0, 1.0))
         with pytest.raises(IndexError):
@@ -129,66 +130,65 @@ class TestApplyRotation:
         """Exact zero at the target, dense conjugation match, invariants kept."""
         for _ in range(1000):
             a = random_symmetric(np_rng, 8)
-            dense = a.to_dense()
+            dense = a.copy()
             i, j = sorted(np_rng.choice(8, size=2, replace=False))
-            coeffs = jacobi_coeffs(float(a.data[i, i]), float(a.data[j, j]), float(a.data[i, j]))
+            coeffs = jacobi_coeffs(float(a[i, i]), float(a[j, j]), float(a[i, j]))
             apply_rotation(a, int(i), int(j), coeffs)
 
-            assert a.data[i, j] == a.data[j, i] == 0.0
+            assert a[i, j] == a[j, i] == 0.0
             ref = dense_rotation(8, i, j, coeffs)
             expected = ref.T @ dense @ ref
-            np.testing.assert_allclose(a.to_dense(), expected, rtol=0, atol=1e-12)
-            assert np.trace(a.to_dense()) == pytest.approx(np.trace(dense), rel=1e-10)
-            assert np.linalg.norm(a.to_dense()) == pytest.approx(
+            np.testing.assert_allclose(a, expected, rtol=0, atol=1e-12)
+            assert np.trace(a) == pytest.approx(np.trace(dense), rel=1e-10)
+            assert np.linalg.norm(a) == pytest.approx(
                 np.linalg.norm(dense), rel=1e-10
             )
 
     def test_untouched_rows_are_bitwise_identical(self, np_rng):
         a = random_symmetric(np_rng, 6)
-        before = a.to_dense()
-        apply_rotation(a, 1, 4, jacobi_coeffs(float(a.data[1, 1]), float(a.data[4, 4]), float(a.data[1, 4])))
-        after = a.to_dense()
+        before = a.copy()
+        apply_rotation(a, 1, 4, jacobi_coeffs(float(a[1, 1]), float(a[4, 4]), float(a[1, 4])))
         keep = [0, 2, 3, 5]
-        assert np.array_equal(after[np.ix_(keep, keep)], before[np.ix_(keep, keep)])
+        assert np.array_equal(a[np.ix_(keep, keep)], before[np.ix_(keep, keep)])
 
 
 class TestPsdSqrt:
     def test_identity(self):
-        s = psd_sqrt(SymMatrix.from_dense(np.eye(3)))
-        np.testing.assert_allclose(s.to_dense(), np.eye(3), atol=1e-12)
+        s = psd_sqrt(np.eye(3))
+        np.testing.assert_allclose(s, np.eye(3), atol=1e-12)
 
     def test_diagonal(self):
-        s = psd_sqrt(SymMatrix.from_dense(np.diag([4.0, 9.0])))
-        np.testing.assert_allclose(s.to_dense(), np.diag([2.0, 3.0]), atol=1e-12)
+        s = psd_sqrt(np.diag([4.0, 9.0]))
+        np.testing.assert_allclose(s, np.diag([2.0, 3.0]), atol=1e-12)
 
     def test_2x2_closed_form(self):
         # eigenvalues 3 and 1 -> sqrt entries (sqrt(3)+-1)/2
-        s = psd_sqrt(SymMatrix.from_dense([[2.0, 1.0], [1.0, 2.0]]))
+        s = psd_sqrt(np.array([[2.0, 1.0], [1.0, 2.0]]))
         hi = (math.sqrt(3.0) + 1.0) / 2.0
         lo = (math.sqrt(3.0) - 1.0) / 2.0
-        np.testing.assert_allclose(s.to_dense(), [[hi, lo], [lo, hi]], atol=1e-12)
+        np.testing.assert_allclose(s, [[hi, lo], [lo, hi]], atol=1e-12)
 
     def test_square_recovers_input(self, np_rng):
         for _ in range(20):
             p = int(np_rng.integers(2, 12))
             k = random_spsd(np_rng, p)
             s = psd_sqrt(k)
-            err = np.abs(s.to_dense() @ s.to_dense() - k.to_dense()).max()
-            assert err <= max(1e-10, 1e-8 * np.abs(k.to_dense()).max())
+            err = np.abs(s @ s - k).max()
+            assert err <= max(1e-10, 1e-8 * np.abs(k).max())
 
     def test_result_is_psd_and_symmetric(self, np_rng):
         k = random_spsd(np_rng, 6)
         s = psd_sqrt(k)
-        w = np.linalg.eigvalsh(s.to_dense())
+        w = np.linalg.eigvalsh(s)
         assert w.min() >= -1e-10
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError, match="not PSD"):
-            psd_sqrt(SymMatrix.from_dense([[1.0, 2.0], [2.0, 1.0]]), tol=1e-10)
+            psd_sqrt(np.array([[1.0, 2.0], [2.0, 1.0]]), tol=1e-10)
 
     def test_small_negative_eigenvalues_clamped(self):
-        s = psd_sqrt(SymMatrix.from_dense([[1e-14, 0.0], [0.0, 1.0]]), tol=1e-10)
-        assert s.data[0, 0] >= 0.0
+        s = psd_sqrt(np.array([[1e-14, 0.0], [0.0, 1.0]]), tol=1e-10)
+        assert s[0, 0] >= 0.0
 
     def test_adversarial_spectra(self, np_rng):
         """Rank deficiency, clustered eigenvalues, extreme scales, bad conditioning."""
@@ -214,10 +214,10 @@ class TestPsdSqrt:
                 w = 10.0 ** np_rng.uniform(-12, 0, size=p)
                 k = (q * w) @ q.T
                 k = (k + k.T) / 2
-            km = SymMatrix.from_dense(k)
+            km = lower_mirrored(k)
             scale = float(np.abs(k).max())
             s = psd_sqrt(km, tol=1e-8 * scale)
-            err = np.abs(s.to_dense() @ s.to_dense() - km.to_dense()).max()
+            err = np.abs(s @ s - km).max()
             assert err <= 1e-8 * scale
 
 
@@ -225,9 +225,9 @@ def test_jacobi_eigh_matches_numpy(np_rng):
     for _ in range(20):
         a = random_symmetric(np_rng, 7)
         w, v = jacobi_eigh(a)
-        np.testing.assert_allclose(sorted(w), np.linalg.eigvalsh(a.to_dense()), atol=1e-9)
+        np.testing.assert_allclose(sorted(w), np.linalg.eigvalsh(a), atol=1e-9)
         np.testing.assert_allclose(v @ v.T, np.eye(7), atol=1e-10)
-        np.testing.assert_allclose((v * w) @ v.T, a.to_dense(), atol=1e-9)
+        np.testing.assert_allclose((v * w) @ v.T, a, atol=1e-9)
 
 
 def same_bits(x, y):
@@ -241,26 +241,14 @@ def from_lower(p: int, cells) -> np.ndarray:
     return np.asarray(cells, dtype=float)[hi * (hi + 1) // 2 + lo]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 13), st.data())
-def test_to_dense_equals_cell_by_cell_build(p, data):
-    """from_dense keeps the lower triangle bit for bit, signed zeros included, which an
-    arithmetic mirror would turn to +0.0; each zero above it is given the other sign."""
-    cells = st.one_of(st.sampled_from([-0.0, 0.0]), st.floats(-1e300, 1e300, allow_nan=False))
-    mirrored = from_lower(p, data.draw(st.lists(cells, min_size=p * (p + 1) // 2, max_size=p * (p + 1) // 2)))
-    i, j = np.indices((p, p))
-    given = np.where((j > i) & (mirrored == 0.0), -mirrored, mirrored)
-    assert same_bits(SymMatrix.from_dense(given).to_dense(), mirrored)
-
-
 @st.composite
 def rotation_case(draw):
     """A symmetric matrix of mixed-scale entries, a plane i < j and its Jacobi rotation."""
     p = draw(st.integers(2, 12))
     entries = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
-    a = SymMatrix.from_dense(from_lower(p, draw(st.lists(entries, min_size=p * (p + 1) // 2, max_size=p * (p + 1) // 2))))
+    a = from_lower(p, draw(st.lists(entries, min_size=p * (p + 1) // 2, max_size=p * (p + 1) // 2)))
     i, j = sorted(draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=2, unique=True)))
-    return a, i, j, jacobi_coeffs(float(a.data[i, i]), float(a.data[j, j]), float(a.data[i, j]))
+    return a, i, j, jacobi_coeffs(float(a[i, i]), float(a[j, j]), float(a[i, j]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -268,6 +256,6 @@ def rotation_case(draw):
 def test_apply_rotation_equals_dense_oracle(case):
     """Every cell, the untouched ones and both mirrors of the rotated rows, bit for bit."""
     a, i, j, coeffs = case
-    expected = rotate_dense(a.to_dense(), i, j, coeffs)
+    expected = rotate_dense(a.copy(), i, j, coeffs)
     apply_rotation(a, i, j, coeffs)
-    assert same_bits(a.data, expected)
+    assert same_bits(a, expected)

@@ -34,18 +34,18 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     Mutant(
-        "apply_rotation does not write row q_idx to its column",
+        "public decompose rotates its caller's array",
         "src/treelets/core.py",
-        "    g[j] = g[:, j] = new_j\n",
-        "    g[j] = new_j\n",
+        "return _decompose(np.where(np.tri(len(a), dtype=bool), a, a.T), lam, stop_tol)",
+        "return _decompose(a, lam, stop_tol)",
         ("tests/test_core.py",),
     ),
     Mutant(
-        "apply_rotation leaves the computed residual in the (p_idx, q_idx) cell",
+        "decompose keeps the upper triangle",
         "src/treelets/core.py",
-        "    new_i[j] = new_j[i] = 0.0\n",
-        "",
-        ("tests/test_symmat.py",),
+        "np.where(np.tri(len(a), dtype=bool), a, a.T)",
+        "np.where(np.tri(len(a), dtype=bool), a.T, a)",
+        ("tests/test_core.py",),
     ),
     Mutant(
         "the survivor's row is not written to its column",
@@ -142,7 +142,7 @@ MUTANTS = [
         "fit_predict decomposes a copy of its Gram",
         "src/treelets/extend.py",
         "decompose(a0.data,",
-        "decompose(a0.to_dense(),",
+        "decompose(a0.data.copy(),",
         ("tests/test_extend.py",),
     ),
     Mutant(
@@ -209,6 +209,13 @@ MUTANTS = [
         ("tests/test_extend.py",),
     ),
     Mutant(
+        "knn_extend takes a negative sample or query id, which wraps to the last row",
+        "src/treelets/extend.py",
+        "outside = (ids < 0) | (ids >= n_rows)",
+        "outside = ids >= n_rows",
+        ("tests/test_extend.py",),
+    ),
+    Mutant(
         "the general branch's distance drops K(x,x)+K(y,y)",
         "src/treelets/extend.py",
         "d = _distance(k, self_block[:, None] + self_sample)",
@@ -221,6 +228,13 @@ MUTANTS = [
         "g[:s, s:e] = block[:, :s].T",
         "g[:s, s:e] = block[:, :s].T + 0.0",
         ("tests/test_kernels.py",),
+    ),
+    Mutant(
+        "sample_without_replacement takes a negative count, and returns all but its last items",
+        "src/treelets/rng.py",
+        "if not 0 <= k <= n:",
+        "if k > n:",
+        ("tests/test_rng.py",),
     ),
     Mutant(
         "kmeans takes max_iters 0, and returns no labels",
@@ -272,7 +286,7 @@ MUTANTS = [
         ("tests/test_kernels.py",),
     ),
     Mutant(
-        "from_dense warns where an asymmetric input's skew overflows",
+        "decompose warns where an asymmetric input's skew overflows",
         "src/treelets/core.py",
         'with np.errstate(over="ignore"):  # a skew that overflows',
         "if True:  # a skew that overflows",
