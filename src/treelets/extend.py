@@ -16,7 +16,7 @@ import numpy as np
 from .core import DEFAULT_STOP_TOL, TreeletDecomposition, check_params
 from .core import _decompose as decompose
 from .hierarchy import ClusterLabels, Dendrogram, cut, merge_tree
-from .kernels import Dataset, Graph, KernelSpec, RbfKernel, gram, kernel_block, kernel_diag, nonfinite_error
+from .kernels import Dataset, KernelSpec, RbfKernel, checked_ids, gram, kernel_block, kernel_diag, n_rows, nonfinite_error
 from .kernels import _rbf_values, _squared_distances
 from .rng import SplitMix64
 
@@ -233,19 +233,22 @@ def knn_extend(
     of the thread count and the block height.  An RBF block on finite rows
     computes few distances: its queries are taken in column-0 order, and
     each block computes kernel values for its candidates alone
-    (_rbf_select).  A label count that differs from the sample's, a
-    negative label, or a sample or query id outside the data is an error
-    naming the first bad value, raised before any block.  A non-finite
+    (_rbf_select).  Ids that are not a 1-D integer array, a knn_k below 1,
+    a label count that differs from the sample's, a negative label, or a
+    sample or query id outside the data is an error naming the first bad
+    value, raised before any block.  A non-finite
     kernel value is an error naming the kernel and the first sample or
     query id with one.  The work counts the queries, the kernel values
     computed, the rows that took all their cells, and the squared distances
     computed.
     """
-    sample = np.asarray(sample, dtype=np.int64)
-    queries = np.asarray(queries, dtype=np.int64)
+    sample = checked_ids(data, sample, "sample id")
+    queries = checked_ids(data, queries, "query id")
     sample_labels = np.asarray(sample_labels, dtype=np.int64)
     if len(sample) == 0:
         raise ValueError("sample must be non-empty")
+    if knn_k < 1:
+        raise ValueError(f"knn_k must be >= 1, not {knn_k}")
     if knn_k > len(sample):
         raise ValueError("knn_k cannot exceed the sample size")
     if len(sample_labels) != len(sample):
@@ -253,11 +256,6 @@ def knn_extend(
     negative = sample_labels < 0
     if negative.any():
         raise ValueError(f"sample label {sample_labels[negative.argmax()]} is negative")
-    n_rows = data.n_vertices if isinstance(data, Graph) else data.n
-    for name, ids in (("sample", sample), ("query", queries)):
-        outside = (ids < 0) | (ids >= n_rows)
-        if outside.any():
-            raise ValueError(f"{name} id {ids[outside.argmax()]} outside [0, {n_rows})")
 
     self_sample = kernel_diag(spec, data, sample)
     if not np.isfinite(self_sample).all():
@@ -328,7 +326,7 @@ def knn_extend(
 
 def fit_predict(data, config: KtConfig, threads: int = 1) -> KtResult:
     """Run the whole pipeline and return everything needed to audit it."""
-    n = data.n_vertices if isinstance(data, Graph) else data.n
+    n = n_rows(data)
     if config.sample_size > n:
         raise ValueError(f"sample_size {config.sample_size} exceeds dataset size {n}")
     if config.sample_size < n and config.knn_k > config.sample_size:

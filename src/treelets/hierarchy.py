@@ -53,8 +53,8 @@ class Dendrogram:
             if key not in payload:
                 raise ValueError(f"tree file has no {key!r} key")
         n_leaves, rows = payload["n_leaves"], payload["merges"]
-        if type(n_leaves) is not int or not isinstance(rows, list):
-            raise ValueError("tree file needs an integer 'n_leaves' and a list of 'merges'")
+        if type(n_leaves) is not int or n_leaves < 0 or not isinstance(rows, list):
+            raise ValueError("tree file needs a non-negative integer 'n_leaves' and a list of 'merges'")
         removed = set()  # not a leaf-sized array: n_leaves is not yet checked against anything
         merges = []
         for index, row in enumerate(rows, 1):

@@ -143,10 +143,15 @@ class Graph:
     __slots__ = ("n_vertices", "indptr", "indices", "degrees")
 
     def __init__(self, n_vertices: int, edges):
+        if type(n_vertices) is bool or not isinstance(n_vertices, (int, np.integer)):
+            raise ValueError(f"vertex count must be an integer, not {n_vertices!r}")
         if n_vertices < 0:
             raise ValueError("vertex count must be >= 0")
-        self.n_vertices = n = n_vertices
-        pairs = np.array(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
+        self.n_vertices = n = int(n_vertices)
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if pairs.size and pairs.dtype.kind not in "iu":  # a cast would truncate 0.5 to vertex 0
+            raise ValueError(f"edge endpoints must be integers, not {pairs.dtype}")
+        pairs = pairs.astype(np.int64)
         u, v = pairs.reshape(len(pairs), 2).T
         bad = (u == v) | (np.minimum(u, v) < 0) | (np.maximum(u, v) >= n)
         if bad.any():  # the first bad edge, as a loop over the edges would name it
@@ -363,6 +368,26 @@ def nonfinite_error(spec: KernelSpec, data, i: int, j: int, where: str) -> Value
     return ValueError(f"kernel {spec} gives a non-finite value for {where}")
 
 
+def n_rows(data) -> int:
+    """The number of rows of a Dataset, or of vertices of a Graph."""
+    return data.n_vertices if isinstance(data, Graph) else data.n
+
+
+def checked_ids(data, ids, name: str) -> np.ndarray:
+    """ids as int64; ids not 1-D or not integers, or an id outside [0, n_rows(data)), are an error naming the first."""
+    ids = np.asarray(ids)
+    if ids.ndim != 1:
+        raise ValueError(f"{name}s must be a 1-D array, not {ids.ndim}-D")
+    if ids.size and ids.dtype.kind not in "iu":  # a cast would truncate floats and take bools as 0/1
+        raise ValueError(f"{name}s must be integers, not {ids.dtype}")
+    ids = ids.astype(np.int64, copy=False)
+    n = n_rows(data)
+    outside = (ids < 0) | (ids >= n)
+    if outside.any():
+        raise ValueError(f"{name} {ids[outside.argmax()]} outside [0, {n})")
+    return ids
+
+
 class SymMatrix(NamedTuple):
     """gram's result: p, and data, a C-contiguous p x p float64 array whose cells (i, j) and (j, i) hold the same bits."""
 
@@ -390,14 +415,9 @@ def gram(spec: KernelSpec, data, indices) -> SymMatrix:
     m = len(indices)
     if m == 0:
         raise ValueError("gram needs at least one index")
-    if indices.dtype.kind not in "iu":  # a cast would truncate floats and take bools as 0/1
-        raise ValueError(f"indices must be integers, not {indices.dtype}")
-    indices = indices.astype(np.int64, copy=False)
+    indices = checked_ids(data, indices, "id")
     if len(np.unique(indices)) != m:
         raise ValueError("indices must be distinct")
-    limit = data.n_vertices if isinstance(data, Graph) else data.n
-    if indices.min() < 0 or indices.max() >= limit:
-        raise ValueError("index out of range")
     if isinstance(spec, GraphKernel) and spec.diag < data.max_degree:
         raise ValueError(
             f"graph kernel diag {spec.diag} below max degree {data.max_degree}; "

@@ -157,7 +157,8 @@ class TestExitCodes:
                 {"n_leaves": 3, "merges": [[1, "a", 1, 0.9]]},
                 'tree merge row 1 is [1, "a", 1, 0.9], not [step, removed, kept, score]',
             ),
-            ({"n_leaves": None, "merges": []}, "tree file needs an integer 'n_leaves' and a list of 'merges'"),
+            ({"n_leaves": None, "merges": []}, "tree file needs a non-negative integer 'n_leaves' and a list of 'merges'"),
+            ({"n_leaves": -3, "merges": []}, "tree file needs a non-negative integer 'n_leaves' and a list of 'merges'"),
         )
         for payload, message in cases:
             tree.write_text(json.dumps(payload))
@@ -266,7 +267,7 @@ class TestExitCodes:
         tree = tmp_path / "t.json"
         tree.write_text(f'{{"n_leaves": {n_leaves}, "merges": []}}')
         assert run("roc", "--tree", tree, "--reference", ref, "-o", tmp_path / "r.csv") == 1
-        assert capsys.readouterr().err == "error: tree file needs an integer 'n_leaves' and a list of 'merges'\n"
+        assert capsys.readouterr().err == "error: tree file needs a non-negative integer 'n_leaves' and a list of 'merges'\n"
 
     @pytest.mark.parametrize("exc, message", [
         (MemoryError("Unable to allocate 8.00 EiB for an array"), "Unable to allocate 8.00 EiB for an array"),

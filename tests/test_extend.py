@@ -240,20 +240,28 @@ class TestKnnExtend:
         ({"sample": np.r_[np.arange(9), 20]}, r"^sample id 20 outside \[0, 20\)$"),
         ({"queries": np.r_[np.arange(10, 20), -1]}, r"^query id -1 outside \[0, 20\)$"),
         ({"queries": np.r_[np.arange(10, 20), 25, -3]}, r"^query id 25 outside \[0, 20\)$"),
+        ({"sample": np.arange(10) + 0.5}, "^sample ids must be integers, not float64$"),
+        ({"queries": np.arange(10, 20.0)}, "^query ids must be integers, not float64$"),
+        ({"queries": np.arange(10, 20).reshape(2, 5)}, "^query ids must be a 1-D array, not 2-D$"),
+        ({"sample": np.arange(10)[:, None]}, "^sample ids must be a 1-D array, not 2-D$"),
+        ({"knn_k": 0}, "^knn_k must be >= 1, not 0$"),
+        ({"knn_k": -2}, "^knn_k must be >= 1, not -2$"),
     ],
-    ids=["labels-too-long", "negative-label", "negative-sample-id", "sample-id-n", "negative-query-id", "query-id-past-n"],
+    ids=["labels-too-long", "negative-label", "negative-sample-id", "sample-id-n", "negative-query-id", "query-id-past-n",
+         "float-sample-ids", "float-query-ids", "2d-queries", "2d-sample", "knn-k-0", "knn-k-negative"],
 )
 def test_knn_extend_refuses_bad_labels_and_ids_before_any_block(kind, bad, message, monkeypatch):
     """Too many labels, a negative label, and an id outside [0, n) on either side were
     taken silently (a negative id wrapping to the last row), voted with, or failed in
-    numpy's bincount or indexing; each is refused, naming the first bad value."""
+    numpy's bincount or indexing; float ids were truncated, and 2-D queries and a knn_k
+    below 1 failed in numpy's indexing or repeat; each is refused, naming the first bad value."""
     data = Dataset(np.random.default_rng(3).normal(size=(20, 2)))
     spec = RbfKernel(sigma=1.0) if kind == "rbf" else LinearKernel()
-    args = {"sample": np.arange(10), "sample_labels": np.arange(10) % 2, "queries": np.arange(10, 20), **bad}
+    args = {"sample": np.arange(10), "sample_labels": np.arange(10) % 2, "queries": np.arange(10, 20), "knn_k": 3, **bad}
     monkeypatch.setattr(treelets.extend, "kernel_block", lambda *a: pytest.fail("a block was computed"))
     monkeypatch.setattr(treelets.extend, "_rbf_select", lambda *a: pytest.fail("a block was computed"))
     with pytest.raises(ValueError, match=message):
-        knn_extend(spec, data, args["sample"], args["sample_labels"], args["queries"], 3)
+        knn_extend(spec, data, args["sample"], args["sample_labels"], args["queries"], args["knn_k"])
 
 
 def test_knn_extend_takes_graph_ids_below_n_vertices():

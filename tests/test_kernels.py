@@ -64,6 +64,27 @@ class TestGraph:
         with pytest.raises(ValueError, match="self-loop"):
             Graph(2, [(1, 1)])
 
+    @pytest.mark.parametrize(
+        "n, edges, message",
+        [
+            (3, [(0.5, 1)], "^edge endpoints must be integers, not float64$"),
+            (3, np.array([[0.0, 1.0]]), "^edge endpoints must be integers, not float64$"),
+            (3, [(True, False)], "^edge endpoints must be integers, not bool$"),
+            (3.7, [(0, 1)], "^vertex count must be an integer, not 3.7$"),
+            (True, [], "^vertex count must be an integer, not True$"),
+        ],
+        ids=["float-edge", "float-edge-array", "bool-edge", "float-count", "bool-count"],
+    )
+    def test_non_integer_edge_or_vertex_count_refused(self, n, edges, message):
+        """A float edge was truncated to a vertex (0.5 to 0), and a float vertex count failed in numpy's cast."""
+        with pytest.raises(ValueError, match=message):
+            Graph(n, edges)
+
+    def test_empty_edge_list_is_valid(self):
+        for edges in ([], np.empty((0, 2), dtype=np.int64), ()):
+            g = Graph(3, edges)
+            assert g.n_edges == 0 and list(g.degrees) == [0, 0, 0]
+
     def test_max_degree_helper(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)])
         assert graph_kernel_for(g) == GraphKernel(diag=3.0)
@@ -253,7 +274,7 @@ class TestGram:
     @pytest.mark.parametrize("ids", [[0, 1.7, 2.2], [True, False], [0.0, 1.0]])
     def test_non_integer_indices_rejected(self, ids):
         data = Dataset(np.arange(6.0).reshape(3, 2))
-        with pytest.raises(ValueError, match="indices must be integers"):
+        with pytest.raises(ValueError, match="^ids must be integers, not (float64|bool)$"):
             gram(RbfKernel(sigma=1.0), data, ids)
 
     def test_graph_diag_below_max_degree_rejected(self):

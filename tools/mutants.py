@@ -210,10 +210,31 @@ MUTANTS = [
     ),
     Mutant(
         "knn_extend takes a negative sample or query id, which wraps to the last row",
-        "src/treelets/extend.py",
-        "outside = (ids < 0) | (ids >= n_rows)",
-        "outside = ids >= n_rows",
+        "src/treelets/kernels.py",
+        "outside = (ids < 0) | (ids >= n)",
+        "outside = ids >= n",
         ("tests/test_extend.py",),
+    ),
+    Mutant(
+        "knn_extend truncates a float sample or query id",
+        "src/treelets/kernels.py",
+        'if ids.size and ids.dtype.kind not in "iu":',
+        "if False:",
+        ("tests/test_extend.py",),
+    ),
+    Mutant(
+        "Graph truncates a float edge endpoint",
+        "src/treelets/kernels.py",
+        'if pairs.size and pairs.dtype.kind not in "iu":',
+        "if False:",
+        ("tests/test_kernels.py",),
+    ),
+    Mutant(
+        "a tree file with a negative n_leaves parses",
+        "src/treelets/hierarchy.py",
+        "type(n_leaves) is not int or n_leaves < 0 or",
+        "type(n_leaves) is not int or",
+        ("tests/test_cli.py",),
     ),
     Mutant(
         "the general branch's distance drops K(x,x)+K(y,y)",
