@@ -213,11 +213,13 @@ def cmd_cluster(args, argv) -> int:
         stop_tol=args.stop_tol,
     )
     result = fit_predict(data, config, threads=args.threads)
+    written = Timer()
     io.write_labels_json(args.output, result.labels, args.seed, kernel)
     if args.tree:
         Path(args.tree).write_text(result.tree.to_json() + "\n", encoding="utf-8")
+    written.lap("write")
 
-    timings = {**result.timings, **timer.total()}
+    timings = {**result.timings, **timer.total(), **written.laps}
     manifest_config = {
         "kernel": kernel_to_dict(kernel),
         "clusters": args.clusters,
@@ -252,7 +254,9 @@ def _load_reference(args, path):
 def cmd_roc(args, argv) -> int:
     timer = Timer()
     tree = Dendrogram.from_json(Path(args.tree).read_text(encoding="utf-8"))
+    timer.lap("tree")
     reference = _load_reference(args, args.reference)
+    timer.lap("reference")
     ref_size = reference.n_vertices if isinstance(reference, Graph) else len(reference)
     if ref_size != tree.n_leaves:
         raise ValueError(
@@ -261,10 +265,13 @@ def cmd_roc(args, argv) -> int:
             "to the sampled rows"
         )
     curve = metrics.roc_from_hierarchy(tree, reference)
+    timer.lap("sweep")
     io.write_roc_csv(args.output, curve)
+    timer.lap("write")
     print(f"AUC {metrics.auc(curve):.6f}")
     config = {"tree": str(args.tree), "reference": str(args.reference)}
-    _write_manifest([args.output], argv, config, [args.tree, args.reference], timer.total())
+    _write_manifest([args.output], argv, config, [args.tree, args.reference], timer.total(),
+                    points=len(curve.points))
     return 0
 
 

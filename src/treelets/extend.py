@@ -164,7 +164,8 @@ def _rbf_select(values: np.ndarray, sample_values: np.ndarray, by_col0: np.ndarr
     k-th smallest over the pilot, the _PILOT_PER_K * k samples nearest the
     block's middle in column-0 order, where the sample is larger and the
     guard proves every row there; otherwise its exact k-th over every
-    column.  Its candidates are the cells with sq at most b's margin edge,
+    column, taken among the cells at or below the pilot's bound where there
+    is a pilot.  Its candidates are the cells with sq at most b's margin edge,
     (b + 2 sigma^2) (1 + _RBF_MARGIN) - 2 sigma^2.  A value never rises with
     sq, so, allowing for exp's rounding, every dropped cell has a value at
     most hi, the computed exp at the edge plus the allowance, and at least k
@@ -186,7 +187,7 @@ def _rbf_select(values: np.ndarray, sample_values: np.ndarray, by_col0: np.ndarr
     distances computed, the pilot's included.
     """
     n, pilot = len(by_col0), _PILOT_PER_K * k
-    cols, bound, counted = None, None, 0
+    cols, bound, proven, counted = None, None, None, 0
     if pilot < n:
         s0 = sample_values[by_col0, 0]
         start = min(max(np.searchsorted(s0, values[len(values) // 2, 0]) - pilot // 2, 0), n - pilot)
@@ -201,12 +202,14 @@ def _rbf_select(values: np.ndarray, sample_values: np.ndarray, by_col0: np.ndarr
                 term = np.square(s0 - np.where(s0 < qa, qa, np.minimum(s0, qb)))
             keep = ~(term > reach)
             cols = None if keep.all() else np.sort(by_col0[keep])
-        else:
-            bound = None
     sq = _squared_distances(values, sample_values if cols is None else sample_values[cols])
     counted += sq.size
-    if bound is None:
-        bound = np.partition(sq, k - 1, axis=1)[:, k - 1]
+    if proven is None or not proven.all():
+        if bound is None:
+            bound = np.partition(sq, k - 1, axis=1)[:, k - 1]
+        else:  # the pilot's k-th is at least the exact one: at least k cells lie at or below it
+            below = np.flatnonzero(sq <= bound[:, None])
+            bound = _row_kth(below, sq.ravel()[below], sq.shape, k)
         edge, proven = _rbf_guard(bound, scale)
         if not proven.all():
             return None, sq, None, counted

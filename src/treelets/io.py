@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import re
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +23,9 @@ DEFAULT_MISSING_TOKENS = frozenset({"", "NA", "NaN"})
 # guard against typo'd huge vertex ids blowing up the dense representation
 MAX_VERTEX_ID = 1 << 20
 
-# an edge-list line: blank, a '#' comment or two ASCII-digit ids, where [^\S\n]
-# is str.strip()'s whitespace less the newline; bad lines are searched for one
-# at a time (a whole-text match grew an 11 MB backtracking stack on 15k lines)
-_EDGE_LINE = r"[^\S\n]*(?:#.*|[0-9]+[^\S\n]+[0-9]+[^\S\n]*)?"
-_BAD_EDGE_LINE = re.compile(rf"^(?!{_EDGE_LINE}$)", re.MULTILINE)
-_COMMENT = re.compile(r"^[^\S\n]*#.*", re.MULTILINE)
+# an id of more than 7 digits (leading zeros or above MAX_VERTEX_ID) goes to the line walker
+_ID_DIGITS = len(str(MAX_VERTEX_ID))
+_POW10 = 10 ** np.arange(_ID_DIGITS, dtype=np.int64)
 
 # cells of one CSV parse chunk.  On the 12000 x 3 and 1080 x 78 bench CSVs
 # (2 vCPUs, 30 alternating calls) 1 << 12 to 1 << 16 parse equally fast,
@@ -163,33 +159,87 @@ def write_csv_numeric(path, data: Dataset) -> None:
 
 
 def read_edge_list(path) -> Graph:
-    """Undirected graph from 'u v' lines of ASCII digits; ids become vertices 0..max_id."""
+    """Undirected graph from 'u v' lines of ASCII digits; ids become vertices 0..max_id.
+
+    A plain file is parsed from the array of its bytes (_plain_edges); any
+    other text, and every fault, goes to the line walker, which names the
+    first bad line.
+    """
+    data = Path(path).read_bytes()
+    pairs = _plain_edges(data)
+    if pairs is None:
+        pairs = _walk_edge_lines(path)
+    return Graph(int(pairs.max(initial=-1)) + 1, pairs)
+
+
+def _plain_edges(data: bytes):
+    """The (edges, 2) int64 ids of a plain edge list, or None where the line walker must read it.
+
+    Plain is ASCII digits, spaces, tabs and newlines, and '#' lines: lines
+    whose first byte other than a space or tab is '#', of any ASCII but a
+    carriage return, which a text-mode read would end a line at.  Every
+    other line holds 0 or 2 ids of at most _ID_DIGITS digits, none above
+    MAX_VERTEX_ID and no pair a self-loop.
+    """
+    if not data.isascii() or b"\r" in data:
+        return None
+    b = np.frombuffer(data, np.uint8)
+    newlines = np.flatnonzero(b == 10)
+    if b"#" in data:
+        b = _blank_comments(b, newlines)
+    digit = b - np.uint8(48)
+    is_digit = digit < 10
+    if np.count_nonzero(is_digit) + np.count_nonzero(b == 32) + np.count_nonzero(b == 9) + len(newlines) != len(b):
+        return None
+    flips = np.flatnonzero(np.diff(is_digit, prepend=False, append=False))
+    starts, ends = flips[0::2], flips[1::2]
+    lengths = ends - starts
+    per_line = np.diff(np.searchsorted(starts, newlines), prepend=0, append=len(starts))
+    if ((per_line != 0) & (per_line != 2)).any() or lengths.max(initial=0) > _ID_DIGITS:
+        return None
+    # each id's digits from its last, the j-th before it where the id is longer than j
+    ids = digit[ends - 1].astype(np.int64)
+    for j in range(1, lengths.max(initial=0)):
+        ids += np.where(lengths > j, digit[ends - 1 - j], 0) * _POW10[j]
+    pairs = ids.reshape(-1, 2)
+    if (pairs[:, 0] == pairs[:, 1]).any() or (pairs > MAX_VERTEX_ID).any():
+        return None
+    return pairs
+
+
+def _blank_comments(b: np.ndarray, newlines: np.ndarray) -> np.ndarray:
+    """b with the bytes of its '#' lines, from the '#' to the line's end, set to spaces."""
+    hashes = np.flatnonzero(b == 35)
+    ends = np.append(newlines, len(b))[np.searchsorted(newlines, hashes)]
+    first = np.flatnonzero((b != 32) & (b != 9))
+    # a '#' opens a comment when it is the first byte of its line other than a space or tab
+    opens = first[np.searchsorted(first, np.append(0, newlines + 1)[np.searchsorted(newlines, hashes)])] == hashes
+    mark = np.zeros(len(b) + 1, np.int8)
+    mark[hashes[opens]] = 1
+    mark[ends[opens]] = -1
+    return np.where(np.cumsum(mark[:-1], dtype=np.int8).view(bool), np.uint8(32), b)
+
+
+def _walk_edge_lines(path) -> np.ndarray:
+    """The (edges, 2) int64 ids of a line-by-line read of a text-mode file, or the ValueError naming its first fault."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if not _BAD_EDGE_LINE.search(text):
-        tokens = (_COMMENT.sub("", text) if "#" in text else text).split()
-        # floats hold every id up to 2**53 exactly and round the rest above MAX_VERTEX_ID
-        ids = np.array(tokens, dtype=float).reshape(-1, 2)
-        if not ((ids[:, 0] == ids[:, 1]).any() or (ids > MAX_VERTEX_ID).any()):
-            return Graph(int(ids.max(initial=-1)) + 1, ids.astype(np.int64))
-    raise _first_bad_line(path, text)
-
-
-def _first_bad_line(path, text: str) -> ValueError:
-    """The fault a line-by-line read meets first; the whole-text checks only tell that there is one."""
+    edges = []
     for lineno, line in enumerate(text.split("\n"), start=1):
         parts = line.split()
         if not parts or parts[0].startswith("#"):
             continue
         if len(parts) != 2 or not all(p.isascii() and p.isdigit() for p in parts):
-            return ValueError(f"{path}: line {lineno}: malformed edge {line.strip()!r}")
+            raise ValueError(f"{path}: line {lineno}: malformed edge {line.strip()!r}")
         # ids compared as digit strings: int() refuses more than 4300 digits
         u, v = (p.lstrip("0") or "0" for p in parts)
         if u == v:
-            return ValueError(f"{path}: line {lineno}: self-loop at vertex {_id_text(u)}")
+            raise ValueError(f"{path}: line {lineno}: self-loop at vertex {_id_text(u)}")
         big = max(u, v, key=lambda t: (len(t), t))
-        if len(big) > len(str(MAX_VERTEX_ID)) or int(big) > MAX_VERTEX_ID:
-            return ValueError(f"{path}: line {lineno}: vertex id {_id_text(big)} too large")
+        if len(big) > _ID_DIGITS or int(big) > MAX_VERTEX_ID:
+            raise ValueError(f"{path}: line {lineno}: vertex id {_id_text(big)} too large")
+        edges.append((int(u), int(v)))
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)
 
 
 def _id_text(digits: str) -> str:

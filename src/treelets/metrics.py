@@ -7,7 +7,6 @@ pair counts are exact integers.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,63 +102,88 @@ def _rate(num: int, den: int) -> float:
 
 
 def roc_from_hierarchy(tree: Dendrogram, reference) -> RocCurve:
-    """One (FPR, TPR) point per cut level, maintained incrementally.
+    """One (FPR, TPR) point per cut level, from one pass over the merges.
 
     A merge of components with a and b members creates a*b newly
-    co-clustered pairs; only the positives among those need counting.  Each
-    merge folds the smaller component into the larger, counting the smaller
-    side's graph neighbours already in the larger or folding its class
-    counts, so the sweep costs O(E log n) or O(n log n) updates instead of
-    n^2/2 recounts per level.
+    co-clustered pairs; only the positives among those need counting.  The
+    pass appends each merge's removed run of leaves after its kept run, so
+    each component is a contiguous run of the final leaf order, and it
+    records the step that joined each leaf to the next.  An edge is
+    co-clustered from the largest such step between its two ends on
+    (_range_max).  Class counts are folded from the smaller component into
+    the larger, O(n log n) updates in all.
     """
     n = tree.n_leaves
     total = n * (n - 1) // 2
-
-    if isinstance(reference, Graph):
+    graph = isinstance(reference, Graph)
+    if graph:
         if reference.n_vertices != n:
             raise ValueError("reference graph size does not match tree")
         positives = reference.n_edges
-        indptr, indices = reference.indptr.tolist(), reference.indices.tolist()
-        comp = list(range(n))  # the component id of each leaf
-        hist = None
     else:
         ref = _class_index(reference)
         if len(ref) != n:
             raise ValueError("reference labels size does not match tree")
         positives = _pairs_within(np.bincount(ref))
-        hist = [{c: 1} for c in ref.tolist()]  # class counts of each component id
+        hist = [{c: 1} for c in ref.tolist()]  # class counts of each live leaf's component
 
-    # the leaves of each component id, as int arrays: n lists would be n containers the
-    # garbage collector tracks, whose collections cost a warm process more than the sweep
-    members = [array("q", (i,)) for i in range(n)]
-    name = list(range(n))  # the component id of each live leaf
+    never = len(tree.merges) + 1
+    size = [1] * n  # of each live leaf's component; 0 once the leaf is removed
+    tail = list(range(n))  # the last leaf of each live leaf's run, which the live leaf starts
+    after = [-1] * n  # the leaf each leaf's run goes on with
+    joined = [never] * n  # the step that joined each leaf to the one after it
+    co, tp = [0], [0]
+    for step, m in enumerate(tree.merges, 1):
+        kept, gone = m.kept, m.removed
+        after[tail[kept]], joined[tail[kept]], tail[kept] = gone, step, tail[gone]
+        co.append(co[-1] + size[kept] * size[gone])
+        if not graph:
+            small, big = hist[gone], hist[kept]
+            if size[gone] > size[kept]:
+                small, big = big, small
+            both = 0
+            for c, k in small.items():
+                both += k * big.get(c, 0)
+                big[c] = big.get(c, 0) + k
+            hist[kept], hist[gone] = big, None
+            tp.append(tp[-1] + both)
+        size[kept], size[gone] = size[kept] + size[gone], 0
+
+    if graph:
+        order = []
+        for root in range(n):
+            leaf = root if size[root] else -1  # each tree's run, from its live leaf
+            while leaf >= 0:
+                order.append(leaf)
+                leaf = after[leaf]
+        order = np.array(order, dtype=np.int64)
+        pos = np.empty(n, dtype=np.int64)
+        pos[order] = np.arange(n)
+        # each edge once, from its end earlier in the order
+        lo, hi = np.repeat(pos, reference.degrees), pos[reference.indices]
+        first = lo < hi
+        steps = _range_max(np.array(joined, dtype=np.int64)[order[:-1]], lo[first], hi[first])
+        tp = np.bincount(steps, minlength=never + 1).cumsum().tolist()
+
     negatives = total - positives
-    co = 0
-    tp = 0
-    points = [(0.0, 0.0)]
+    return RocCurve.from_points((_rate(c - t, negatives), _rate(t, positives)) for c, t in zip(co, tp))
 
-    for m in tree.merges:
-        small, big = name[m.removed], name[m.kept]
-        if len(members[small]) > len(members[big]):
-            small, big = big, small
-        moved = members[small]
-        co += len(moved) * len(members[big])
-        if hist is None:
-            for v in moved:
-                tp += sum(comp[u] == big for u in indices[indptr[v] : indptr[v + 1]])
-            for v in moved:
-                comp[v] = big
-        else:
-            counts = hist[big]
-            for c, k in hist[small].items():
-                tp += k * counts.get(c, 0)
-                counts[c] = counts.get(c, 0) + k
-        members[big] += moved
-        members[small] = None
-        name[m.kept] = big
-        points.append((_rate(co - tp, negatives), _rate(tp, positives)))
 
-    return RocCurve.from_points(points)
+def _range_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """max(values[lo[i]:hi[i]]) for each i, where lo < hi, from a sparse table (Bender & Farach-Colton, 2000).
+
+    Level j holds the maxima of the windows of 2**j cells, all levels in one
+    array; a range's maximum is that of the two windows of its level that
+    start at its left end and end at its right end.
+    """
+    levels = [values]
+    while 2 ** len(levels) <= len(values):
+        half = 2 ** (len(levels) - 1)
+        levels.append(np.maximum(levels[-1][:-half], levels[-1][half:]))
+    table = np.concatenate(levels)
+    starts = np.cumsum([0] + [len(level) for level in levels[:-1]])
+    j = np.frexp(hi - lo)[1] - 1  # floor(log2(hi - lo))
+    return np.maximum(table[starts[j] + lo], table[starts[j] + hi - (1 << j)])
 
 
 def roc_from_partitions(partitions, reference) -> RocCurve:

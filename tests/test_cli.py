@@ -740,6 +740,21 @@ class TestPipeline:
         assert "decompose" in manifest["timings"]
         assert manifest["version"]
 
+    def test_manifests_lap_every_stage(self, tmp_path):
+        """A graph `cluster` laps its load and its writes beside fit_predict's stages; a `roc` laps reading the
+        tree and the reference, the sweep and the write, and counts the curve's points as the CSV holds them."""
+        graph, labels, tree, roc = (tmp_path / name for name in ("g.txt", "labels.json", "tree.json", "roc.csv"))
+        graph.write_text("0 1\n1 2\n2 0\n3 4\n4 5\n5 3\n2 3\n")
+        assert run("cluster", "--input", graph, "--kernel", "graph:diag=auto", "--clusters", 2,
+                   "-o", labels, "--tree", tree) == 0
+        assert run("roc", "--tree", tree, "--reference", graph, "-o", roc) == 0
+        timings = json.loads(Path(f"{labels}.manifest.json").read_text())["timings"]
+        assert set(timings) == {"load", "sample", "gram", "decompose", "cut", "extend", "write", "total"}
+        manifest = json.loads(Path(f"{roc}.manifest.json").read_text())
+        assert set(manifest["timings"]) == {"tree", "reference", "sweep", "write", "total"}
+        assert manifest["timings"]["total"] >= sum(v for k, v in manifest["timings"].items() if k != "total")
+        assert manifest["points"] == len(roc.read_text().splitlines()) - 1 >= 2
+
     def test_cluster_hashes_its_input_once_for_two_equal_manifests(self, blob_csv, tmp_path, monkeypatch):
         calls = []
         sha256 = treelets.cli._sha256

@@ -129,6 +129,12 @@ class TestReadEdgeList:
         with pytest.raises(ValueError, match="line 2"):
             io.read_edge_list(f)
 
+    def test_pair_split_across_lines_is_malformed(self, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_text("0 1\n2\n3\n")
+        with pytest.raises(ValueError, match=f"^{f}: line 2: malformed edge '2'$"):
+            io.read_edge_list(f)
+
     def test_self_loop_reported(self, tmp_path):
         f = tmp_path / "g.txt"
         f.write_text("0 1\n3 3\n")
@@ -187,27 +193,49 @@ class TestReadEdgeList:
 # line separator too, and a text-mode file ends lines at none of them
 _BLANKS = st.text(" \t\f\u00a0\u2028", max_size=2)
 _GAP = st.text(" \t\f\u00a0\u2028", min_size=1, max_size=2)
+# the blanks of a plain file, which the byte path reads
+_PLAIN_BLANKS = st.text(" \t", max_size=2)
+_PLAIN_GAP = st.text(" \t", min_size=1, max_size=2)
 _BAD_EDGE_LINES = ["1 2 3", "4 4", f"0 {2**20 + 1}", f"{2**40} 3", "0 x", "a 1"]
+# ids of up to 7 digits, with the largest allowed and the smallest refused
+_IDS = st.one_of(st.integers(0, 9), st.integers(0, 9), st.integers(10, 10**7 - 1),
+                 st.sampled_from([io.MAX_VERTEX_ID, io.MAX_VERTEX_ID + 1]))
 
 
 @st.composite
 def edge_list_texts(draw):
-    """Edge-list text with blank and '#' lines, tabs, duplicate and reversed edges, and up to two bad lines."""
+    """Edge-list text with blank and '#' lines, tabs, duplicate and reversed edges, ids of 1 to 8 digits with leading
+    zeros, lines of one or three ids, and up to two bad lines.
+
+    Half the texts are plain, read from their bytes: ASCII spaces and tabs, newline line ends and ASCII comments.
+    """
+    plain = draw(st.booleans())
+    blanks, gap = (_PLAIN_BLANKS, _PLAIN_GAP) if plain else (_BLANKS, _GAP)
+    comment = st.text("ab01 \t#\f" if plain else "ab01 \t#", max_size=5)
+
+    def vertex(value):
+        return "0" * draw(st.sampled_from([0] * 7 + [1, 2, max(0, 8 - len(str(value)))])) + str(value)
+
+    kinds = ["edge", "edge", "edge", "reversed", "blank", "comment"] + ["ids"] * (draw(st.integers(0, 3)) == 0)
     lines = []
     for _ in range(draw(st.integers(0, 12))):
-        kind = draw(st.sampled_from(["edge", "edge", "edge", "reversed", "blank", "comment"]))
+        kind = draw(st.sampled_from(kinds))
         if kind in ("edge", "reversed"):
             u, v = draw(st.lists(st.integers(0, 9), min_size=2, max_size=2, unique=True))
-            zeros = "0" * draw(st.integers(0, 2))
-            line = f"{draw(_BLANKS)}{zeros}{u}{draw(_GAP)}{v}{draw(_BLANKS)}"
+            if draw(st.integers(0, 3)) == 0:
+                v = draw(_IDS.filter(lambda w: w != u))
+            line = f"{draw(blanks)}{vertex(u)}{draw(gap)}{vertex(v)}{draw(blanks)}"
             lines += [line, f"{v} {u}"] if kind == "reversed" else [line]
         elif kind == "blank":
-            lines.append(draw(_BLANKS))
-        else:
-            lines.append(draw(_BLANKS) + "#" + draw(st.text("ab01 \t#", max_size=5)))
-    for _ in range(draw(st.integers(0, 2))):
+            lines.append(draw(blanks))
+        elif kind == "comment":
+            lines.append(draw(blanks) + "#" + draw(comment))
+        else:  # one id or three
+            ids = [vertex(draw(_IDS)) for _ in range(draw(st.sampled_from([1, 3])))]
+            lines.append(draw(blanks) + draw(gap).join(ids) + draw(blanks))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_BAD_EDGE_LINES)))
-    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    end = "\n" if plain else draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return end.join(lines) + (end if draw(st.booleans()) else "")
 
 
@@ -232,8 +260,21 @@ def test_edge_list_matches_line_by_line_reference(tmp_path_factory, text):
     if want is not None:
         assert got.n_vertices == want.n_vertices
         assert np.array_equal(got.degrees, want.degrees)
-        for u in range(want.n_vertices):
-            assert set(got.neighbors(u).tolist()) == set(want.neighbors(u).tolist())
+        # each vertex's neighbours, as sorted CSR arrays: equal arrays are equal neighbour sets
+        assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+
+
+def test_plain_edge_list_never_reaches_the_line_walker(tmp_path, monkeypatch):
+    """Comment lines anywhere, with digits, '#' and any ASCII but a carriage return in them, blank lines, tabs,
+    leading zeros and 7-digit ids: the bytes alone give the graph."""
+    f = tmp_path / "plain.edges"
+    f.write_bytes(b"# 1 2 3\n\t # x\f0 0 #\n0 1\n\n \t0002\t0000001  \n#\n1048576 3\n  \t\n4 5\n# end")
+    want = oracles.read_edge_list(f)
+    monkeypatch.setattr(io, "_walk_edge_lines", lambda path: pytest.fail("the line walker read a plain file"))
+    got = io.read_edge_list(f)
+    assert got.n_vertices == want.n_vertices == io.MAX_VERTEX_ID + 1
+    assert np.array_equal(got.indptr, want.indptr) and np.array_equal(got.indices, want.indices)
+    assert got.n_edges == 4
 
 
 # cells float() reads in its own way (underscores, Arabic-Indic digits, a

@@ -195,3 +195,44 @@ class TestRocFromPartitions:
         curve = roc_from_partitions(parts, ref)
         assert (0.0, 1.0) in curve.points  # the perfect partition
         assert auc(curve) == 1.0
+
+
+@st.composite
+def shaped_forest_and_graph(draw):
+    """A forest of up to 64 leaves, often n = 0, 1 or 2: a chain, balanced rounds of merges or random merges, stalled
+    at any step or run to one tree; and an edgeless, complete or random graph on its leaves."""
+    n = draw(st.one_of(st.integers(0, 2), st.integers(3, 64)))
+    live = draw(st.permutations(range(n)))
+    shape = draw(st.sampled_from(["chain", "balanced", "random"]))
+    n_merges = max(n - 1, 0) if draw(st.booleans()) else draw(st.integers(0, max(n - 1, 0)))
+    merges = []
+    while len(merges) < n_merges:
+        if shape == "chain":  # the first component takes the next leaf
+            a, b = 0, 1
+        elif shape == "balanced":  # neighbours pair off, round after round
+            a, b = (0, 1) if len(live) == 2 else (len(live) - 2, len(live) - 1)
+        else:
+            a, b = draw(st.lists(st.integers(0, len(live) - 1), min_size=2, max_size=2, unique=True))
+        if draw(st.booleans()):
+            a, b = b, a
+        merges.append(Merge(len(merges) + 1, live[a], live[b], 0.5))
+        kept = live[b]
+        del live[a]
+        if shape == "balanced":  # the new component goes to the back of the round
+            live.remove(kept)
+            live.insert(0, kept)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    kind = draw(st.sampled_from(["edgeless", "complete", "random"]))
+    edges = set() if kind == "edgeless" or not pairs else set(pairs) if kind == "complete" else draw(
+        st.sets(st.sampled_from(pairs), max_size=3 * n))
+    return Dendrogram(n_leaves=n, merges=tuple(merges)), Graph(n, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shaped_forest_and_graph())
+def test_graph_roc_equals_brute_force_on_shaped_forests(case):
+    """Ranges up to 63 leaves long read every level of the sweep's range-maximum table up to 5.  No leaves have no
+    cut for the brute force to take: the curve is its two anchors."""
+    tree, graph = case
+    want = roc_brute_force(tree, graph) if tree.n_leaves else RocCurve.from_points([])
+    assert roc_from_hierarchy(tree, graph) == want

@@ -334,6 +334,27 @@ MUTANTS = [
         "if False:",
         ("tests/test_kernels.py",),
     ),
+    Mutant(
+        "the graph ROC's range maximum reads one cell short at its right end",
+        "src/treelets/metrics.py",
+        "table[starts[j] + hi - (1 << j)]",
+        "table[starts[j] + hi - 1 - (1 << j)]",
+        ("tests/test_metrics.py",),
+    ),
+    Mutant(
+        "the edge list's byte path takes a pair of ids split across two lines",
+        "src/treelets/io.py",
+        "((per_line != 0) & (per_line != 2)).any() or ",
+        "len(starts) % 2 or ",
+        ("tests/test_io.py",),
+    ),
+    Mutant(
+        "a block whose pilot bound the guard does not prove keeps the pilot's k-th",
+        "src/treelets/extend.py",
+        "            below = np.flatnonzero(sq <= bound[:, None])\n            bound = _row_kth(below, sq.ravel()[below], sq.shape, k)\n",
+        "            pass\n",
+        ("tests/test_extend.py",),
+    ),
 ]
 
 
