@@ -1,6 +1,9 @@
 """File ingestion and result emission.
 
-CSV cells matching a missing token become masked-out entries; everything
+CSV text is read a block of lines at a time: a quote-free block is split on
+its line ends and commas, as csv.reader would split it, and from the first
+line holding a quote (or over the field limit) on, csv.reader reads the
+rest.  Cells matching a missing token become masked-out entries; everything
 else must parse as a finite number.  Edge lists are whitespace-separated
 ASCII-digit vertex id pairs, one per line; '#'-prefixed comment lines are skipped.
 """
@@ -10,6 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -27,36 +31,100 @@ MAX_VERTEX_ID = 1 << 20
 _ID_DIGITS = len(str(MAX_VERTEX_ID))
 _POW10 = 10 ** np.arange(_ID_DIGITS, dtype=np.int64)
 
-# cells of one CSV parse chunk.  On the 12000 x 3 and 1080 x 78 bench CSVs
-# (2 vCPUs, 30 alternating calls) 1 << 12 to 1 << 16 parse equally fast,
-# 15-17 and 45-48 ms at best; three 1080-row cluster jobs in a fresh process
-# peak at 52.7 MB with 1 << 12, 53.6 with 1 << 13, 54.7 with 1 << 14 and
-# 59.2 with 1 << 16, against 57.9 when every row was held
-_CHUNK_CELLS = 1 << 12
+# cells of one CSV block, read as 16 characters a cell.  On the 12000 x 3 and
+# 1080 x 78 bench CSVs (2 vCPUs, 20 alternating calls) 1 << 10 to 1 << 14 parse
+# equally fast, 12.5-12.9 and 38-40 ms at best; a cluster job on either after
+# a warm-up job peaks at 47.3 and 53.5 MB with 1 << 10 or 1 << 11, 47.9 and
+# 53.8 with 1 << 12, 48.8 and 54.7 with 1 << 13
+_CHUNK_CELLS = 1 << 11
+
+
+def _csv_blocks(path):
+    """The rows of a CSV file as csv.reader gives them, streamed in blocks of about _CHUNK_CELLS cells.
+
+    The file is read 16 * _CHUNK_CELLS characters at a time, each read cut
+    after its last line end.  Opened with newline="", it ends lines where
+    csv does: at a line feed, a CRLF or a lone carriage return.  A block with
+    no '"' and no line longer than csv.field_size_limit() is the list of its
+    lines, line ends dropped, each of which csv.reader would split on its
+    commas (_row).  From the first line that is not, the rest of the file
+    goes to one csv.reader, whose blocks are lists of rows.  A malformed row
+    (say, a cell over the limit) raises ValueError naming the file line the
+    reader had reached, once the rows before it are yielded.
+    """
+    limit = csv.field_size_limit()
+    done, tail = 0, ""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        while True:
+            chunk = fh.read(16 * _CHUNK_CELLS)
+            text = tail + chunk
+            # a carriage return that ends the text may be the first half of a CRLF
+            cut = max(text.rfind("\n"), text.rfind("\r", 0, -1)) + 1 if chunk else len(text)
+            text, tail = text[:cut], text[cut:]
+            lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text).split("\n")
+            if not lines[-1]:
+                lines.pop()
+            # a line already over the limit goes to csv.reader without waiting for its end
+            if '"' in text or len(tail) > limit or max(map(len, lines), default=0) > limit:
+                break
+            if lines:
+                done += len(lines)
+                yield lines
+            if not chunk:
+                return
+        plain = next((i for i, line in enumerate(lines) if '"' in line or len(line) > limit), len(lines))
+        if plain:
+            done += plain
+            yield lines[:plain]
+        rest = list(StringIO(text, newline=""))[plain:]
+        reader = csv.reader(itertools.chain(rest, StringIO(tail + fh.readline(), newline=""), fh))
+        rows, cells, fault = [], 0, None
+        try:
+            for row in reader:
+                rows.append(row)
+                cells += len(row)
+                if cells >= _CHUNK_CELLS:
+                    yield rows
+                    rows, cells = [], 0
+        except csv.Error as exc:
+            fault = ValueError(f"{path}: line {done + reader.line_num}: {exc}")
+        if rows:
+            yield rows
+        if fault:
+            raise fault
 
 
 def _csv_rows(path):
-    """The rows of a CSV file as csv.reader gives them, streamed: no more than one buffer of text is held.
+    """The rows of a CSV file as csv.reader gives them, one at a time: the items of _csv_blocks' blocks as rows."""
+    return map(_row, itertools.chain.from_iterable(_csv_blocks(path)))
 
-    A line with no '"' and no longer than csv.field_size_limit() is split on
-    commas, which is what csv.reader makes of it (a blank line is []); the
-    first line that is not goes, with the rest of the file, to one
-    csv.reader.  Opened with newline="", the file ends lines where csv does.
-    A malformed row (say, a cell over the limit) raises ValueError naming
-    the file line the reader had reached.
+
+def _row(item) -> list:
+    """An item of a block as a row: a csv.reader row as it is, a line split on its commas (a blank line is [])."""
+    if type(item) is list:
+        return item
+    return item.split(",") if item else []
+
+
+def _fits(lines, width: int) -> bool:
+    """Whether each of a plain block's lines splits into width cells: width - 1 commas and, as one cell, not blank."""
+    return set(map(str.count, lines, itertools.repeat(","))) == {width - 1} and (width > 1 or all(lines))
+
+
+def _cells(lines, width: int):
+    """A plain block's cells, line after line, or None unless each line splits into width cells.
+
+    The lines are split as one string, with a line-feed cell, which no line
+    holds, between each two: each line has width cells (a blank line has
+    none) when those len(lines) - 1 cells are every (width + 1)-th.
     """
-    limit = csv.field_size_limit()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for done, line in enumerate(fh):
-            if '"' in line or len(line) > limit:
-                reader = csv.reader(itertools.chain([line], fh))
-                try:
-                    yield from reader
-                except csv.Error as exc:
-                    raise ValueError(f"{path}: line {done + reader.line_num}: {exc}") from None
-                return
-            body = line.rstrip("\r\n")
-            yield body.split(",") if body else []
+    flat = ",\n,".join(lines).split(",")
+    if len(flat) != len(lines) * (width + 1) - 1 or flat[width :: width + 1].count("\n") != len(lines) - 1:
+        return None
+    if width == 1 and not all(lines):
+        return None
+    del flat[width :: width + 1]
+    return flat
 
 
 def _is_header(row, missing_tokens, classes_last: bool) -> bool:
@@ -78,19 +146,23 @@ def _is_header(row, missing_tokens, classes_last: bool) -> bool:
 
 
 def _csv_body(path, has_header, missing_tokens, classes_last=False):
-    """The first data row (None if there is none), a stream of the rows after it,
-    the first's file row number, and the header's 'label' column or None.
+    """The first data row (None if there is none), the stream of blocks from it on,
+    its file row number, and the header's 'label' column or None.
 
     has_header=None sniffs the first row with the given missing tokens.
     """
-    rows = _csv_rows(path)
-    first = next(rows, None)
+    blocks = _csv_blocks(path)
+    block = next(blocks, None)
     if has_header is None:
-        has_header = first is not None and _is_header(first, missing_tokens, classes_last)
-    if first is None or not has_header:
-        return first, rows, 1, None
-    header = [h.strip() for h in first]
-    return next(rows, None), rows, 2, header.index("label") if "label" in header else None
+        has_header = block is not None and _is_header(_row(block[0]), missing_tokens, classes_last)
+    offset, label = 2 if has_header else 1, None
+    if block is not None and has_header:
+        header = [h.strip() for h in _row(block[0])]
+        label = header.index("label") if "label" in header else None
+        block = block[1:] or next(blocks, None)
+    if block is None:
+        return None, blocks, offset, label
+    return _row(block[0]), itertools.chain([block], blocks), offset, label
 
 
 def read_csv_numeric(path, has_header: bool | None = False, missing_tokens=DEFAULT_MISSING_TOKENS) -> Dataset:
@@ -98,24 +170,27 @@ def read_csv_numeric(path, has_header: bool | None = False, missing_tokens=DEFAU
 
     has_header=None sniffs the first row with the same missing tokens.  The
     first header column named 'label' is dropped unparsed, so it may hold
-    class names of any kind.  Rows are parsed in chunks of about
-    _CHUNK_CELLS cells, each a flat list; on a fault the file is walked
-    again cell by cell to name the first.
+    class names of any kind.  Each block of _csv_blocks is one flat list of
+    cells, masked and parsed as a whole; on a fault the file is walked again
+    cell by cell to name the first.
     """
-    first, rows, _, label = _csv_body(path, has_header, missing_tokens)
+    first, blocks, _, label = _csv_body(path, has_header, missing_tokens)
     if first is None:
         raise ValueError(f"{path}: no data rows")
     width = len(first)
     if label not in range(width):  # a header wider than the rows
         label = None
     n_cols = width - (label is not None)
-    rows = itertools.chain([first], rows)
-    height = max(1, _CHUNK_CELLS // max(1, width))
     values, present = [], []
-    for chunk in iter(lambda: list(itertools.islice(rows, height)), []):
-        if any(len(row) != width for row in chunk):
+    for block in blocks:
+        if type(block[0]) is str:
+            flat = _cells(block, width)
+        elif all(len(row) == width for row in block):
+            flat = list(itertools.chain.from_iterable(block))
+        else:
+            flat = None
+        if flat is None:
             break
-        flat = list(itertools.chain.from_iterable(chunk))
         if label is not None:
             del flat[label::width]
         tokens = list(map(str.strip, flat))
@@ -125,8 +200,8 @@ def read_csv_numeric(path, has_header: bool | None = False, missing_tokens=DEFAU
             cells[seen] = list(map(float, itertools.compress(tokens, seen.tolist())))
         except ValueError:
             break
-        values.append(cells.reshape(len(chunk), n_cols))
-        present.append(seen.reshape(len(chunk), n_cols))
+        values.append(cells.reshape(len(block), n_cols))
+        present.append(seen.reshape(len(block), n_cols))
     else:
         values, present = np.concatenate(values), np.concatenate(present)
         if np.isfinite(values).all() and present.any(axis=1).all():
@@ -136,9 +211,9 @@ def read_csv_numeric(path, has_header: bool | None = False, missing_tokens=DEFAU
 
 def _first_bad_cell(path, has_header, missing_tokens) -> ValueError:
     """The fault a cell-by-cell read meets first: a row of the wrong width, a bad cell, or a row with none observed."""
-    first, rows, offset, label = _csv_body(path, has_header, missing_tokens)
+    first, blocks, offset, label = _csv_body(path, has_header, missing_tokens)
     cols = [c for c in range(len(first)) if c != label]
-    for r, row in enumerate(itertools.chain([first], rows), start=offset):
+    for r, row in enumerate(map(_row, itertools.chain.from_iterable(blocks)), start=offset):
         if len(row) != len(first):
             return ValueError(f"{path}: row {r} has {len(row)} cells, expected {len(first)}")
         for c in cols:
@@ -256,7 +331,7 @@ def read_class_labels(path, has_header: bool | None = False) -> np.ndarray:
     never tests the last cell, which may be a class name: a one-column file
     reads as headerless unless its first cell is 'label'.
     """
-    first, rows, offset, label = _csv_body(path, has_header, DEFAULT_MISSING_TOKENS, classes_last=True)
+    first, blocks, offset, label = _csv_body(path, has_header, DEFAULT_MISSING_TOKENS, classes_last=True)
     if first is None:
         raise ValueError(f"{path}: no data rows")
     width = len(first)
@@ -264,10 +339,17 @@ def read_class_labels(path, has_header: bool | None = False) -> np.ndarray:
     if column not in range(width):
         raise ValueError(f"{path}: row {offset} has {width} cells, none in the class column")
     classes = []
-    for row in itertools.chain([first], rows):
-        if len(row) != width:
-            raise ValueError(f"{path}: row {offset + len(classes)} has {len(row)} cells, expected {width}")
-        classes.append(row[column])
+    for block in blocks:
+        if type(block[0]) is str and _fits(block, width):
+            if column == width - 1:
+                classes += [line.rpartition(",")[2] for line in block]
+            else:
+                classes += [line.split(",", column + 1)[column] for line in block]
+            continue
+        for row in map(_row, block):
+            if len(row) != width:
+                raise ValueError(f"{path}: row {offset + len(classes)} has {len(row)} cells, expected {width}")
+            classes.append(row[column])
     return np.array(list(map(str.strip, classes)))
 
 

@@ -47,10 +47,14 @@ class RocCurve:
 
     @classmethod
     def from_points(cls, points) -> "RocCurve":
-        pts = {(float(f), float(t)) for f, t in points}
-        pts.add((0.0, 0.0))
-        pts.add((1.0, 1.0))
-        return cls(points=tuple(sorted(pts)))
+        """The distinct points, sorted, with (0, 0) and (1, 1) added where missing; of equal points the first stays."""
+        pts = [(float(f), float(t)) for f, t in points]
+        ends = [(0.0, 0.0), *pts, (1.0, 1.0)]
+        if not all(f0 <= f1 and t0 <= t1 for (f0, t0), (f1, t1) in zip(ends, ends[1:])):
+            return cls(points=tuple(sorted({*pts, (0.0, 0.0), (1.0, 1.0)})))
+        # a sweep's points never decrease in either rate, so equal points are neighbours
+        kept = [p for p, before in zip(ends[1:], [None, *pts]) if p != before]
+        return cls(points=tuple(kept if kept[0] == (0.0, 0.0) else [(0.0, 0.0), *kept]))
 
 
 def _class_index(labels) -> np.ndarray:

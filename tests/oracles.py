@@ -230,6 +230,37 @@ def read_csv_numeric(path, has_header=False, missing_tokens=DEFAULT_MISSING_TOKE
     return Dataset(values, present)
 
 
+def read_class_labels(path, has_header=False) -> np.ndarray:
+    """io.read_class_labels row by row from one csv.reader: each row checked and its class cell taken on its own.
+
+    A row csv cannot split is named by file line when the reader reaches it.
+    """
+    classes, width, label = [], None, None
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            for r, row in enumerate(reader, start=1):
+                if r == 1 and has_header is None:
+                    has_header = _is_header(row, DEFAULT_MISSING_TOKENS, classes_last=True)
+                if r == 1 and has_header:
+                    header = [h.strip() for h in row]
+                    label = header.index("label") if "label" in header else None
+                    continue
+                if width is None:
+                    width = len(row)
+                    column = width - 1 if label is None else label
+                    if not 0 <= column < width:
+                        raise ValueError(f"{path}: row {r} has {width} cells, none in the class column")
+                if len(row) != width:
+                    raise ValueError(f"{path}: row {r} has {len(row)} cells, expected {width}")
+                classes.append(row[column].strip())
+        except csv.Error as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    if width is None:
+        raise ValueError(f"{path}: no data rows")
+    return np.array(classes)
+
+
 def rotate_dense(d: np.ndarray, i: int, j: int, coeffs) -> np.ndarray:
     """Jt D J on rows/columns i and j of a dense symmetric array, in place; returns d.
 
@@ -401,6 +432,14 @@ def union_find_labels(tree, n_merges: int) -> ClusterLabels:
     for r in roots:
         order.setdefault(r, len(order))
     return ClusterLabels(assignments=[order[r] for r in roots], n_clusters=len(order))
+
+
+def roc_curve_from_points(points) -> RocCurve:
+    """RocCurve.from_points as a set of the points and the two anchors, sorted."""
+    pts = {(float(f), float(t)) for f, t in points}
+    pts.add((0.0, 0.0))
+    pts.add((1.0, 1.0))
+    return RocCurve(points=tuple(sorted(pts)))
 
 
 def roc_brute_force(tree, reference) -> RocCurve:

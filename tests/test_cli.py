@@ -701,8 +701,8 @@ class TestPipeline:
     def test_csv_parsed_once(self, blob_csv, tmp_path, monkeypatch):
         """The header sniff, the 'label' column and the cells come from one parse."""
         calls = []
-        parse = io._csv_rows
-        monkeypatch.setattr(io, "_csv_rows", lambda path: calls.append(path) or parse(path))
+        parse = io._csv_blocks
+        monkeypatch.setattr(io, "_csv_blocks", lambda path: calls.append(path) or parse(path))
         tree = tmp_path / "t.json"
         assert run("normalize", "--input", blob_csv, "-o", tmp_path / "n.csv") == 0
         assert run("cluster", "--input", blob_csv, "--kernel", "rbf:sigma=1", "--clusters", 3,

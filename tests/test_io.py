@@ -51,6 +51,18 @@ class TestReadCsvNumeric:
         with pytest.raises(ValueError, match="row 2 has 1 cells"):
             io.read_csv_numeric(f)
 
+    @pytest.mark.parametrize("text, message", [
+        ("1,2\n3\n4,5,6\n", "row 2 has 1 cells, expected 2"),
+        ("1,2\n3,4,5\n6\n", "row 2 has 3 cells, expected 2"),
+        ("1\n\n2\n", "row 2 has 0 cells, expected 1"),
+    ])
+    def test_rows_that_make_up_the_cell_count_rejected(self, tmp_path, text, message):
+        """A short and a long row hold as many cells as two whole ones; a blank row has no cells."""
+        f = tmp_path / "d.csv"
+        f.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(f))}: {message}$"):
+            io.read_csv_numeric(f)
+
     def test_all_missing_row_rejected(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("1,2\nNA,NaN\n")
@@ -382,6 +394,25 @@ def test_csv_rows_equal_csv_readers(tmp_path_factory, text):
     assert got == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(raw_csv_texts())
+def test_csv_rows_in_blocks_of_a_line_equal_csv_readers(tmp_path_factory, text):
+    """As test_csv_rows_equal_csv_readers, with each read (16 characters) shorter than most lines."""
+    f = tmp_path_factory.getbasetemp() / "raw.csv"
+    f.write_bytes(text.encode())
+    limit = csv.field_size_limit(RAW_FIELD_LIMIT)
+    try:
+        want = _csv_reader_rows(f)
+        with patch.object(io, "_CHUNK_CELLS", 1):
+            try:
+                got = list(io._csv_rows(f)), None
+            except ValueError as exc:
+                got = None, str(exc)
+    finally:
+        csv.field_size_limit(limit)
+    assert got == want
+
+
 def test_quote_free_file_never_builds_a_csv_reader(tmp_path, monkeypatch):
     """The header sniff, both readers and their fault path split every line themselves."""
     f = tmp_path / "plain.csv"
@@ -398,6 +429,30 @@ def test_quote_free_file_never_builds_a_csv_reader(tmp_path, monkeypatch):
     f.write_bytes(b"a,label,b\r\n1.5,x,\r\n,y,2\n3,z,NA\r4,w,5")
     assert io.read_csv_numeric(f, has_header=None).values.tolist() == [[1.5, 0], [0, 2], [3, 0], [4, 5]]
     assert io.read_class_labels(f, has_header=None).tolist() == ["x", "y", "z", "w"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(csv_texts().map(lambda case: case[0]), raw_csv_texts()), st.sampled_from([None, False, True]),
+       st.booleans())
+def test_class_labels_match_cell_by_cell_reference(tmp_path_factory, text, has_header, small_limit):
+    """The same array and dtype, or the same message, with one line (or less) a block and with the whole
+    file in one, at the default field limit or a small one.
+    """
+    f = tmp_path_factory.getbasetemp() / "classes.csv"
+    f.write_bytes(text.encode())
+    limit = csv.field_size_limit(RAW_FIELD_LIMIT if small_limit else csv.field_size_limit())
+    try:
+        for budget in (1, 2**20):
+            with patch.object(io, "_CHUNK_CELLS", budget):
+                (got, err), (want, want_err) = _read_both(
+                    io.read_class_labels, oracles.read_class_labels, f, has_header=has_header
+                )
+            assert err == want_err
+            if want is not None:
+                assert got.dtype == want.dtype
+                assert got.tolist() == want.tolist()
+    finally:
+        csv.field_size_limit(limit)
 
 
 class TestLabelsJson:

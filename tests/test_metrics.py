@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import forests
-from oracles import roc_brute_force
+from oracles import roc_brute_force, roc_curve_from_points
 from treelets import ClusterLabels, Dendrogram, Graph, auc, matching_matrix, roc_from_hierarchy
 from treelets.hierarchy import Merge, cut
 from treelets.metrics import MatchingMatrix, RocCurve, roc_from_partitions
@@ -236,3 +236,35 @@ def test_graph_roc_equals_brute_force_on_shaped_forests(case):
     tree, graph = case
     want = roc_brute_force(tree, graph) if tree.n_leaves else RocCurve.from_points([])
     assert roc_from_hierarchy(tree, graph) == want
+
+
+# signed zeros, the anchors, values outside [0, 1] and a NaN, each likely to be drawn twice
+_RATES = [-0.0, 0.0, 0, 0.25, 0.5, 1 / 3, 1.0, 1, -0.5, 1.5, float("nan")]
+
+
+@st.composite
+def rate_pairs(draw):
+    """Points from a few rates: in any order, or with each rate sorted on its own so that neither decreases."""
+    points = draw(st.lists(st.tuples(st.sampled_from(_RATES), st.sampled_from(_RATES)), max_size=8))
+    if draw(st.booleans()):
+        fprs, tprs = zip(*points) if points else ((), ())
+        points = list(zip(sorted(fprs, key=float), sorted(tprs, key=float)))
+    return points
+
+
+@settings(max_examples=400, deadline=None)
+@given(rate_pairs())
+def test_from_points_equals_the_sorted_set(points):
+    """Bit for bit, signed zeros included: of equal points the first given stays, as in a set."""
+    assert repr(RocCurve.from_points(points).points) == repr(roc_curve_from_points(points).points)
+
+
+@pytest.mark.parametrize("points", [
+    [(-0.0, 0.0), (0.0, -0.0), (0.5, 0.5)],
+    [(0.0, 0.0), (0.25, 0.5), (0.25, 0.5), (1.0, 1.0), (1, 1)],
+    [(0.5, 0.5), (0.25, 0.75), (0.25, 0.5)],
+    [(1.0, 1.0), (0.0, 0.0)],
+    [],
+])
+def test_from_points_cases(points):
+    assert repr(RocCurve.from_points(points).points) == repr(roc_curve_from_points(points).points)

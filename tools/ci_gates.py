@@ -2,8 +2,9 @@
 
 The suite and the demos under -X dev, tools/mutants.py and bench/selftest.py; then, on bench/run.py's
 outputs in .bench_work, the pinned digests, outputs independent of the Gram's row block height and of
-BLAS's thread count, a quoted CRLF copy of the missing-mpe CSV, the decomposition and extension counters,
-the traced counts and the seed-1 repetitions.  Exits 1 at the first failure, with its message.
+BLAS's thread count, quoted CRLF copies of the missing-mpe and rbf-extend CSVs, the decomposition and
+extension counters, the traced counts and the seed-1 repetitions.  Exits 1 at the first failure, with its
+message.
 """
 
 import csv
@@ -96,14 +97,17 @@ def main() -> None:
         argv = workloads.WORKLOADS[w](work, 0).cluster_argv  # run in place at one thread, then moved at two
         differs = rerun(argv, work, threads="1") or rerun(argv, work / "threads-2", threads="2")
         check(f"{w}: BLAS at one and two threads", differs and f"{w}: {differs} between BLAS at one thread and at two")
-    src, dst = WORK / "missing-mpe", WORK / "missing-mpe-quoted"
-    dst.mkdir(exist_ok=True)
-    with open(src / "proteins.csv", newline="") as fin, open(dst / "proteins.csv", "w", newline="") as fout:
-        csv.writer(fout, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(csv.reader(fin))
-    swap = {str(src / "proteins.csv"): str(dst / "proteins.csv")}
-    cluster, roc = ([swap.get(a, a) for a in manifest(src.name, "command", f)[1:]] for f in ("labels.json", "roc.csv"))
-    differs = rerun(cluster, dst) or rerun(roc, dst)
-    check("missing-mpe: quoted CRLF copy of its CSV", differs and f"missing-mpe quoted copy: {differs}")
+    # every cell quoted: the csv.reader path reads what the plain block path read
+    for w, names in (("missing-mpe", ["proteins.csv"]), ("rbf-extend", ["circles.csv", "sample_labels.csv"])):
+        src, dst = WORK / w, WORK / f"{w}-quoted"
+        dst.mkdir(exist_ok=True)
+        for name in names:
+            with open(src / name, newline="") as fin, open(dst / name, "w", newline="") as fout:
+                csv.writer(fout, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(csv.reader(fin))
+        swap = {str(src / name): str(dst / name) for name in names}
+        cluster, roc = ([swap.get(a, a) for a in manifest(w, "command", f)[1:]] for f in ("labels.json", "roc.csv"))
+        differs = rerun(cluster, dst) or rerun(roc, dst)
+        check(f"{w}: quoted CRLF copy of its CSVs", differs and f"{w} quoted copy: {differs}")
     for w, counts in DECOMPOSITION.items():
         got = {key: manifest(w, "decomposition")[key] for key in counts}
         check(f"{w}: decomposition counters", got != counts and f"{w}: decomposition counters {got}, not {counts}")

@@ -267,8 +267,8 @@ MUTANTS = [
     Mutant(
         "a blank CSV line is read as one empty cell",
         "src/treelets/io.py",
-        'yield body.split(",") if body else []',
-        'yield body.split(",")',
+        'return item.split(",") if item else []',
+        'return item.split(",")',
         ("tests/test_io.py",),
     ),
     Mutant(
@@ -346,6 +346,27 @@ MUTANTS = [
         "src/treelets/io.py",
         "((per_line != 0) & (per_line != 2)).any() or ",
         "len(starts) % 2 or ",
+        ("tests/test_io.py",),
+    ),
+    Mutant(
+        "a plain CSV block's classes are taken without each line's comma count",
+        "src/treelets/io.py",
+        'set(map(str.count, lines, itertools.repeat(","))) == {width - 1} and ',
+        "",
+        ("tests/test_io.py",),
+    ),
+    Mutant(
+        "a plain CSV block's cells are taken by their count alone, not each line's",
+        "src/treelets/io.py",
+        ' or flat[width :: width + 1].count("\\n") != len(lines) - 1',
+        "",
+        ("tests/test_io.py",),
+    ),
+    Mutant(
+        "a CSV block holding a quote takes the plain path",
+        "src/treelets/io.py",
+        """if '"' in text or len(tail) > limit""",
+        "if len(tail) > limit",
         ("tests/test_io.py",),
     ),
     Mutant(
